@@ -214,6 +214,14 @@ def cmd_two_core(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.iters < 1:
+        print(f"error: --iters must be at least 1, got {args.iters}",
+              file=sys.stderr)
+        return E_IO
+    if not 0 <= args.damping < 1:
+        print(f"error: --damping must lie in [0, 1), got {args.damping}",
+              file=sys.stderr)
+        return E_IO
     r = _load(args.file)
     exact = args.exact
     try:

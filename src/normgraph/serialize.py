@@ -164,11 +164,17 @@ def load_priors(path: str, r: Realization, exact: bool) -> dict[str, Message]:
         if key not in r.symbols:
             raise ParseError(f"priors reference unknown symbol {key!r}")
         alpha = r.symbols[key]
+        if not isinstance(weights, list):
+            raise ParseError(f"prior for {key!r} must be a list of weights, "
+                             f"got {weights!r}")
         if len(weights) != alpha.order:
             raise ParseError(
                 f"prior for {key!r} has {len(weights)} weights, "
                 f"alphabet order is {alpha.order}")
-        out[key] = Message(alpha, tuple(_weight(w, exact) for w in weights))
+        try:
+            out[key] = Message(alpha, tuple(_weight(w, exact) for w in weights))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"prior for {key!r}: {exc}") from exc
     return out
 
 

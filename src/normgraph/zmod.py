@@ -10,6 +10,7 @@ by comparing matrices entry-wise.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd
 
 
@@ -51,44 +52,57 @@ def howell_form(rows, mod: int, ncols: int) -> list[list[int]]:
     Returns rows with strictly increasing pivot columns; each pivot divides
     mod; entries above a pivot are reduced modulo it.  The result is a
     canonical representative of the span: equal spans give equal matrices.
+
+    Each column is eliminated once.  Rows wait in buckets keyed by their
+    lead (first nonzero) column, and a bucket holds each row from its lead
+    column on, since the entries before it are zero.  Invariant: a row
+    always sits in the bucket of its lead column, and a row pushed while
+    column c is processed (the residue of a merge, or the annihilator
+    multiple of the pivot) leads after c.  So bucket c is complete when
+    column c is reached, and a row's lead is found only once.
     """
     if mod == 1 or ncols == 0:
         return []
-    work = []
+    buckets: list[list[list[int]]] = [[] for _ in range(ncols)]
+
+    def push(row: list[int], start: int) -> None:
+        # row holds columns start, start + 1, ...; zero rows are dropped
+        lead = next(compress(count(start), row), None)
+        if lead is not None:
+            buckets[lead].append(row[lead - start:])
+
     for r in rows:
-        rr = [v % mod for v in r]
-        if any(rr):
-            work.append(rr)
+        push([v % mod for v in r], 0)
     result: list[list[int]] = []
-    for col in range(ncols):
-        cur = [r for r in work if _lead(r) == col]
-        work = [r for r in work if _lead(r) > col and _lead(r) < ncols]
+    tails: list[list[int]] = []
+    for col, cur in enumerate(buckets):
         if not cur:
             continue
         piv = cur[0]
         for other in cur[1:]:
-            a, b = piv[col], other[col]
+            a, b = piv[0], other[0]
             g, s, t = xgcd(a, b)
-            new_piv = [(s * x + t * y) % mod for x, y in zip(piv, other)]
-            # (-b/g, a/g) combination kills the pivot column
-            resid = [((-(b // g)) * x + (a // g) * y) % mod for x, y in zip(piv, other)]
-            piv = new_piv
-            if any(resid):
-                work.append(resid)
-        g, u = unit_scale(piv[col], mod)
-        piv = [(u * x) % mod for x in piv]
-        ann = [((mod // g) * x) % mod for x in piv]
-        if any(ann):
-            work.append(ann)
-        result.append(piv)
+            ag, bg = a // g, b // g
+            # the (-b/g, a/g) combination kills column col
+            push([(ag * y - bg * x) % mod for x, y in zip(piv, other)], col)
+            piv = other if (s, t) == (0, 1) else [
+                (s * x + t * y) % mod for x, y in zip(piv, other)]
+        g, u = unit_scale(piv[0], mod)
+        if u != 1:
+            piv = [(u * x) % mod for x in piv]
+        if g != 1:
+            mg = mod // g
+            push([(mg * x) % mod for x in piv], col)
+        result.append([0] * col + piv)
+        tails.append(piv)
     # reduce entries above each pivot
-    for i, row in enumerate(result):
-        j = _lead(row)
-        d = row[j]
-        for k in range(i):
-            q = result[k][j] // d
+    for i, (row, tail) in enumerate(zip(result, tails)):
+        j = len(row) - len(tail)
+        d = tail[0]
+        for above in result[:i]:
+            q = above[j] // d
             if q:
-                result[k] = [(x - q * y) % mod for x, y in zip(result[k], row)]
+                above[j:] = [(x - q * y) % mod for x, y in zip(above[j:], tail)]
     return result
 
 

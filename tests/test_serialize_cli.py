@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -144,6 +147,32 @@ def test_cli_decode_iterative(capsys, tmp_path):
                  "--iters", "50", "-o", str(out_file)]) == 0
     payload = json.loads(out_file.read_text())
     assert set(payload) == {"a0", "a1"}
+
+
+MALFORMED_DECODE = [
+    # (case, extra decode arguments, priors document, expected exit code)
+    ("damping above 1", ["--damping", "1.5"], None, 4),
+    ("zero iterations", ["--iters", "0"], None, 4),
+    ("negative prior weight", [], {"a0": [-1, 2]}, 4),
+    ("prior entry not a list", [], {"a0": 5}, 4),
+]
+
+
+def test_cli_malformed_decode_inputs_exit_cleanly(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for case, extra, priors, code in MALFORMED_DECODE:
+        argv = ["decode", str(CORPUS / "tail_biting_rep2.json"), *extra]
+        if priors is not None:
+            path = tmp_path / "priors.json"
+            path.write_text(json.dumps(priors))
+            argv += ["--priors", str(path)]
+        proc = subprocess.run([sys.executable, "-m", "normgraph.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == code, (case, proc.stderr)
+        assert "Traceback" not in proc.stderr, case
+        assert proc.stderr.startswith("error: "), case
+        assert proc.stdout == "", case
 
 
 def test_graph_export_contains_half_edges():

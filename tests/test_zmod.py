@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, prod
 
-from normgraph import zmod
+from normgraph import intmat, zmod
 
 
 def close_span(rows, mod, ncols):
@@ -121,3 +121,57 @@ def test_unit_scale():
             assert g == gcd(a, mod)
             assert gcd(u, mod) == 1
             assert (u * a) % mod == g
+
+
+def structured_rows(rng, mod, nrows, ncols):
+    """Rows spanning a proper subgroup: Z_mod-combinations of fewer base rows,
+    some scaled by zero divisors, so that merge chains, pivots that are not
+    units and annihilator rows all occur."""
+    divisors = [d for d in range(1, mod) if mod % d == 0]
+    base = []
+    for _ in range(rng.randrange(2, ncols)):
+        lead = rng.randrange(ncols)
+        scale = rng.choice(divisors)
+        base.append([0] * lead + [scale * rng.randrange(mod) % mod
+                                  for _ in range(ncols - lead)])
+    return [[sum(rng.randrange(mod) * b[c] for b in base) % mod
+             for c in range(ncols)] for _ in range(nrows)]
+
+
+def recombine(rng, rows, mod):
+    """The same span through random unimodular row operations over Z_mod."""
+    rows = [list(r) for r in rows]
+    units = [u for u in range(1, mod) if gcd(u, mod) == 1]
+    for _ in range(3 * len(rows)):
+        i, j = rng.sample(range(len(rows)), 2)
+        q = rng.randrange(mod)
+        rows[i] = [(x + q * y) % mod for x, y in zip(rows[i], rows[j])]
+        u = rng.choice(units)
+        rows[j] = [(u * y) % mod for y in rows[j]]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_howell_at_real_sizes():
+    rng = random.Random(19)
+    for mod in (2, 4, 12, 36):
+        for _ in range(5):
+            nrows, ncols = rng.randrange(10, 41), rng.randrange(8, 33)
+            rows = structured_rows(rng, mod, nrows, ncols)
+            hf = zmod.howell_form(rows, mod, ncols)
+            assert zmod.howell_form(hf, mod, ncols) == hf
+            shuffled = rows[:]
+            rng.shuffle(shuffled)
+            assert zmod.howell_form(shuffled, mod, ncols) == hf
+            assert zmod.howell_form(recombine(rng, rows, mod), mod, ncols) == hf
+            padded = rows + [[0] * ncols] + [
+                [mod * rng.randrange(-3, 4) for _ in range(ncols)]
+                for _ in range(3)]
+            assert zmod.howell_form(padded, mod, ncols) == hf
+            assert all(zmod.member(r, hf, mod) for r in rows)
+            # independent route: Z^n / (rows + mod Z^n) has order det
+            lattice = rows + [[mod if i == j else 0 for j in range(ncols)]
+                              for i in range(ncols)]
+            smith = intmat.smith_form(lattice)[0]
+            det = prod(smith[i][i] for i in range(ncols))
+            assert zmod.span_order(hf, mod) == mod ** ncols // det
