@@ -10,11 +10,11 @@ from .alphabets import Alphabet, ProductSpace, cyclic_group, vector_space
 from .analysis import (
     behavioral_ctrl_obs,
     canonical_decomposition,
-    controllability_test,
     local_reduce,
     obs_ctrl,
     state_trim_status,
     trim_proper,
+    verify_controllability,
 )
 from .decode import (
     Message,
@@ -52,7 +52,6 @@ from .serialize import dump_realization, load_realization
 from .subgroups import (
     CodeSubgroup,
     QuotientMap,
-    canonicalize,
     ftsp_decompose,
     full_subgroup,
     product_subgroup,
@@ -63,13 +62,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "ProductSpace", "cyclic_group", "vector_space",
-    "CodeSubgroup", "QuotientMap", "canonicalize", "ftsp_decompose",
+    "CodeSubgroup", "QuotientMap", "ftsp_decompose",
     "full_subgroup", "product_subgroup", "zero_subgroup",
     "Homomorphism", "identity_map", "negation_map",
     "Realization", "Constraint", "StateVar", "GeneralSystem", "normalize",
     "dualize", "verify_duality", "dual_fragment_check",
     "trim_proper", "local_reduce", "canonical_decomposition", "obs_ctrl",
-    "controllability_test", "behavioral_ctrl_obs", "state_trim_status",
+    "verify_controllability", "behavioral_ctrl_obs", "state_trim_status",
     "cyclomatic_number", "is_cut_edge", "two_core",
     "second_canonical_decomposition",
     "minimize_cycle_free", "verify_state_space_theorem",

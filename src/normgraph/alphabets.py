@@ -38,30 +38,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """A finite abelian alphabet, either GF(p)^k or Z_{m1} x ... x Z_{mr}.
+class _Moduli:
+    """Arithmetic shared by alphabets and product spaces: both are
+    products of cyclic groups Z_m, one per entry of `moduli`."""
 
-    kind is "field" or "group"; moduli is the per-coordinate modulus tuple
-    ([p]*k for the field kind).  Equality is by (kind, moduli), so GF(2)^1
-    and Z_2 are distinct alphabets of the same underlying group.
-    """
-
-    kind: str
     moduli: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("field", "group"):
-            raise ValueError(f"unknown alphabet kind {self.kind!r}")
-        if self.kind == "field":
-            if len(set(self.moduli)) > 1:
-                raise ValueError("field alphabet must have a single prime modulus")
-            if self.moduli and not _is_prime(self.moduli[0]):
-                raise ValueError(f"{self.moduli[0]} is not prime")
-        else:
-            for m in self.moduli:
-                if m < 2:
-                    raise ValueError(f"cyclic modulus {m} < 2")
 
     @property
     def width(self) -> int:
@@ -74,6 +55,11 @@ class Alphabet:
     @property
     def zero(self) -> Element:
         return (0,) * self.width
+
+    def unit_rows(self) -> list[Element]:
+        """The generators e_0, ..., e_(width-1), one per coordinate."""
+        w = self.width
+        return [(0,) * i + (1,) + (0,) * (w - 1 - i) for i in range(w)]
 
     def contains(self, x: Sequence[int]) -> bool:
         return len(x) == self.width and all(
@@ -95,8 +81,35 @@ class Alphabet:
     def elements(self) -> Iterator[Element]:
         """All elements in lexicographic coordinate order."""
         if self.order > ENUMERATION_CAP:
-            raise TooLargeToEnumerate(f"alphabet of order {self.order}")
+            raise TooLargeToEnumerate(f"{self._noun} of order {self.order}")
         return itertools.product(*(range(m) for m in self.moduli))
+
+
+@dataclass(frozen=True)
+class Alphabet(_Moduli):
+    """A finite abelian alphabet, either GF(p)^k or Z_{m1} x ... x Z_{mr}.
+
+    kind is "field" or "group"; moduli is the per-coordinate modulus tuple
+    ([p]*k for the field kind).  Equality is by (kind, moduli), so GF(2)^1
+    and Z_2 are distinct alphabets of the same underlying group.
+    """
+
+    kind: str
+    moduli: tuple[int, ...]
+    _noun = "alphabet"
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("field", "group"):
+            raise ValueError(f"unknown alphabet kind {self.kind!r}")
+        if self.kind == "field":
+            if len(set(self.moduli)) > 1:
+                raise ValueError("field alphabet must have a single prime modulus")
+            if self.moduli and not _is_prime(self.moduli[0]):
+                raise ValueError(f"{self.moduli[0]} is not prime")
+        else:
+            for m in self.moduli:
+                if m < 2:
+                    raise ValueError(f"cyclic modulus {m} < 2")
 
     def index(self, x: Sequence[int]) -> int:
         """Rank of x in the lexicographic enumeration (mixed-radix value)."""
@@ -130,13 +143,15 @@ def cyclic_group(*moduli: int) -> Alphabet:
 TRIVIAL = Alphabet("group", ())
 
 
-class ProductSpace:
+class ProductSpace(_Moduli):
     """Ordered labeled direct product of alphabets; the ambient of a subgroup.
 
     Labels are arbitrary hashable values (strings at the API surface, small
     tuples internally); they must be unique.  Coordinates of the product are
     the concatenated coordinates of the factors, in order.
     """
+
+    _noun = "ambient"
 
     def __init__(self, factors: Sequence[tuple[Any, Alphabet]]):
         labels = [lab for lab, _ in factors]
@@ -157,20 +172,8 @@ class ProductSpace:
         return tuple(lab for lab, _ in self.factors)
 
     @property
-    def width(self) -> int:
-        return len(self.moduli)
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.moduli)
-
-    @property
     def lcm_modulus(self) -> int:
         return reduce(math.lcm, self.moduli, 1)
-
-    @property
-    def zero(self) -> Element:
-        return (0,) * self.width
 
     def alphabet(self, label: Any) -> Alphabet:
         for lab, alpha in self.factors:
@@ -217,11 +220,6 @@ class ProductSpace:
         )
         return inside, outside
 
-    def contains(self, x: Sequence[int]) -> bool:
-        return len(x) == self.width and all(
-            0 <= v < m for v, m in zip(x, self.moduli)
-        )
-
     def check_row(self, x: Sequence[int]) -> Element:
         if len(x) != self.width:
             raise RowOutOfAmbient(
@@ -232,31 +230,13 @@ class ProductSpace:
                 raise RowOutOfAmbient(f"coordinate {v} out of range [0, {m})")
         return tuple(x)
 
-    def reduce(self, x: Sequence[int]) -> Element:
-        return tuple(v % m for v, m in zip(x, self.moduli))
-
-    def add(self, x: Sequence[int], y: Sequence[int]) -> Element:
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
-
-    def neg(self, x: Sequence[int]) -> Element:
-        return tuple((-a) % m for a, m in zip(x, self.moduli))
-
     def get(self, x: Sequence[int], label: Any) -> Element:
         a, b = self.span(label)
         return tuple(x[a:b])
 
-    def elements(self) -> Iterator[Element]:
-        if self.order > ENUMERATION_CAP:
-            raise TooLargeToEnumerate(f"ambient of order {self.order}")
-        return itertools.product(*(range(m) for m in self.moduli))
-
     def pair(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
         """Duality pairing <x, y> = sum x_i y_i / m_i as a residue in R/Z."""
-        M = self.lcm_modulus
-        num = sum(
-            xi * yi * (M // m) for xi, yi, m in zip(x, y, self.moduli)
-        )
-        return Fraction(num % M, M) if M > 1 else Fraction(0, 1)
+        return Fraction(self.pair_nums(x, y), self.lcm_modulus)
 
     def pair_nums(self, x: Sequence[int], y: Sequence[int]) -> int:
         """Numerator of the pairing over the common denominator lcm(moduli)."""

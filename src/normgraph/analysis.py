@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .alphabets import Alphabet, ProductSpace, sort_key
+from .alphabets import ProductSpace, sort_key
 from .errors import (
     EdgeIsCutSet,
     FragmentsOverlap,
@@ -84,23 +84,12 @@ def far_side_fragment(r: Realization, constraint: str, edge: str
     others = [cl for cl in end_constraints if cl != constraint]
     if not others:
         raise NotAStateEdge(f"edge {edge!r} is a self-loop at {constraint!r}")
-    far_constraint = others[0]
-    incident = sorted({
-        j for j in r.internal_states()
-        if constraint in [cl for cl, _ in r.slots[j]]
-    }, key=sort_key)
-    folded = r
-    for j in incident:
-        folded = folded.fold_edge_iso(j)
-    comps = folded.components(set(incident))
-    comp = next(c for c in comps if far_constraint in c)
-    cut_here = [j for j in incident
-                if any(cl in comp for cl, _ in folded.slots[j])]
-    heads = folded.head_labels(cut_here)
-    frag = folded._fragment_for(comp, set(cut_here), heads)
-    (tc, _), _ = folded.slots[edge]
-    blabel = edge if tc in comp else heads[edge]
-    return folded, frag, blabel
+    incident = [j for j in r.internal_states()
+                if any(cl == constraint for cl, _ in r.slots[j])]
+    sp = r.split(incident)
+    frag = next(f for f in sp.fragments if others[0] in f.constraints)
+    tail, head = sp.halves[edge]
+    return sp.folded, frag, tail if tail in frag.boundary else head
 
 
 def local_reduce(r: Realization, constraint: str, edge: str) -> Realization:
@@ -271,7 +260,6 @@ class ObsCtrlReport:
     tot_observable: bool
     ext_controllable: bool
     int_controllable_flag: bool
-    independence_route_agrees: bool
 
     @property
     def tot_controllable(self) -> bool:
@@ -281,7 +269,6 @@ class ObsCtrlReport:
 def obs_ctrl(f: Realization) -> ObsCtrlReport:
     """Full internal/external/total observability and controllability report."""
     bundle = f.behavior_bundle()
-    syms = sorted(f.symbols, key=sort_key)
     bound = list(f.boundary)
     internal = sorted(f.internal_states(), key=sort_key)
 
@@ -306,14 +293,6 @@ def obs_ctrl(f: Realization) -> ObsCtrlReport:
         syn_rows.append(tuple(out))
     controllable_sub = CodeSubgroup(state_space, syn_rows)
 
-    order_int_states = state_space.order
-    assert bundle.universe.order % bundle.extended.order == 0
-    assert bundle.universe.order // bundle.extended.order == controllable_sub.order
-
-    independent = bundle.universe.orthogonal().intersect(
-        bundle.validity.orthogonal()).is_trivial
-    int_ctrl_flag = controllable_sub.order == order_int_states
-
     return ObsCtrlReport(
         ext_unobservable=ext_unobs,
         int_unobservable=int_unobs,
@@ -321,53 +300,29 @@ def obs_ctrl(f: Realization) -> ObsCtrlReport:
         int_controllable=controllable_sub,
         order_universe=bundle.universe.order,
         order_extended=bundle.extended.order,
-        order_int_states=order_int_states,
+        order_int_states=state_space.order,
         ext_observable=ext_unobs.is_trivial,
         int_observable=int_unobs.is_trivial,
         tot_observable=tot_unobs.is_trivial,
         ext_controllable=bundle.external.project(bound).order
         == ProductSpace([(j, f.states[j].alphabet) for j in bound]).order,
-        int_controllable_flag=int_ctrl_flag,
-        independence_route_agrees=independent == int_ctrl_flag,
+        int_controllable_flag=controllable_sub.order == state_space.order,
     )
 
 
-@dataclass
-class ControllabilityTest:
-    order_universe: int
-    order_extended: int
-    order_states: int
-    order_controllable: int
-    controllable: bool
+def verify_controllability(f: Realization) -> bool:
+    """Check obs_ctrl's internal controllability by two independent routes.
 
-    def dims(self, p: int) -> tuple[int, int, int, int]:
-        def logp(n: int) -> int:
-            d = 0
-            while n > 1:
-                if n % p:
-                    raise ValueError(f"{n} is not a power of {p}")
-                n //= p
-                d += 1
-            return d
-        return (logp(self.order_universe), logp(self.order_extended),
-                logp(self.order_states), logp(self.order_controllable))
-
-
-def controllability_test(f: Realization) -> ControllabilityTest:
-    """|U| / |extended behavior| = |controllable subspace| <= |states|."""
+    The counting route: |U| / |extended behavior| = |controllable subspace|.
+    The independence route: the syndrome map is onto the state space iff
+    the constraint and validity checks are independent, U⊥ ∩ V⊥ = 0.
+    """
+    bundle = f.behavior_bundle()
     rep = obs_ctrl(f)
-    return ControllabilityTest(
-        order_universe=rep.order_universe,
-        order_extended=rep.order_extended,
-        order_states=rep.order_int_states,
-        order_controllable=rep.int_controllable.order,
-        controllable=rep.int_controllable_flag,
-    )
-
-
-def unobservable_states(r: Realization) -> CodeSubgroup:
-    """State configurations consistent with the all-zero symbol configuration."""
-    return obs_ctrl(r).int_unobservable
+    independent = bundle.universe.orthogonal().intersect(
+        bundle.validity.orthogonal()).is_trivial
+    return (rep.order_universe == rep.order_extended * rep.int_controllable.order
+            and independent == rep.int_controllable_flag)
 
 
 # -- behavioral controllability / observability ----------------------------------
@@ -415,24 +370,15 @@ def behavioral_ctrl_obs(r: Realization, part_f: Sequence[str],
                 if len({cl for cl, _ in r.slots[j]}
                        & (set_f | set_f2)) == 1
                 and len({cl for cl, _ in r.slots[j]} & rest) >= 1]
-    folded = r
-    for j in sorted(crossing, key=sort_key):
-        folded = folded.fold_edge_iso(j)
-    heads = folded.head_labels(crossing)
+    sp = r.split(crossing, parts=[set_f, set_f2, rest])
+    frag_f, frag_f2, frag_mid = sp.fragments
 
-    def fragment_of(subset: set[str]) -> tuple[Realization, dict[str, str]]:
-        cut_here = [j for j in crossing
-                    if any(cl in subset for cl, _ in folded.slots[j])]
-        frag = folded._fragment_for(subset, set(cut_here), heads)
-        label_of_edge = {}
-        for j in cut_here:
-            (tc, _), _ = folded.slots[j]
-            label_of_edge[j] = j if tc in subset else heads[j]
-        return frag, label_of_edge
+    def label_of(frag: Realization) -> dict[str, str]:
+        """Each cut edge's half-edge label inside the fragment."""
+        return {j: lab for j, pair in sp.halves.items() for lab in pair
+                if lab in frag.boundary}
 
-    frag_f, lab_f = fragment_of(set_f)
-    frag_f2, lab_f2 = fragment_of(set_f2)
-    frag_mid, lab_mid = fragment_of(rest)
+    lab_f, lab_f2, lab_mid = map(label_of, sp.fragments)
 
     def boundary_block(frag: Realization, label_of_edge: dict[str, str],
                        edges: list[str]) -> tuple[CodeSubgroup, CodeSubgroup]:
@@ -513,21 +459,19 @@ def state_trim_status(r: Realization, edge: str) -> StateTrimReport:
         raise NotAStateEdge(f"{edge!r} is not an internal state edge")
     if is_cut_edge(r, edge):
         raise EdgeIsCutSet(f"cutting {edge!r} would disconnect the realization")
-    folded = r.fold_edge_iso(edge)
-    frag = folded.cut([edge])[0]
-    heads = folded.head_labels([edge])
-    tail_lab, head_lab = edge, heads[edge]
+    sp = r.split([edge])
+    frag, = sp.fragments
+    tail_lab, head_lab = sp.halves[edge]
     ext = frag.external_behavior()
     utrans = ext.cross_section([tail_lab, head_lab])
 
-    alpha = folded.states[edge].alphabet
-    pair_space = utrans.ambient
-    diag = CodeSubgroup(pair_space, [
-        row + row for row in _alphabet_basis(alpha)])
+    alpha = r.states[edge].alphabet
+    diag = CodeSubgroup(utrans.ambient, [e + e for e in alpha.unit_rows()])
     dual_state_trim = diag.contains_subgroup(utrans)
     observable = utrans.intersect(diag).is_trivial
 
-    behavior = folded.behavior_bundle().behavior
+    # the tail coordinate ("s", edge) is the same before and after folding
+    behavior = r.behavior_bundle().behavior
     state_trim = behavior.project([("s", edge)]).order == alpha.order
 
     # controllable subspace of the collapsed view: the difference image of
@@ -535,29 +479,21 @@ def state_trim_status(r: Realization, edge: str) -> StateTrimReport:
     pair_proj = ext.project([tail_lab, head_lab])
     diff_rows = []
     for row in pair_proj.rows:
-        s, sp = row[:alpha.width], row[alpha.width:]
+        s, s_head = row[:alpha.width], row[alpha.width:]
         diff_rows.append(tuple((a - b) % m
-                               for a, b, m in zip(s, sp, alpha.moduli)))
+                               for a, b, m in zip(s, s_head, alpha.moduli)))
     diff_space = ProductSpace([(edge, alpha)])
     controllable = CodeSubgroup(diff_space, diff_rows).order == alpha.order
 
-    frag_rep = obs_ctrl(frag)
+    # utrans is the fragment's unobservable boundary subgroup and pair_proj
+    # its reachable boundary pairs, so they give its external flags
     return StateTrimReport(
         edge=edge,
         state_trim=state_trim,
         dual_state_trim=dual_state_trim,
         unobservable_transitions=utrans,
-        fragment_ext_observable=frag_rep.ext_observable,
-        fragment_ext_controllable=frag_rep.ext_controllable,
+        fragment_ext_observable=utrans.is_trivial,
+        fragment_ext_controllable=pair_proj.order == alpha.order ** 2,
         observable=observable,
         controllable=controllable,
     )
-
-
-def _alphabet_basis(alpha: Alphabet) -> list[tuple[int, ...]]:
-    rows = []
-    for i in range(alpha.width):
-        e = [0] * alpha.width
-        e[i] = 1
-        rows.append(tuple(e))
-    return rows

@@ -11,12 +11,7 @@ import json
 import sys
 
 from .alphabets import sort_key
-from .analysis import (
-    controllability_test,
-    obs_ctrl,
-    state_trim_status,
-    trim_proper,
-)
+from .analysis import obs_ctrl, state_trim_status, trim_proper
 from .decode import decode_exact, decode_iterative
 from .duality import dualize, verify_duality
 from .errors import (
@@ -94,7 +89,7 @@ def cmd_analyze(args) -> int:
     targets = [r]
     if args.fragment:
         edges = [e.strip() for e in args.fragment.split(",") if e.strip()]
-        targets = r.cut(edges)
+        targets = r.split(edges).fragments
     out = []
     for idx, frag in enumerate(targets):
         entry: dict = {"fragment": idx, "constraints": sorted(frag.constraints)}
@@ -113,13 +108,12 @@ def cmd_analyze(args) -> int:
             "externally_controllable": rep.ext_controllable,
             "internally_controllable": rep.int_controllable_flag,
         }
-        t = controllability_test(frag)
         entry["controllability_test"] = {
-            "order_universe": t.order_universe,
-            "order_extended": t.order_extended,
-            "order_states": t.order_states,
-            "order_controllable": t.order_controllable,
-            "controllable": t.controllable,
+            "order_universe": rep.order_universe,
+            "order_extended": rep.order_extended,
+            "order_states": rep.order_int_states,
+            "order_controllable": rep.int_controllable.order,
+            "controllable": rep.int_controllable_flag,
         }
         if not frag.is_fragment:
             st_entries = {}
@@ -222,6 +216,10 @@ def cmd_decode(args) -> int:
         print(f"error: --damping must lie in [0, 1), got {args.damping}",
               file=sys.stderr)
         return E_IO
+    if not args.tol >= 0:
+        print(f"error: --tol must be a non-negative number, got {args.tol}",
+              file=sys.stderr)
+        return E_IO
     r = _load(args.file)
     exact = args.exact
     try:
@@ -282,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("analyze", help="trim/proper and obs/ctrl reports")
     q.add_argument("file")
-    q.add_argument("--fragment", help="comma-separated edges to cut first")
+    q.add_argument("--fragment",
+                   help="comma-separated edges to cut first (their isos are "
+                        "folded into the head constraints)")
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_analyze)
 

@@ -16,7 +16,14 @@ from math import gcd, lcm
 from .alphabets import Alphabet, Element, ProductSpace, cyclic_group, sort_key, vector_space
 from .errors import TooLargeToEnumerate
 from .homs import Homomorphism
-from .realization import Constraint, GeneralSystem, Realization, StateVar, normalize
+from .realization import (
+    Constraint,
+    GeneralSystem,
+    Realization,
+    StateVar,
+    equality_code,
+    normalize,
+)
 from .subgroups import CodeSubgroup
 
 GF2 = vector_space(2, 1)
@@ -30,24 +37,11 @@ def _slot_space(alphas) -> ProductSpace:
     return ProductSpace(list(enumerate(alphas)))
 
 
-def _basis(alpha: Alphabet):
-    for i in range(alpha.width):
-        e = [0] * alpha.width
-        e[i] = 1
-        yield tuple(e)
-
-
-def equality_code(alpha: Alphabet, n: int) -> CodeSubgroup:
-    """Repetition code of length n over one alphabet."""
-    rows = [e * n for e in _basis(alpha)]
-    return CodeSubgroup(_slot_space([alpha] * n), rows)
-
-
 def zero_sum_code(alpha: Alphabet, n: int) -> CodeSubgroup:
     """Single-parity-check code: coordinates summing to zero."""
     rows = []
     for i in range(n - 1):
-        for e in _basis(alpha):
+        for e in alpha.unit_rows():
             row = [0] * (n * alpha.width)
             for t, v in enumerate(e):
                 row[i * alpha.width + t] = v
@@ -326,7 +320,7 @@ def random_fragment(seed: int, boundary_alpha: Alphabet,
     for row in con.code.rows:
         rows.append(tuple(row) + tuple(rng.randrange(m)
                                        for m in boundary_alpha.moduli))
-    for e in _basis(boundary_alpha):
+    for e in boundary_alpha.unit_rows():
         if rng.random() < 0.7:
             rows.append((0,) * con.code.ambient.width + e)
     states = dict(r.states)

@@ -99,29 +99,22 @@ def two_core(r: Realization, rng: random.Random | None = None) -> TwoCoreDecompo
         inside = [cl for cl, _ in ends if cl in alive]
         if len(inside) == 1:
             attachments.append(j)
-    folded = r
-    for j in attachments:
-        folded = folded.fold_edge_iso(j)
-    heads = folded.head_labels(attachments)
-    half_edge_for = {}
-    for j in attachments:
-        half_edge_for[j] = j
-        half_edge_for[heads[j]] = j
-    frags = folded.cut(attachments)
+    sp = r.split(attachments)
+    edge_of = {lab: j for j, pair in sp.halves.items() for lab in pair}
     core = None
     core_boundary_of: dict[str, str] = {}
     leaves_out = []
-    for frag in frags:
+    for frag in sp.fragments:
         if set(frag.constraints) & alive:
             core = frag
         else:
             assert len(frag.boundary) == 1
             bvar = frag.boundary[0]
-            leaves_out.append(LeafAttachment(frag, half_edge_for[bvar], bvar))
+            leaves_out.append(LeafAttachment(frag, edge_of[bvar], bvar))
     assert core is not None
     for b in core.boundary:
-        if b in half_edge_for:
-            core_boundary_of[half_edge_for[b]] = b
+        if b in edge_of:
+            core_boundary_of[edge_of[b]] = b
     leaves_out.sort(key=lambda la: sort_key(la.edge))
     return TwoCoreDecomposition(core, core_boundary_of, leaves_out)
 
@@ -194,9 +187,7 @@ def second_canonical_decomposition(r: Realization) -> SecondDecomposition:
             return SecondDecomposition(None, [
                 LeafSummary(r, None, None, None, None, None, None)])
         j = edges[0]
-        folded = r.fold_edge_iso(j)
-        frags = folded.cut([j])
-        leaves = [_leaf_summary(f, j, r) for f in frags]
+        leaves = [_leaf_summary(f, j, r) for f in r.split([j]).fragments]
         return SecondDecomposition(None, leaves)
     leaves = [_leaf_summary(la.fragment, la.edge, r) for la in dec.leaves]
     return SecondDecomposition(dec.core, leaves)

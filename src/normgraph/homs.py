@@ -76,11 +76,7 @@ class Homomorphism:
     def graph(self) -> CodeSubgroup:
         """The subgroup {(x, phi(x))} over source x target."""
         amb = ProductSpace([(("h", "src"), self.source), (("h", "tgt"), self.target)])
-        rows = []
-        for i in range(self.source.width):
-            e = [0] * self.source.width
-            e[i] = 1
-            rows.append(tuple(e) + self.apply(e))
+        rows = [e + self.apply(e) for e in self.source.unit_rows()]
         return CodeSubgroup(amb, rows)
 
     def kernel(self) -> CodeSubgroup:
@@ -102,8 +98,7 @@ class Homomorphism:
 
     def image(self) -> CodeSubgroup:
         amb = ProductSpace([(("h", "tgt"), self.target)])
-        return CodeSubgroup(amb, [self.apply(row_unit(self.source, i))
-                                  for i in range(self.source.width)])
+        return CodeSubgroup(amb, [self.apply(e) for e in self.source.unit_rows()])
 
     @property
     def is_isomorphism(self) -> bool:
@@ -115,24 +110,15 @@ class Homomorphism:
             raise ValueError("only isomorphisms can be inverted")
         g = self.graph()
         rows = []
-        for j in range(self.target.width):
-            e = [0] * self.target.width
-            e[j] = 1
-            full = g.lift_prefix([("h", "tgt")], tuple(e))
+        for e in self.target.unit_rows():
+            full = g.lift_prefix([("h", "tgt")], e)
             assert full is not None
             rows.append(full[: self.source.width])
         return Homomorphism(self.target, self.source, tuple(rows))
 
 
-def row_unit(alpha: Alphabet, i: int) -> Element:
-    e = [0] * alpha.width
-    e[i] = 1
-    return tuple(e)
-
-
 def identity_map(alpha: Alphabet) -> Homomorphism:
-    rows = tuple(row_unit(alpha, i) for i in range(alpha.width))
-    return Homomorphism(alpha, alpha, rows)
+    return Homomorphism(alpha, alpha, tuple(alpha.unit_rows()))
 
 
 def negation_map(alpha: Alphabet) -> Homomorphism:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alphabets import sort_key
+from .alphabets import ProductSpace, sort_key
 from .analysis import reduce_to_fixpoint
 from .errors import (
     Disconnected,
@@ -64,8 +64,7 @@ def verify_state_space_theorem(r_min: Realization, edge: str) -> StateSpaceTheor
     """
     if cyclomatic_number(r_min) != 0 or not r_min.is_connected:
         raise NotCycleFree("state space theorem applies to cycle-free realizations")
-    folded = r_min.fold_edge_iso(edge)
-    sides = folded.cut([edge])
+    sides = r_min.split([edge]).fragments
     if len(sides) != 2:
         raise NotCycleFree(f"edge {edge!r} does not split the realization")
     code = r_min.code()
@@ -79,7 +78,6 @@ def verify_state_space_theorem(r_min: Realization, edge: str) -> StateSpaceTheor
         quots.append(proj.quotient_by(cross))
     side_orders = tuple(q.order for q in quots)
     # pairs of quotient classes traced out by the code
-    from .alphabets import ProductSpace
     pair_amb = ProductSpace([(("q", 0), quots[0].alphabet),
                              (("q", 1), quots[1].alphabet)])
     rows = []

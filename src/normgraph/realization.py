@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .alphabets import Alphabet, Element, ProductSpace, sort_key
 from .errors import (
     AlphabetMismatch,
+    BadPartition,
     TooLargeToEnumerate,
     UnknownEdge,
     UnknownLabel,
@@ -90,6 +91,14 @@ class BehaviorBundle:
         self.behavior: CodeSubgroup = behavior
         self.external: CodeSubgroup = external
         self.code: CodeSubgroup = code
+
+
+class Split(NamedTuple):
+    """Result of `Realization.split`."""
+
+    folded: "Realization"
+    fragments: list["Realization"]
+    halves: dict[str, tuple[str, str]]
 
 
 class Realization:
@@ -269,40 +278,22 @@ class Realization:
                 rows.append(row)
         universe = CodeSubgroup(space, rows)
 
-        vrows: list[list[int]] = []
-        for k in syms:
-            a, b = space.span(("a", k))
-            for c in range(a, b):
-                row = [0] * space.width
-                row[c] = 1
-                vrows.append(row)
-        for j in bound:
-            a, b = space.span(("x", j))
-            for c in range(a, b):
-                row = [0] * space.width
-                row[c] = 1
-                vrows.append(row)
+        units = space.unit_rows()
+        free = [("a", k) for k in syms] + [("x", j) for j in bound]
+        vrows = [units[c] for c in space.columns(free)]
         for j in internal:
             sv = self.states[j]
-            sa, sb = space.span(("s", j))
-            ha, _ = space.span(("h", j))
-            for i in range(sv.alphabet.width):
-                unit = [0] * sv.alphabet.width
-                unit[i] = 1
-                head = sv.head_of(unit)
-                row = [0] * space.width
-                row[sa + i] = 1
-                for t, hv in enumerate(head):
-                    row[ha + t] = hv
+            sa, _ = space.span(("s", j))
+            ha, hb = space.span(("h", j))
+            for i, e in enumerate(sv.alphabet.unit_rows()):
+                row = list(units[sa + i])
+                row[ha:hb] = sv.head_of(e)
                 vrows.append(row)
         validity = CodeSubgroup(space, vrows)
 
         extended = universe.intersect(validity)
-        beh_labels = ([("a", k) for k in syms] + [("x", j) for j in bound]
-                      + [("s", j) for j in internal])
-        behavior = extended.project(beh_labels)
-        ext_labels = [("a", k) for k in syms] + [("x", j) for j in bound]
-        external = extended.project(ext_labels).renamed(
+        behavior = extended.project(free + [("s", j) for j in internal])
+        external = extended.project(free).renamed(
             {("a", k): k for k in syms} | {("x", j): j for j in bound})
         code = extended.project([("a", k) for k in syms]).renamed(
             {("a", k): k for k in syms})
@@ -352,82 +343,66 @@ class Realization:
         states[j] = StateVar(sv.alphabet, None)
         return self.replaced(states=states, constraints=constraints)
 
-    def cut(self, edges: Iterable[str]) -> list["Realization"]:
-        """Cut state edges into boundary half-edges; returns the fragments.
+    def split(self, edges: Iterable[str],
+              parts: Sequence[Collection[str]] | None = None) -> Split:
+        """Cut state edges into boundary half-edges and return the fragments.
 
-        The tail half keeps the edge label; the head half gets a primed
-        label.  Edge isomorphism labels are dropped by cutting (reconnect
-        with the same map to restore the realization).
+        Invariant: both halves of a cut edge carry tail coordinates.  The
+        isomorphism of each cut edge is first folded into its head
+        constraint (`folded`), so joining each pair back with `connect`
+        and no isomorphism realizes the same code.  The tail half keeps the
+        edge label and the head half gets a primed label;
+        `halves[j] = (tail_label, head_label)`.  `parts` lists disjoint
+        constraint sets covering every constraint, one fragment each, and
+        every edge between two parts must be cut; by default the parts are
+        the connected pieces left after the cut.
         """
-        cut_set = set(edges)
-        for j in cut_set:
-            if j not in self.states or j in set(self.boundary):
+        cut = sorted(set(edges), key=sort_key)
+        bset = set(self.boundary)
+        for j in cut:
+            if j not in self.states or j in bset or len(self.slots[j]) != 2:
                 raise UnknownEdge(f"no internal state edge {j!r}")
-        heads = self.head_labels(cut_set)
-        comps = self.components(cut_set)
-        frags = []
-        for comp in sorted(comps, key=lambda c: min(map(sort_key, c))):
-            frags.append(self._fragment_for(comp, cut_set, heads))
-        return frags
-
-    def head_labels(self, edges: Iterable[str]) -> dict[str, str]:
-        """Primed labels the head halves receive when the edges are cut."""
+        folded = self
+        for j in cut:
+            folded = folded.fold_edge_iso(j)
         taken = set(self.symbols) | set(self.states)
-        out: dict[str, str] = {}
-        for j in sorted(edges, key=sort_key):
+        halves: dict[str, tuple[str, str]] = {}
+        rename: dict[tuple[str, int], str] = {}
+        for j in cut:
             lab = j + "'"
             while lab in taken:
                 lab += "'"
             taken.add(lab)
-            out[j] = lab
-        return out
-
-    def _fragment_for(self, comp: set[str], cut_set: set[str],
-                      heads: dict[str, str]) -> "Realization":
-        constraints: dict[str, Constraint] = {}
-        symbols: dict[str, Alphabet] = {}
-        states: dict[str, StateVar] = {}
-        boundary: list[str] = []
-        renames: dict[tuple[str, int], str] = {}
-        for j in cut_set:
+            halves[j] = (j, lab)
+            tail_end, head_end = self.slots[j]
+            rename[tail_end], rename[head_end] = halves[j]
+        if parts is None:
+            parts = sorted(self.components(set(cut)),
+                           key=lambda c: min(map(sort_key, c)))
+        part_of = {cl: k for k, part in enumerate(parts) for cl in part}
+        if (sum(map(len, parts)) != len(part_of)
+                or part_of.keys() != self.constraints.keys()):
+            raise BadPartition("parts must partition the constraints")
+        pieces = [({}, {}, {}, []) for _ in parts]
+        for cl, con in folded.constraints.items():
+            symbols, _, constraints, _ = pieces[part_of[cl]]
+            constraints[cl] = Constraint(
+                tuple(rename.get((cl, i), v) for i, v in enumerate(con.vars)),
+                con.code)
+            symbols.update((v, self.symbols[v]) for v in con.vars
+                           if v in self.symbols)
+        for j, sv in folded.states.items():
             ends = self.slots[j]
-            if len(ends) != 2:
-                continue
-            (tc, ti), (hc, hi) = ends
-            if tc in comp:
-                renames[(tc, ti)] = j
-            if hc in comp:
-                renames[(hc, hi)] = heads[j]
-        for cl, con in self.constraints.items():
-            if cl not in comp:
-                continue
-            new_vars = []
-            for i, v in enumerate(con.vars):
-                if (cl, i) in renames:
-                    new_vars.append(renames[(cl, i)])
-                else:
-                    new_vars.append(v)
-            constraints[cl] = Constraint(tuple(new_vars), con.code)
-            for i, v in enumerate(con.vars):
-                if v in self.symbols:
-                    symbols[v] = self.symbols[v]
-        bset = set(self.boundary)
-        for j, sv in self.states.items():
-            ends = self.slots[j]
-            inside = [e for e in ends if e[0] in comp]
-            if not inside:
-                continue
-            if j in cut_set:
-                for cl, i in inside:
-                    lab = renames[(cl, i)]
-                    states[lab] = StateVar(sv.alphabet, None)
+            if j not in halves and len({part_of[cl] for cl, _ in ends}) > 1:
+                raise BadPartition(f"edge {j!r} joins two parts but is not cut")
+            for end in ends:
+                _, states, _, boundary = pieces[part_of[end[0]]]
+                lab = rename.get(end, j)
+                states[lab] = sv
+                if j in halves or j in bset:
                     boundary.append(lab)
-            elif j in bset:
-                states[j] = sv
-                boundary.append(j)
-            else:
-                states[j] = sv
-        return Realization(symbols, states, constraints, boundary)
+        fragments = [Realization(*piece) for piece in pieces]
+        return Split(folded, fragments, halves)
 
     def connect(self, other: "Realization | None", tail: str, head: str,
                 iso: Homomorphism | None = None) -> "Realization":
@@ -628,7 +603,7 @@ def normalize(system: GeneralSystem) -> Realization:
                     renames[slot] = lab
                 eq = fresh(f"eq:{v}")
                 extra[eq] = Constraint(
-                    (v, *replicas), _equality_code(alpha, d + 1))
+                    (v, *replicas), equality_code(alpha, d + 1))
         else:
             if d == 0:
                 continue
@@ -644,7 +619,7 @@ def normalize(system: GeneralSystem) -> Realization:
                     states[lab] = StateVar(alpha)
                     renames[slot] = lab
                 eq = fresh(f"eq:{v}")
-                extra[eq] = Constraint(tuple(replicas), _equality_code(alpha, d))
+                extra[eq] = Constraint(tuple(replicas), equality_code(alpha, d))
 
     constraints: dict[str, Constraint] = {}
     for cl, (vars_, code) in system.constraints.items():
@@ -661,11 +636,7 @@ def normalize(system: GeneralSystem) -> Realization:
     return Realization(symbols, states, constraints)
 
 
-def _equality_code(alpha: Alphabet, n: int) -> CodeSubgroup:
+def equality_code(alpha: Alphabet, n: int) -> CodeSubgroup:
+    """Repetition code of length n over one alphabet."""
     amb = ProductSpace([(i, alpha) for i in range(n)])
-    rows = []
-    for i in range(alpha.width):
-        unit = [0] * alpha.width
-        unit[i] = 1
-        rows.append(tuple(unit) * n)
-    return CodeSubgroup(amb, rows)
+    return CodeSubgroup(amb, [e * n for e in alpha.unit_rows()])

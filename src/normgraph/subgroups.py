@@ -340,31 +340,12 @@ class QuotientMap:
 # -- module-level constructors and helpers ------------------------------------
 
 
-def _ambient_basis(ambient: ProductSpace) -> list[Element]:
-    rows = []
-    for i in range(ambient.width):
-        r = [0] * ambient.width
-        r[i] = 1
-        rows.append(tuple(r))
-    return rows
-
-
 def zero_subgroup(ambient: ProductSpace) -> CodeSubgroup:
     return CodeSubgroup(ambient, [])
 
 
 def full_subgroup(ambient: ProductSpace) -> CodeSubgroup:
-    return CodeSubgroup(ambient, _ambient_basis(ambient))
-
-
-def canonicalize(rows: Sequence[Sequence[int]], ambient: ProductSpace) -> CodeSubgroup:
-    """The subgroup generated by rows, in canonical form."""
-    return CodeSubgroup(ambient, rows)
-
-
-def from_elements(ambient: ProductSpace, elements: Sequence[Sequence[int]]) -> CodeSubgroup:
-    """Canonical subgroup generated by explicit elements (oracle helper)."""
-    return CodeSubgroup(ambient, elements)
+    return CodeSubgroup(ambient, ambient.unit_rows())
 
 
 def product_subgroup(a: CodeSubgroup, b: CodeSubgroup) -> CodeSubgroup:
@@ -387,6 +368,7 @@ def cylinder(ambient: ProductSpace, parts: dict[Any, CodeSubgroup]) -> CodeSubgr
     """
     rows: list[Element] = []
     n = ambient.width
+    units = ambient.unit_rows()
     for lab, alpha in ambient.factors:
         a, b = ambient.span(lab)
         if lab in parts:
@@ -398,10 +380,7 @@ def cylinder(ambient: ProductSpace, parts: dict[Any, CodeSubgroup]) -> CodeSubgr
                 row[a:b] = list(r)
                 rows.append(tuple(row))
         else:
-            for i in range(a, b):
-                row = [0] * n
-                row[i] = 1
-                rows.append(tuple(row))
+            rows.extend(units[a:b])
     return CodeSubgroup(ambient, rows)
 
 

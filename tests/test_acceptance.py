@@ -14,7 +14,6 @@ from fractions import Fraction
 from normgraph.alphabets import Alphabet, ProductSpace, cyclic_group, sort_key, vector_space
 from normgraph.analysis import (
     canonical_decomposition,
-    controllability_test,
     obs_ctrl,
     state_trim_status,
     trim_proper,
@@ -227,17 +226,19 @@ def test_criterion_4_controllability_test():
     corpus = corpus_realizations(60, ("cycle", "cycle_pendant", "theta"),
                                  start_seed=40_000)
     for r in corpus:
-        t = controllability_test(r)
-        assert t.order_universe % t.order_extended == 0
-        assert t.order_universe // t.order_extended == t.order_controllable
-        assert t.order_states % t.order_controllable == 0
-        assert t.controllable == (t.order_controllable == t.order_states)
+        rep = obs_ctrl(r)
+        assert rep.order_universe % rep.order_extended == 0
+        assert rep.order_universe // rep.order_extended == rep.int_controllable.order
+        assert rep.order_int_states % rep.int_controllable.order == 0
+        assert rep.int_controllable_flag == (
+            rep.int_controllable.order == rep.order_int_states)
     bad = tanner_realization([[1, 1, 1, 1], [1, 1, 1, 1]], GF2)
-    t = controllability_test(bad)
-    assert t.dims(2) == (10, 3, 8, 7)
-    assert not t.controllable
+    rep = obs_ctrl(bad)
+    assert (rep.order_universe, rep.order_extended, rep.order_int_states,
+            rep.int_controllable.order) == (2**10, 2**3, 2**8, 2**7)
+    assert not rep.int_controllable_flag
     good = tanner_realization([[1, 1, 1, 0], [0, 1, 1, 1]], GF2)
-    assert controllability_test(good).controllable
+    assert obs_ctrl(good).int_controllable_flag
     print("\nACCEPTANCE 4: controllability test identity on "
           f"{len(corpus)} realizations + fixtures (10,3,8,7): PASS")
 
@@ -259,8 +260,7 @@ def test_criterion_5_obs_ctrl_duality():
 
 def _side_orders_by_enumeration(r: Realization, edge: str) -> tuple[int, int]:
     """State-order bounds from the code itself, by exhaustive enumeration."""
-    folded = r.fold_edge_iso(edge)
-    sides = folded.cut([edge])
+    sides = r.split([edge]).fragments
     code_elems = list(r.code().elements())
     amb = r.code().ambient
     orders = []
@@ -528,11 +528,11 @@ def test_criterion_8_state_trimness():
         assert rep.state_trim == dual_rep.dual_state_trim
         assert rep.dual_state_trim == dual_rep.state_trim
         # exhaustive classification of U^(\j)
-        frag = r.fold_edge_iso(j).cut([j])[0]
+        sp = r.split([j])
+        frag = sp.fragments[0]
         if frag.configuration_space_order() <= 2**14:
             oracle = OracleHarness.build(frag)
-            heads = r.head_labels([j])
-            got = oracle.external_cross_section([j, heads[j]])
+            got = oracle.external_cross_section(list(sp.halves[j]))
             assert set(rep.unobservable_transitions.elements()) == got
         checked += 1
     print(f"\nACCEPTANCE 8: state-trimness theorem on {checked} cyclic "

@@ -130,7 +130,7 @@ def test_dual_fragment_checks():
 
     # trellis fragment of the rep-3 code
     r = _rep_code_trellis(3)
-    for frag in r.cut(["s2"]):
+    for frag in r.split(["s2"]).fragments:
         assert dual_fragment_check(frag).passed
 
     # cubic fragment: cut all three edges around one vertex of a theta-ish graph
@@ -143,7 +143,7 @@ def test_dual_fragment_checks():
             for i in range(4)
         },
     )
-    frags = ring.cut(["s0", "s2"])
+    frags = ring.split(["s0", "s2"]).fragments
     assert len(frags) == 2
     for frag in frags:
         assert len(frag.boundary) == 2

@@ -194,7 +194,7 @@ def test_external_behavior_single_constraint():
 
 def test_trellis_fragment_external_behavior():
     r = _rep_code_trellis(3)
-    frags = r.cut(["s2"])
+    frags = r.split(["s2"]).fragments
     assert len(frags) == 2
     f0 = [f for f in frags if "a0" in f.symbols][0]
     assert sorted(f0.symbols) == ["a0", "a1"]
@@ -230,7 +230,7 @@ def test_cut_and_connect_roundtrip_cycle():
     }
     r = Realization(symbols, states, constraints)
     assert r.validate().is_valid
-    frags = r.cut(["s2"])
+    frags = r.split(["s2"]).fragments
     assert len(frags) == 1
     frag = frags[0]
     assert sorted(frag.boundary) == ["s2", "s2'"]
@@ -239,7 +239,7 @@ def test_cut_and_connect_roundtrip_cycle():
 
     # cutting a bridge gives two fragments; reconnecting restores the code
     t = _rep_code_trellis(3)
-    f1, f2 = t.cut(["s1"])
+    f1, f2 = t.split(["s1"]).fragments
     if "s1" not in set(f1.boundary):
         f1, f2 = f2, f1
     joined = f1.connect(f2, "s1", "s1'")

@@ -153,6 +153,8 @@ MALFORMED_DECODE = [
     # (case, extra decode arguments, priors document, expected exit code)
     ("damping above 1", ["--damping", "1.5"], None, 4),
     ("zero iterations", ["--iters", "0"], None, 4),
+    ("tolerance not a number", ["--tol", "nan"], None, 4),
+    ("negative tolerance", ["--tol", "-1"], None, 4),
     ("negative prior weight", [], {"a0": [-1, 2]}, 4),
     ("prior entry not a list", [], {"a0": 5}, 4),
 ]
@@ -177,7 +179,7 @@ def test_cli_malformed_decode_inputs_exit_cleanly(tmp_path):
 
 def test_graph_export_contains_half_edges():
     r = trellis_realization([(1, 1, 1)], [GF2] * 3)
-    frag = r.cut(["s2"])[0]
+    frag = r.split(["s2"]).fragments[0]
     dot = graph_to_dot(frag)
     assert "sym:" in dot
     assert "ext:" in dot

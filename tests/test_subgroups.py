@@ -10,9 +10,7 @@ from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
 from normgraph.errors import NotASubgroup, RowOutOfAmbient
 from normgraph.subgroups import (
     CodeSubgroup,
-    canonicalize,
     cylinder,
-    from_elements,
     ftsp_decompose,
     full_subgroup,
     product_subgroup,
@@ -57,28 +55,28 @@ def random_ambient(rng, max_width=3):
 
 def test_canonicalize_worked_examples():
     amb = space(vector_space(2, 3))
-    c = canonicalize([(1, 1, 0), (0, 1, 1)], amb)
+    c = CodeSubgroup(amb, [(1, 1, 0), (0, 1, 1)])
     assert c.order == 4
     assert set(c.elements()) == close(amb, [(1, 1, 0), (0, 1, 1)])
-    dup = canonicalize([(1, 1, 1), (1, 1, 1)], amb)
+    dup = CodeSubgroup(amb, [(1, 1, 1), (1, 1, 1)])
     assert dup.rows == ((1, 1, 1),)
-    z4 = canonicalize([(2,)], space(Z4))
+    z4 = CodeSubgroup(space(Z4), [(2,)])
     assert set(z4.elements()) == {(0,), (2,)}
     assert z4.order == 2
 
 
 def test_row_out_of_ambient():
     with pytest.raises(RowOutOfAmbient):
-        canonicalize([(2, 0, 0)], space(vector_space(2, 3)))
+        CodeSubgroup(space(vector_space(2, 3)), [(2, 0, 0)])
 
 
 def test_orthogonal_worked_examples():
     amb = space(vector_space(2, 3))
-    rep = canonicalize([(1, 1, 1)], amb)
+    rep = CodeSubgroup(amb, [(1, 1, 1)])
     assert set(rep.orthogonal().elements()) == {
         (0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
     assert full_subgroup(amb).orthogonal().is_trivial
-    two = canonicalize([(2,)], space(Z4))
+    two = CodeSubgroup(space(Z4), [(2,)])
     assert set(two.orthogonal().elements()) == {(0,), (2,)}
 
 
@@ -149,18 +147,18 @@ def test_sum_intersect_oracle_and_duality():
 
 def test_sum_intersect_worked_examples():
     amb = space(vector_space(2, 3))
-    a = canonicalize([(1, 1, 1)], amb)
-    b = canonicalize([(1, 1, 0)], amb)
+    a = CodeSubgroup(amb, [(1, 1, 1)])
+    b = CodeSubgroup(amb, [(1, 1, 0)])
     assert set(a.sum(b).elements()) == {
         (0, 0, 0), (1, 1, 1), (1, 1, 0), (0, 0, 1)}
-    even = canonicalize([(1, 1, 0), (0, 1, 1)], amb)
+    even = CodeSubgroup(amb, [(1, 1, 0), (0, 1, 1)])
     assert a.intersect(even).is_trivial
 
 
 def test_quotient_transversal():
     amb = space(vector_space(2, 2))
     full = full_subgroup(amb)
-    diag = canonicalize([(1, 1)], amb)
+    diag = CodeSubgroup(amb, [(1, 1)])
     reps = full.quotient_transversal(diag)
     assert reps[0] == (0, 0)
     assert len(reps) == 2
@@ -170,10 +168,10 @@ def test_quotient_transversal():
 
     z4 = space(Z4)
     fz = full_subgroup(z4)
-    reps = fz.quotient_transversal(canonicalize([(2,)], z4))
+    reps = fz.quotient_transversal(CodeSubgroup(z4, [(2,)]))
     assert reps == [(0,), (1,)]
 
-    c = canonicalize([(1, 0)], amb)
+    c = CodeSubgroup(amb, [(1, 0)])
     assert c.quotient_transversal(c) == [(0, 0)]
     with pytest.raises(NotASubgroup):
         c.quotient_by(diag)
@@ -229,7 +227,7 @@ def test_lift_prefix():
 
 def test_ftsp_decompose_identity_graph():
     amb = space(GF2, GF2)
-    c = canonicalize([(1, 1)], amb)
+    c = CodeSubgroup(amb, [(1, 1)])
     dec = ftsp_decompose(c, [0], [1])
     assert dec.quot_a.order == 2 and dec.quot_b.order == 2
     pairs = set(dec.iso_pairs.elements())
@@ -264,8 +262,8 @@ def test_ftsp_order_identities():
 
 
 def test_product_and_cylinder():
-    a = canonicalize([(1,)], space(GF2))
-    b = canonicalize([(2,)], ProductSpace([("z", Z4)]))
+    a = CodeSubgroup(space(GF2), [(1,)])
+    b = CodeSubgroup(ProductSpace([("z", Z4)]), [(2,)])
     p = product_subgroup(a.renamed({0: "x"}), b)
     assert p.order == 4
     amb = space(GF2, GF2, GF2)
@@ -278,7 +276,7 @@ def test_enumerate_worked_examples():
     assert list(zero_subgroup(space(GF2)).elements()) == [(0,)]
     assert sorted(full_subgroup(space(GF3)).elements()) == [(0,), (1,), (2,)]
     z8 = ProductSpace([("s", cyclic_group(8))])
-    sub = canonicalize([(2,)], z8)
+    sub = CodeSubgroup(z8, [(2,)])
     assert sorted(sub.elements()) == [(0,), (2,), (4,), (6,)]
 
 
@@ -287,24 +285,24 @@ def test_from_elements_matches_canonicalize():
     for _ in range(20):
         amb = random_ambient(rng)
         sub, elems = random_subgroup(rng, amb)
-        assert from_elements(amb, sorted(elems)) == sub
+        assert CodeSubgroup(amb, sorted(elems)) == sub
 
 
 def test_project_cross_section_worked_examples():
     amb = space(GF2, GF2)
-    diag = canonicalize([(1, 1)], amb)
+    diag = CodeSubgroup(amb, [(1, 1)])
     assert set(diag.project([0]).elements()) == {(0,), (1,)}
     assert diag.cross_section([0]).is_trivial
     assert set(full_subgroup(amb).cross_section([0]).elements()) == {(0,), (1,)}
 
     amb3 = space(GF2, GF2, GF2)
-    even3 = canonicalize([(1, 1, 0), (0, 1, 1)], amb3)
+    even3 = CodeSubgroup(amb3, [(1, 1, 0), (0, 1, 1)])
     assert even3.project([1, 2]).is_full
 
     amb4 = space(GF2, GF2, GF2, GF2)
-    even4 = canonicalize([(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)], amb4)
+    even4 = CodeSubgroup(amb4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
     assert set(even4.cross_section([0, 1]).elements()) == {(0, 0), (1, 1)}
-    zero = canonicalize([], amb)
+    zero = CodeSubgroup(amb, [])
     assert zero.project([1]).is_trivial
 
 
@@ -314,7 +312,7 @@ def test_ftsp_full_product_trivial_quotients():
     assert dec.quot_a.order == 1 and dec.quot_b.order == 1
     # even-weight length-4 code split 2+2: quotients of order 2
     amb4 = space(GF2, GF2, GF2, GF2)
-    even4 = canonicalize([(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)], amb4)
+    even4 = CodeSubgroup(amb4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
     dec4 = ftsp_decompose(even4, [0, 1], [2, 3])
     assert dec4.quot_a.order == 2 and dec4.quot_b.order == 2
     assert dec4.iso_pairs.order == 2
