@@ -23,18 +23,30 @@ ENUMERATION_CAP = 2**20
 Element = tuple[int, ...]
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 12 prime bases, which is exact for every
+    n < 3.18e23 (Sorenson & Webster 2017), so for every field modulus."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -104,6 +116,8 @@ class Alphabet(_Moduli):
         if self.kind == "field":
             if len(set(self.moduli)) > 1:
                 raise ValueError("field alphabet must have a single prime modulus")
+            if self.moduli and self.moduli[0] >= 2**64:
+                raise ValueError(f"field modulus {self.moduli[0]} is not below 2^64")
             if self.moduli and not _is_prime(self.moduli[0]):
                 raise ValueError(f"{self.moduli[0]} is not prime")
         else:
@@ -161,6 +175,7 @@ class ProductSpace(_Moduli):
         self.moduli: tuple[int, ...] = tuple(
             m for _, alpha in factors for m in alpha.moduli
         )
+        self.lcm_modulus: int = reduce(math.lcm, self.moduli, 1)
         self._ranges: dict[Any, tuple[int, int]] = {}
         pos = 0
         for lab, alpha in factors:
@@ -170,10 +185,6 @@ class ProductSpace(_Moduli):
     @property
     def labels(self) -> tuple[Any, ...]:
         return tuple(lab for lab, _ in self.factors)
-
-    @property
-    def lcm_modulus(self) -> int:
-        return reduce(math.lcm, self.moduli, 1)
 
     def alphabet(self, label: Any) -> Alphabet:
         for lab, alpha in self.factors:

@@ -20,7 +20,7 @@ from .errors import (
     UnknownVariable,
 )
 from .graphcore import is_cut_edge
-from .realization import Constraint, Realization, StateVar
+from .realization import Constraint, Realization, StateVar, _map_slot
 from .subgroups import (
     CodeSubgroup,
     QuotientMap,
@@ -278,20 +278,7 @@ def obs_ctrl(f: Realization) -> ObsCtrlReport:
     tot_unobs = bundle.behavior.cross_section(
         [("x", j) for j in bound] + [("s", j) for j in internal])
 
-    state_space = ProductSpace([(j, f.states[j].alphabet) for j in internal])
-    syn_rows = []
-    uspace = bundle.universe.ambient
-    for row in bundle.universe.rows:
-        out = []
-        for j in internal:
-            sv = f.states[j]
-            tail = uspace.get(row, ("s", j))
-            head = uspace.get(row, ("h", j))
-            mapped = sv.head_of(tail)
-            out.extend((h - m) % mm for h, m, mm in
-                       zip(head, mapped, sv.alphabet.moduli))
-        syn_rows.append(tuple(out))
-    controllable_sub = CodeSubgroup(state_space, syn_rows)
+    controllable_sub = CodeSubgroup(bundle.state_space, bundle.syndromes)
 
     return ObsCtrlReport(
         ext_unobservable=ext_unobs,
@@ -300,13 +287,12 @@ def obs_ctrl(f: Realization) -> ObsCtrlReport:
         int_controllable=controllable_sub,
         order_universe=bundle.universe.order,
         order_extended=bundle.extended.order,
-        order_int_states=state_space.order,
+        order_int_states=bundle.state_space.order,
         ext_observable=ext_unobs.is_trivial,
         int_observable=int_unobs.is_trivial,
         tot_observable=tot_unobs.is_trivial,
-        ext_controllable=bundle.external.project(bound).order
-        == ProductSpace([(j, f.states[j].alphabet) for j in bound]).order,
-        int_controllable_flag=controllable_sub.order == state_space.order,
+        ext_controllable=bundle.external.project(bound).is_full,
+        int_controllable_flag=controllable_sub.is_full,
     )
 
 
@@ -320,7 +306,7 @@ def verify_controllability(f: Realization) -> bool:
     bundle = f.behavior_bundle()
     rep = obs_ctrl(f)
     independent = bundle.universe.orthogonal().intersect(
-        bundle.validity.orthogonal()).is_trivial
+        f.validity().orthogonal()).is_trivial
     return (rep.order_universe == rep.order_extended * rep.int_controllable.order
             and independent == rep.int_controllable_flag)
 
@@ -334,14 +320,6 @@ class BehavioralReport:
     observable: bool
     direct_controllable: bool
     direct_observable: bool
-
-    @property
-    def controllable_routes_agree(self) -> bool:
-        return self.controllable == self.direct_controllable
-
-    @property
-    def observable_routes_agree(self) -> bool:
-        return self.observable == self.direct_observable
 
 
 def behavioral_ctrl_obs(r: Realization, part_f: Sequence[str],
@@ -459,31 +437,35 @@ def state_trim_status(r: Realization, edge: str) -> StateTrimReport:
         raise NotAStateEdge(f"{edge!r} is not an internal state edge")
     if is_cut_edge(r, edge):
         raise EdgeIsCutSet(f"cutting {edge!r} would disconnect the realization")
-    sp = r.split([edge])
-    frag, = sp.fragments
-    tail_lab, head_lab = sp.halves[edge]
-    ext = frag.external_behavior()
-    utrans = ext.cross_section([tail_lab, head_lab])
+    # the fragment cut at the edge has behavior K, the kernel of the syndrome
+    # map without the edge's block; its boundary pair is (s, h) with the head
+    # mapped back through the iso, which cutting folds into the head constraint
+    bundle = r.behavior_bundle()
+    space = bundle.state_space
+    a, b = space.span(edge)
+    kernel = bundle.universe.kernel([y[:a] + y[b:] for y in bundle.syndromes],
+                                    space.subspace([j for j in space.labels if j != edge]))
+    pair = [("s", edge), ("h", edge)]
+    ext = kernel.project([lab for lab in kernel.ambient.labels
+                          if lab[0] in ("a", "x")] + pair)
+    iso = r.states[edge].iso
+    if iso is not None:
+        ext = _map_slot(ext, ext.ambient.labels.index(("h", edge)), iso.inverse())
+    utrans = ext.cross_section(pair)
 
     alpha = r.states[edge].alphabet
     diag = CodeSubgroup(utrans.ambient, [e + e for e in alpha.unit_rows()])
     dual_state_trim = diag.contains_subgroup(utrans)
     observable = utrans.intersect(diag).is_trivial
 
-    # the tail coordinate ("s", edge) is the same before and after folding
-    behavior = r.behavior_bundle().behavior
-    state_trim = behavior.project([("s", edge)]).order == alpha.order
+    state_trim = bundle.behavior.project([("s", edge)]).order == alpha.order
 
     # controllable subspace of the collapsed view: the difference image of
     # the fragment's boundary pairs
-    pair_proj = ext.project([tail_lab, head_lab])
-    diff_rows = []
-    for row in pair_proj.rows:
-        s, s_head = row[:alpha.width], row[alpha.width:]
-        diff_rows.append(tuple((a - b) % m
-                               for a, b, m in zip(s, s_head, alpha.moduli)))
-    diff_space = ProductSpace([(edge, alpha)])
-    controllable = CodeSubgroup(diff_space, diff_rows).order == alpha.order
+    pair_proj = ext.project(pair)
+    w = alpha.width
+    diffs = [alpha.add(row[:w], alpha.neg(row[w:])) for row in pair_proj.rows]
+    controllable = CodeSubgroup(ProductSpace([(edge, alpha)]), diffs).is_full
 
     # utrans is the fragment's unobservable boundary subgroup and pair_proj
     # its reachable boundary pairs, so they give its external flags

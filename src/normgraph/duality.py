@@ -69,7 +69,7 @@ def verify_duality(r: Realization) -> DualityReport:
     syms = sorted(r.symbols, key=sort_key)
     bound = list(r.boundary)
     ext_labels = [("a", k) for k in syms] + [("x", j) for j in bound]
-    check_space = bundle.universe.orthogonal().sum(bundle.validity.orthogonal())
+    check_space = bundle.universe.orthogonal().sum(r.validity().orthogonal())
     route = check_space.cross_section(ext_labels).renamed(
         {("a", k): k for k in syms} | {("x", j): j for j in bound})
     return DualityReport(code, dual_code, orthogonal_code, route)

@@ -22,10 +22,6 @@ def cyclomatic_number(r: Realization) -> int:
     return len(edges) - len(r.constraints) + len(r.components())
 
 
-def is_cycle_free(r: Realization) -> bool:
-    return cyclomatic_number(r) == 0
-
-
 def is_cut_edge(r: Realization, j: str) -> bool:
     """True iff removing edge j disconnects its component."""
     if j not in r.states or j in set(r.boundary):
@@ -55,10 +51,6 @@ class TwoCoreDecomposition:
     core: Realization | None
     core_boundary_of: dict[str, str]  # attachment edge -> core-side half-edge label
     leaves: list[LeafAttachment]
-
-    @property
-    def is_cycle_free(self) -> bool:
-        return self.core is None
 
 
 def two_core_constraints(r: Realization, rng: random.Random | None = None) -> set[str]:

@@ -8,14 +8,12 @@ prime it is the transpose.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabets import Alphabet, Element, ProductSpace
 from .errors import AlphabetMismatch
 from .subgroups import CodeSubgroup, full_subgroup
-from . import zmod
 
 
 @dataclass(frozen=True)
@@ -80,21 +78,9 @@ class Homomorphism:
         return CodeSubgroup(amb, rows)
 
     def kernel(self) -> CodeSubgroup:
-        amb = ProductSpace([(("h", "src"), self.source)])
-        M = amb.lcm_modulus
-        for d in self.target.moduli:
-            M = math.lcm(M, d)
-        n = self.source.width
-        if M == 1 or n == 0:
-            return full_subgroup(amb)
-        scaled = [
-            [(self.matrix[i][j] * (M // d)) % M
-             for j, d in enumerate(self.target.moduli)]
-            for i in range(n)
-        ]
-        ker = zmod.kernel(lambda i: scaled[i], self.target.width, n, M)
-        rows = [tuple(v % m for v, m in zip(z, self.source.moduli)) for z in ker]
-        return CodeSubgroup(amb, rows)
+        source = full_subgroup(ProductSpace([(("h", "src"), self.source)]))
+        target = ProductSpace([(("h", "tgt"), self.target)])
+        return source.kernel([self.apply(r) for r in source.rows], target)
 
     def image(self) -> CodeSubgroup:
         amb = ProductSpace([(("h", "tgt"), self.target)])

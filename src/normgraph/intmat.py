@@ -128,12 +128,6 @@ def smith_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], li
                 r[i] += q * r[j]
         Vinv[j] = [x - q * y for x, y in zip(Vinv[j], Vinv[i])]
 
-    def col_neg(i):
-        for M in (S, V):
-            for r in M:
-                r[i] = -r[i]
-        Vinv[i] = [-x for x in Vinv[i]]
-
     t = 0
     size = min(m, n)
     while t < size:

@@ -81,16 +81,18 @@ class ValidationReport:
         return out
 
 
+@dataclass
 class BehaviorBundle:
-    """Configuration universe, validity space, behaviors, and realized code."""
+    """Universe U, syndromes, behaviors and realized code; `syndromes[i]` is
+    sigma(universe.rows[i]) in `state_space` (see `Realization.syndromes`)."""
 
-    def __init__(self, universe, validity, extended, behavior, external, code):
-        self.universe: CodeSubgroup = universe
-        self.validity: CodeSubgroup = validity
-        self.extended: CodeSubgroup = extended
-        self.behavior: CodeSubgroup = behavior
-        self.external: CodeSubgroup = external
-        self.code: CodeSubgroup = code
+    universe: CodeSubgroup
+    state_space: ProductSpace
+    syndromes: list[Element]
+    extended: CodeSubgroup
+    behavior: CodeSubgroup
+    external: CodeSubgroup
+    code: CodeSubgroup
 
 
 class Split(NamedTuple):
@@ -139,22 +141,12 @@ class Realization:
         b = set(self.boundary)
         return [s for s in self.states if s not in b]
 
-    def edge_ends(self, j: str) -> list[tuple[str, int]]:
-        if j not in self.states:
-            raise UnknownEdge(f"no state variable {j!r}")
-        return self.slots[j]
-
     def alphabet_of(self, v: str) -> Alphabet:
         if v in self.symbols:
             return self.symbols[v]
         if v in self.states:
             return self.states[v].alphabet
         raise UnknownLabel(f"no variable {v!r}")
-
-    def slot_alphabet(self, cl: str, i: int) -> Alphabet:
-        """Alphabet seen by slot i of constraint cl (head slots see iso target)."""
-        v = self.constraints[cl].vars[i]
-        return self.alphabet_of(v)
 
     def neighbors(self) -> dict[str, list[tuple[str, str]]]:
         """Adjacency over internal state edges: constraint -> [(edge, other)]."""
@@ -277,7 +269,45 @@ class Realization:
                     row[ga:gb] = list(r[a:b])
                 rows.append(row)
         universe = CodeSubgroup(space, rows)
+        state_space = ProductSpace([(j, self.states[j].alphabet) for j in internal])
+        syndromes = self.syndromes(universe.rows)
+        extended = universe.kernel(syndromes, state_space)
+        free = [("a", k) for k in syms] + [("x", j) for j in bound]
+        behavior = extended.project(free + [("s", j) for j in internal])
+        external = extended.project(free).renamed(
+            {("a", k): k for k in syms} | {("x", j): j for j in bound})
+        code = extended.project([("a", k) for k in syms]).renamed(
+            {("a", k): k for k in syms})
+        self._bundle = BehaviorBundle(universe, state_space, syndromes, extended,
+                                      behavior, external, code)
+        return self._bundle
 
+    def syndromes(self, points: Iterable[Sequence[int]]) -> list[Element]:
+        """The syndrome map sigma: U -> (+)_j S_j, sigma_j(u) = h_j - iso(s_j)
+        over the internal edges j in sorted order, on universe-space points.
+
+        On U, ker sigma is the extended behavior and sigma(U) the
+        controllable subspace; without block j, ker is the behavior of the
+        fragment cut at j."""
+        space = self.universe_space()
+        edges = [(space.span(("s", j)), space.span(("h", j)), self.states[j])
+                 for j in self._blocks()[2]]
+        out = []
+        for u in points:
+            syn: list[int] = []
+            for (sa, sb), (ha, hb), sv in edges:
+                mapped = sv.head_of(u[sa:sb])
+                syn.extend((h - m) % q for h, m, q in
+                           zip(u[ha:hb], mapped, sv.alphabet.moduli))
+            out.append(tuple(syn))
+        return out
+
+    def validity(self) -> CodeSubgroup:
+        """Validity subgroup V (head = iso(tail) on every internal edge) of the
+        universe space: the verification routes' independent reference for
+        the extended behavior U cap V, which `behavior_bundle` takes as ker sigma."""
+        space = self.universe_space()
+        syms, bound, internal = self._blocks()
         units = space.unit_rows()
         free = [("a", k) for k in syms] + [("x", j) for j in bound]
         vrows = [units[c] for c in space.columns(free)]
@@ -289,17 +319,7 @@ class Realization:
                 row = list(units[sa + i])
                 row[ha:hb] = sv.head_of(e)
                 vrows.append(row)
-        validity = CodeSubgroup(space, vrows)
-
-        extended = universe.intersect(validity)
-        behavior = extended.project(free + [("s", j) for j in internal])
-        external = extended.project(free).renamed(
-            {("a", k): k for k in syms} | {("x", j): j for j in bound})
-        code = extended.project([("a", k) for k in syms]).renamed(
-            {("a", k): k for k in syms})
-        self._bundle = BehaviorBundle(universe, validity, extended, behavior,
-                                      external, code)
-        return self._bundle
+        return CodeSubgroup(space, vrows)
 
     def code(self) -> CodeSubgroup:
         """The code realized: projection of the behavior on the symbols."""

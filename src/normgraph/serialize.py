@@ -21,6 +21,9 @@ from .realization import Constraint, Realization, StateVar
 from .subgroups import CodeSubgroup
 
 
+MAX_DIM = 2**16
+
+
 class ParseError(NormgraphError):
     """Malformed realization or priors document."""
 
@@ -32,14 +35,35 @@ def _alphabet_to_json(alpha: Alphabet) -> dict:
     return {"cyclic": list(alpha.moduli)}
 
 
-def _alphabet_from_json(obj: Any) -> Alphabet:
+def _int(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _list_of(kind: type, values: Any, what: str) -> tuple:
+    if not isinstance(values, list) or any(
+            isinstance(v, bool) or not isinstance(v, kind) for v in values):
+        raise ParseError(f"{what} must be a list of {kind.__name__}, got {values!r}")
+    return tuple(values)
+
+
+def _alphabet_from_json(name: str, obj: Any) -> Alphabet:
     if not isinstance(obj, dict):
-        raise ParseError(f"alphabet entry must be an object, got {obj!r}")
-    if "field" in obj:
-        return Alphabet("field", (obj["field"],) * obj.get("dim", 1))
-    if "cyclic" in obj:
-        return Alphabet("group", tuple(obj["cyclic"]))
-    raise ParseError(f"alphabet needs 'field' or 'cyclic': {obj!r}")
+        raise ParseError(f"alphabet {name!r} must be an object, got {obj!r}")
+    try:
+        if "field" in obj:
+            p = _int(obj["field"], f"alphabet {name!r} field")
+            dim = _int(obj.get("dim", 1), f"alphabet {name!r} dim")
+            if not 1 <= dim <= MAX_DIM:
+                raise ValueError(f"dim {dim} is not in [1, {MAX_DIM}]")
+            return Alphabet("field", (p,) * dim)
+        if "cyclic" in obj:
+            return Alphabet("group", _list_of(int, obj["cyclic"],
+                                              f"alphabet {name!r} cyclic"))
+    except ValueError as exc:
+        raise ParseError(f"alphabet {name!r}: {exc}") from exc
+    raise ParseError(f"alphabet {name!r} needs 'field' or 'cyclic': {obj!r}")
 
 
 def realization_to_json(r: Realization) -> dict:
@@ -83,7 +107,7 @@ def realization_from_json(doc: Any) -> Realization:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     try:
-        alphabets = {name: _alphabet_from_json(entry)
+        alphabets = {name: _alphabet_from_json(name, entry)
                      for name, entry in doc.get("alphabets", {}).items()}
         symbols: dict[str, Alphabet] = {}
         for entry in doc.get("symbols", []):
@@ -93,12 +117,13 @@ def realization_from_json(doc: Any) -> Realization:
             alpha = alphabets[entry["alphabet"]]
             iso = None
             if "iso" in entry:
-                iso = Homomorphism(alpha, alpha,
-                                   tuple(tuple(row) for row in entry["iso"]))
+                iso = Homomorphism(alpha, alpha, tuple(
+                    _list_of(int, row, f"state {entry['id']!r} iso row")
+                    for row in entry["iso"]))
             states[entry["id"]] = StateVar(alpha, iso)
         constraints: dict[str, Constraint] = {}
         for entry in doc.get("constraints", []):
-            vars_ = tuple(entry["vars"])
+            vars_ = _list_of(str, entry["vars"], f"constraint {entry['id']!r} vars")
             factors = []
             for i, v in enumerate(vars_):
                 if v in symbols:
@@ -109,11 +134,14 @@ def realization_from_json(doc: Any) -> Realization:
                     raise UnknownLabel(f"constraint {entry['id']!r} references "
                                        f"unknown variable {v!r}")
             amb = ProductSpace(factors)
-            code = CodeSubgroup(amb, [tuple(row) for row in entry["generators"]])
+            code = CodeSubgroup(amb, [
+                _list_of(int, row, f"constraint {entry['id']!r} generator")
+                for row in entry["generators"]])
             constraints[entry["id"]] = Constraint(vars_, code)
         boundary = doc.get("boundary", [])
         return Realization(symbols, states, constraints, boundary)
-    except (KeyError, TypeError, ValueError, NormgraphError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            NormgraphError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"malformed realization document: {exc}") from exc

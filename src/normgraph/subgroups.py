@@ -10,6 +10,7 @@ intersection, quotients) are exact.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterator, Sequence
 
 from . import zmod
@@ -29,6 +30,23 @@ from .errors import (
 from .intmat import hermite_form, mat_mul, smith_form, solve_upper_triangular
 
 
+def _combine_kernel(ambient: ProductSpace, gens: Sequence[Sequence[int]],
+                    relations: Sequence[Sequence[int]], width: int,
+                    mod: int) -> list[Element]:
+    """Generators of {sum z_i gens_i : sum z_i relations_i = 0 in Z_mod^width}.
+
+    z may have more coordinates than gens; mod is a multiple of every
+    ambient modulus."""
+    out = []
+    for z in zmod.kernel(lambda i: relations[i], width, len(relations), mod):
+        vec = [0] * ambient.width
+        for c, g in zip(z, gens):
+            if c:
+                vec = [x + c * y for x, y in zip(vec, g)]
+        out.append(ambient.reduce(vec))
+    return out
+
+
 class CodeSubgroup:
     """A subgroup of a ProductSpace, held as a canonical generator matrix."""
 
@@ -45,6 +63,16 @@ class CodeSubgroup:
         self.rows: tuple[Element, ...] = tuple(self._unlift(r) for r in hf)
         self._order = zmod.span_order(self._lifted, M) if M > 1 else 1
         self._elem_cache: tuple[Element, ...] | None = None
+
+    @classmethod
+    def _from_howell(cls, ambient: ProductSpace, lifted: tuple[tuple[int, ...], ...],
+                     order: int) -> "CodeSubgroup":
+        """The subgroup whose lifted rows are already in Howell form."""
+        sub = object.__new__(cls)
+        sub.ambient, sub._lifted, sub._order = ambient, lifted, order
+        sub.rows = tuple(sub._unlift(r) for r in lifted)
+        sub._elem_cache = None
+        return sub
 
     # -- lifting between ambient residues and Z_M coordinates ----------------
 
@@ -69,17 +97,6 @@ class CodeSubgroup:
     @property
     def is_full(self) -> bool:
         return self._order == self.ambient.order
-
-    def log_order(self, p: int) -> int:
-        """Dimension over GF(p) when the order is a power of p."""
-        n = 0
-        o = self._order
-        while o > 1:
-            if o % p:
-                raise ValueError(f"order {self._order} is not a power of {p}")
-            o //= p
-            n += 1
-        return n
 
     def contains(self, x: Sequence[int]) -> bool:
         if len(x) != self.ambient.width:
@@ -132,23 +149,26 @@ class CodeSubgroup:
         """Exact intersection via the relation module of the two generator sets."""
         self._check_same_ambient(other)
         M = self.ambient.lcm_modulus
-        if M == 1:
-            return CodeSubgroup(self.ambient, [])
-        g1 = [list(r) for r in self._lifted]
-        g2 = [list(r) for r in other._lifted]
-        k1, k2 = len(g1), len(g2)
-        n = self.ambient.width
-        # kernel of (z1, z2) -> z1*G1 - z2*G2; the z1 part yields a member
-        stacked = g1 + [[-v % M for v in r] for r in g2]
-        ker = zmod.kernel(lambda i: stacked[i], n, k1 + k2, M)
-        rows = []
-        for z in ker:
-            vec = [0] * n
-            for c, g in zip(z[:k1], g1):
-                if c:
-                    vec = [(x + c * y) % M for x, y in zip(vec, g)]
-            rows.append(self._unlift(vec))
-        return CodeSubgroup(self.ambient, rows)
+        # x = z1*G1 lies in other iff z1*G1 - z2*G2 = 0 for some z2
+        relations = [list(r) for r in self._lifted]
+        relations += [[-v % M for v in r] for r in other._lifted]
+        return CodeSubgroup(self.ambient, _combine_kernel(
+            self.ambient, self.rows, relations, self.ambient.width, M))
+
+    def kernel(self, images: Sequence[Sequence[int]],
+               target: ProductSpace) -> "CodeSubgroup":
+        """Kernel of the homomorphism sending rows[i] to images[i] in target.
+
+        It is solved over lcm(M, target lcm): in Z_2 -> Z_4, x -> 2x, the
+        target modulus does not divide M."""
+        if len(images) != len(self.rows):
+            raise ValueError(f"{len(images)} images for {len(self.rows)} rows")
+        L = math.lcm(self.ambient.lcm_modulus, target.lcm_modulus)
+        scale = [L // d for d in target.moduli]
+        relations = [[v * s for v, s in zip(target.check_row(y), scale)]
+                     for y in images]
+        return CodeSubgroup(self.ambient, _combine_kernel(
+            self.ambient, self.rows, relations, target.width, L))
 
     def orthogonal(self) -> "CodeSubgroup":
         """Orthogonal subgroup under <x,y> = sum x_i y_i / m_i, in the same ambient."""
@@ -172,59 +192,34 @@ class CodeSubgroup:
         rows = [tuple(r[c] for c in cols) for r in self.rows]
         return CodeSubgroup(sub, rows)
 
+    def _howell_reordered(self, labels: Sequence[Any], first: bool):
+        """Howell form of the lifted rows with the labeled factors' columns
+        moved first (or last), and those columns and the others."""
+        part = self.ambient.columns(labels)
+        taken = set(part)
+        rest = [c for c in range(self.ambient.width) if c not in taken]
+        order = part + rest if first else rest + part
+        hf = zmod.howell_form([[r[c] for c in order] for r in self._lifted],
+                              self.ambient.lcm_modulus, self.ambient.width)
+        return hf, part, rest
+
     def cross_section(self, labels: Sequence[Any]) -> "CodeSubgroup":
         """Elements with zeros outside the given factors, restricted to them."""
-        part_cols = self.ambient.columns(labels)
-        other_cols = [c for c in range(self.ambient.width) if c not in set(part_cols)]
+        hf, _, rest = self._howell_reordered(labels, first=False)
         sub = self.ambient.subspace(labels)
-        M = self.ambient.lcm_modulus
-        if M == 1:
-            return CodeSubgroup(sub, [])
-        permuted = [
-            [r[c] for c in other_cols] + [r[c] for c in part_cols]
-            for r in self._lifted
-        ]
-        hf = zmod.howell_form(permuted, M, self.ambient.width)
-        cut = len(other_cols)
-        rows = []
-        for r in hf:
-            if any(r[:cut]):
-                continue
-            scaled = [
-                v // (M // m)
-                for v, m in zip(r[cut:], (self.ambient.moduli[c] for c in part_cols))
-            ]
-            rows.append(scaled)
-        return CodeSubgroup(sub, rows)
+        M, cut = self.ambient.lcm_modulus, len(rest)
+        return CodeSubgroup(sub, [[v // (M // m) for v, m in zip(r[cut:], sub.moduli)]
+                                  for r in hf if not any(r[:cut])])
 
     def lift_prefix(self, labels: Sequence[Any], values: Sequence[int]) -> Element | None:
         """Some element of the subgroup matching the given factor values, or None."""
-        part_cols = self.ambient.columns(labels)
-        other_cols = [c for c in range(self.ambient.width) if c not in set(part_cols)]
-        M = self.ambient.lcm_modulus
-        if M == 1:
-            return self.ambient.zero
+        hf, part_cols, other_cols = self._howell_reordered(labels, first=True)
+        M, cut = self.ambient.lcm_modulus, len(part_cols)
         # values are concatenated coordinates of the labeled factors, ambient order
         sub = self.ambient.subspace(labels)
         target = sub.check_row(values)
-        permuted = [
-            [r[c] for c in part_cols] + [r[c] for c in other_cols]
-            for r in self._lifted
-        ]
-        hf = zmod.howell_form(permuted, M, self.ambient.width)
-        cut = len(part_cols)
         v = [t * (M // m) for t, m in zip(target, sub.moduli)] + [0] * len(other_cols)
-        for row in hf:
-            j = zmod._lead(row)
-            if j >= cut:
-                break
-            d = row[j]
-            if v[j] == 0:
-                continue
-            if v[j] % d:
-                return None
-            q = v[j] // d
-            v = [(x - q * y) % M for x, y in zip(v, row)]
+        v = zmod.reduce_vector(v, [r for r in hf if any(r[:cut])], M)
         if any(v[:cut]):
             return None
         full = [0] * self.ambient.width
@@ -233,7 +228,6 @@ class CodeSubgroup:
         for i, c in enumerate(other_cols):
             m = self.ambient.moduli[c]
             full[c] = ((-v[cut + i]) % M) // (M // m)
-        assert self.contains(full)
         return tuple(full)
 
     def permuted(self, new_labels: Sequence[Any]) -> "CodeSubgroup":
@@ -251,10 +245,15 @@ class CodeSubgroup:
         return CodeSubgroup(amb, [tuple(r[c] for c in cols) for r in self.rows])
 
     def renamed(self, mapping: dict[Any, Any]) -> "CodeSubgroup":
-        """Same subgroup with factor labels renamed through the mapping."""
+        """Same subgroup with factor labels renamed through the mapping.
+
+        A Howell form depends on the moduli and the column order, not on
+        labels, so the canonical rows are reused as they are.
+        """
         factors = [(mapping.get(lab, lab), alpha)
                    for lab, alpha in self.ambient.factors]
-        return CodeSubgroup(ProductSpace(factors), self.rows)
+        return CodeSubgroup._from_howell(ProductSpace(factors), self._lifted,
+                                         self._order)
 
     # -- quotients -------------------------------------------------------------
 
@@ -264,20 +263,6 @@ class CodeSubgroup:
         if not self.contains_subgroup(sub):
             raise NotASubgroup("quotient requires sub to be contained in self")
         return QuotientMap(self, sub)
-
-    def quotient_transversal(self, sub: "CodeSubgroup") -> list[Element]:
-        """Lexicographically smallest representative of each coset of sub in self.
-
-        The list is ordered by the canonical enumeration of the quotient
-        group, so the zero coset (representative 0) comes first.
-        """
-        q = self.quotient_by(sub)
-        best: dict[Element, Element] = {}
-        for x in self.elements():
-            key = q.project(x)
-            if key not in best or x < best[key]:
-                best[key] = x
-        return [best[key] for key in q.alphabet.elements()]
 
 
 class QuotientMap:
@@ -345,7 +330,11 @@ def zero_subgroup(ambient: ProductSpace) -> CodeSubgroup:
 
 
 def full_subgroup(ambient: ProductSpace) -> CodeSubgroup:
-    return CodeSubgroup(ambient, ambient.unit_rows())
+    # the lifted unit rows e_i * M / m_i are already in Howell form
+    M = ambient.lcm_modulus
+    lifted = tuple(tuple(M // m * v for v in e)
+                   for e, m in zip(ambient.unit_rows(), ambient.moduli))
+    return CodeSubgroup._from_howell(ambient, lifted, ambient.order)
 
 
 def product_subgroup(a: CodeSubgroup, b: CodeSubgroup) -> CodeSubgroup:

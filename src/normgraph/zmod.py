@@ -181,25 +181,3 @@ def kernel(columns_of, nrows: int, ncols: int, mod: int) -> list[list[int]]:
             gens.append(row[nrows:])
     return gens
 
-
-def solve_with_certificate(v, rows, mod: int) -> list[int] | None:
-    """Combination coefficients q with sum q_i * rows_i = v, or None.
-
-    rows must be a Howell basis.  Used to lift elements through maps whose
-    graph is held in Howell form.
-    """
-    v = [x % mod for x in v]
-    coeffs = [0] * len(rows)
-    for i, row in enumerate(rows):
-        j = _lead(row)
-        d = row[j]
-        if v[j] == 0:
-            continue
-        if v[j] % d:
-            return None
-        q = v[j] // d
-        coeffs[i] = q
-        v = [(x - q * y) % mod for x, y in zip(v, row)]
-    if any(v):
-        return None
-    return coeffs

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,6 +176,54 @@ def test_cli_malformed_decode_inputs_exit_cleanly(tmp_path):
         assert "Traceback" not in proc.stderr, case
         assert proc.stderr.startswith("error: "), case
         assert proc.stdout == "", case
+
+
+def malformed_document(alphabet=None, vars_=None, generators=None, **top):
+    doc = {
+        "alphabets": {"F": alphabet if alphabet is not None else {"field": 2}},
+        "symbols": [{"id": "a0", "alphabet": "F"}, {"id": "a1", "alphabet": "F"}],
+        "states": [],
+        "constraints": [{"id": "c0",
+                         "vars": vars_ if vars_ is not None else ["a0", "a1"],
+                         "generators": generators if generators is not None else []}],
+    }
+    return doc | top
+
+
+MALFORMED_DOCUMENT = [
+    # (case, document, expected exit code, text the error must name)
+    ("field 2^61 - 1 is prime", malformed_document({"field": 2**61 - 1, "dim": 30}),
+     0, None),
+    ("field modulus 2^64 + 13", malformed_document({"field": 2**64 + 13}), 4, "'F'"),
+    ("field modulus not prime", malformed_document({"field": 4}), 4, "'F'"),
+    ("field modulus a bool", malformed_document({"field": True}), 4, "'F' field"),
+    ("negative dim", malformed_document({"field": 2, "dim": -1}), 4, "'F'"),
+    ("dim a string", malformed_document({"field": 2, "dim": "2"}), 4, "'F' dim"),
+    ("dim too large", malformed_document({"field": 2, "dim": 2**40}), 4, "'F'"),
+    ("cyclic modulus a float", malformed_document({"cyclic": [2.0]}), 4, "'F' cyclic"),
+    ("vars a string", malformed_document(vars_="a0"), 4, "'c0' vars"),
+    ("generator entry a float", malformed_document(generators=[[1.0, 1]]), 4,
+     "'c0' generator"),
+    ("alphabets not an object", malformed_document(alphabets=[]), 4, None),
+]
+
+
+def test_cli_malformed_documents_exit_cleanly(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for case, doc, code, names in MALFORMED_DOCUMENT:
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        got = main(["validate", str(path)])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert got == code, (case, err)
+        assert elapsed < 1.0, case
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+            assert names is None or names in err, (case, err)
+            assert out == "", case
+        else:
+            assert out.startswith("ok"), case
 
 
 def test_graph_export_contains_half_edges():

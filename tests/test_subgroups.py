@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+from normgraph import zmod
 from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
 from normgraph.errors import NotASubgroup, RowOutOfAmbient
 from normgraph.subgroups import (
@@ -155,29 +157,53 @@ def test_sum_intersect_worked_examples():
     assert a.intersect(even).is_trivial
 
 
-def test_quotient_transversal():
-    amb = space(vector_space(2, 2))
-    full = full_subgroup(amb)
-    diag = CodeSubgroup(amb, [(1, 1)])
-    reps = full.quotient_transversal(diag)
-    assert reps[0] == (0, 0)
-    assert len(reps) == 2
-    assert reps[1] in {(0, 1), (1, 0)}
-    # lexicographically smallest representative
-    assert reps[1] == (0, 1)
+def test_kernel_against_enumeration():
+    """kernel(images, target) is {x in C : phi(x) = 0} for a map phi of the
+    ambient, also when a target modulus does not divide the source lcm."""
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    # Z_2 -> Z_4, x -> 2x is injective; over Z_2 alone it would look zero
+    c = CodeSubgroup(space(z2), [(1,)])
+    assert c.kernel([(2,)], space(z4)).is_trivial
+    assert c.kernel([(0,)], space(z4)) == c
+    rng = random.Random(7)
+    for _ in range(40):
+        amb = random_ambient(rng)
+        target = random_ambient(rng)
+        c, ce = random_subgroup(rng, amb)
+        # phi(x) = x @ matrix, entry (i, j) a multiple of d / gcd(m_i, d)
+        matrix = [[rng.randrange(math.gcd(m, d)) * (d // math.gcd(m, d))
+                   for d in target.moduli] for m in amb.moduli]
 
-    z4 = space(Z4)
-    fz = full_subgroup(z4)
-    reps = fz.quotient_transversal(CodeSubgroup(z4, [(2,)]))
-    assert reps == [(0,), (1,)]
+        def phi(x):
+            return tuple(sum(v * row[j] for v, row in zip(x, matrix)) % d
+                         for j, d in enumerate(target.moduli))
 
-    c = CodeSubgroup(amb, [(1, 0)])
-    assert c.quotient_transversal(c) == [(0, 0)]
-    with pytest.raises(NotASubgroup):
-        c.quotient_by(diag)
+        ker = c.kernel([phi(r) for r in c.rows], target)
+        assert set(ker.elements()) == {x for x in ce if not any(phi(x))}
+    with pytest.raises(ValueError):
+        CodeSubgroup(space(z2), [(1,)]).kernel([], space(z4))
+
+
+def test_renamed_reuses_the_howell_form(monkeypatch):
+    rng = random.Random(3)
+    amb = random_ambient(rng)
+    c, _ = random_subgroup(rng, amb)
+    mapping = {lab: ("new", lab) for lab in amb.labels}
+    calls = []
+    original = zmod.howell_form
+    monkeypatch.setattr(zmod, "howell_form",
+                        lambda *a: calls.append(a) or original(*a))
+    got = c.renamed(mapping)
+    assert calls == []
+    fresh = CodeSubgroup(got.ambient, c.rows)
+    assert got == fresh and got._lifted == fresh._lifted
+    assert got.order == fresh.order
 
 
 def test_quotient_map_structure():
+    amb = space(vector_space(2, 2))
+    with pytest.raises(NotASubgroup):
+        CodeSubgroup(amb, [(1, 0)]).quotient_by(CodeSubgroup(amb, [(1, 1)]))
     rng = random.Random(41)
     for _ in range(30):
         amb = random_ambient(rng)
