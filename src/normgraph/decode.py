@@ -6,6 +6,15 @@ schedules on cyclic ones.  Cycle-free leaf fragments hanging off the 2-core
 are pre-solved once and their boundary messages held constant.  Two
 arithmetic modes: exact rationals and floats with per-message
 normalization.
+
+A decode compiles each constraint once, after checking every code's order
+against the enumeration cap, into a table holding each codeword as its
+per-slot alphabet indices.  One pass over a table sends any set of a node's
+messages: a flooding sweep sends all of them at once, a serial step or a
+tree message one.  Each product is folded in slot order, exactly as a
+separate loop per target folds it, so float results do not depend on how
+many targets share the pass.  Messages are weight lists inside the engine;
+an iso edge permutes them by index tables built once from the isomorphism.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .alphabets import Alphabet, Element, sort_key
+from .alphabets import ENUMERATION_CAP, Alphabet, Element, sort_key
 from .errors import MissingIncoming, NotCycleFree, TooLargeToEnumerate
 from .graphcore import cyclomatic_number, two_core_constraints
 from .realization import Realization
@@ -75,38 +84,68 @@ def full_priors(r: Realization, priors: Mapping[str, Message] | None,
     for k, alpha in r.symbols.items():
         if priors is not None and k in priors:
             m = priors[k]
-            if m.alphabet.order != alpha.order:
-                raise ValueError(f"prior for {k!r} has wrong length")
+            if m.alphabet.moduli != alpha.moduli:
+                raise ValueError(f"prior for {k!r} is over {m.alphabet!r}, "
+                                 f"the symbol over {alpha!r}")
             out[k] = m
         else:
             out[k] = uniform_message(alpha, exact)
     return out
 
 
+def _index_table(code: CodeSubgroup, alphabets, cap: int) -> list[tuple[int, ...]]:
+    """Each codeword as the tuple of its per-slot alphabet indices."""
+    spans = [code.ambient.span(lab) for lab in code.ambient.labels]
+    return [tuple(alpha.index(word[a:b]) for alpha, (a, b) in zip(alphabets, spans))
+            for word in code.elements(cap)]
+
+
+def _sweep(table, incoming, targets, sizes, one) -> list[list]:
+    """One pass over a compiled constraint: the outgoing weights at each of
+    the ascending target slots, whose alphabet orders are `sizes`.
+
+    For target t each codeword adds the product of the incoming weights at
+    the other slots, folded left in slot order: a running prefix over slots
+    before t, continued over the slots after it, and dropped as soon as it
+    is zero.  A sole target's own incoming entry is never read.
+    """
+    outs = [[one - one] * n for n in sizes]
+    jobs = [(t, range(t + 1, len(incoming)), out) for t, out in zip(targets, outs)]
+    for row in table:
+        prefix, s = one, 0
+        for t, rest, out in jobs:
+            while s < t and prefix != 0:
+                prefix *= incoming[s][row[s]]
+                s += 1
+            if prefix == 0:
+                break
+            w = prefix
+            for i in rest:
+                w *= incoming[i][row[i]]
+                if w == 0:
+                    break
+            else:
+                out[row[t]] += w
+    return outs
+
+
 def sp_update(code: CodeSubgroup, incoming: Mapping, target, exact: bool = True,
-              cap: int = 2**20) -> Message:
+              cap: int = ENUMERATION_CAP) -> Message:
     """Sum-product update: out(v) = sum over codewords matching v of the
     product of incoming weights at the other coordinates."""
     amb = code.ambient
     target_alpha = amb.alphabet(target)
-    others = [lab for lab in amb.labels if lab != target]
-    for lab in others:
-        if lab not in incoming:
+    for lab in amb.labels:
+        if lab != target and lab not in incoming:
             raise MissingIncoming(f"no incoming message for {lab!r}")
-    zero = Fraction(0) if exact else 0.0
-    out = [zero] * target_alpha.order
     if code.order > cap:
         raise TooLargeToEnumerate("constraint code too large for sum-product")
-    for word in code.cached_elements(cap):
-        w = Fraction(1) if exact else 1.0
-        for lab in others:
-            msg = incoming[lab]
-            w *= msg.weights[msg.alphabet.index(amb.get(word, lab))]
-            if w == 0:
-                break
-        if w == 0:
-            continue
-        out[target_alpha.index(amb.get(word, target))] += w
+    t = amb.labels.index(target)
+    msgs = [None if lab == target else incoming[lab] for lab in amb.labels]
+    alphas = [target_alpha if m is None else m.alphabet for m in msgs]
+    out, = _sweep(_index_table(code, alphas, cap),
+                  [None if m is None else m.weights for m in msgs], [t],
+                  [target_alpha.order], Fraction(1) if exact else 1.0)
     return Message(target_alpha, tuple(out))
 
 
@@ -125,111 +164,114 @@ class ConvergenceReport:
     contradiction: bool
 
 
+def _normalized(ws: list) -> list:
+    t = sum(ws)
+    return ws if t == 0 else [w / t for w in ws]
+
+
 class _Passer:
-    """Message-passing engine over one realization."""
+    """Message passing over one realization, on constraint tables compiled
+    once.
+
+    Messages are plain weight lists.  msgs[(cl, j)] is what constraint cl
+    sends along edge j, in cl's own coordinates; msgs[(None, v)] is the
+    evidence on a symbol (its prior) or on a boundary half-edge (flat).
+    inputs[cl][i] = (key, perm) names the message slot i of cl reads; perm
+    carries it across an iso edge whose other end is on the other side.
+    slot[(cl, v)] is the slot of variable v in constraint cl.
+    """
 
     def __init__(self, r: Realization, priors: PriorSet, exact: bool):
         r.require_valid()
         self.r = r
-        self.priors = priors
         self.exact = exact
+        self.one = one = Fraction(1) if exact else 1.0
         self.edges = [j for j in r.internal_states() if len(r.slots[j]) == 2]
         for j in self.edges:
             (tc, _), (hc, _) = r.slots[j]
             if tc == hc:
                 raise NotCycleFree(
                     f"self-loop edge {j!r}: decode does not support self-loops")
-        # (constraint, edge) -> outgoing message in that constraint's own
-        # slot coordinates
-        self.msgs: dict[tuple[str, str], Message] = {}
+        cap = ENUMERATION_CAP
+        for cl, con in r.constraints.items():
+            if con.code.order > cap:
+                raise TooLargeToEnumerate(
+                    f"constraint {cl!r} has {con.code.order} codewords, over the "
+                    f"sum-product cap {cap}")
+        self.msgs: dict[tuple, list] = {(None, k): list(m.weights)
+                                        for k, m in priors.items()}
+        for b in r.boundary:
+            self.msgs[(None, b)] = [one] * r.states[b].alphabet.order
+        # forward[i] = index of iso(element i); inverse inverts that list
+        self.forward, inverse = {}, {}
+        for j in self.edges:
+            alpha, iso = r.states[j].alphabet, r.states[j].iso
+            if iso is not None:
+                fwd = [alpha.index(iso.apply(alpha.element_at(i)))
+                       for i in range(alpha.order)]
+                inverse[j] = [0] * alpha.order
+                for i, k in enumerate(fwd):
+                    inverse[j][k] = i
+                self.forward[j] = fwd
+        self.tables, self.alphabets, self.inputs, self.slot = {}, {}, {}, {}
+        for cl, con in r.constraints.items():
+            alphas = [alpha for _, alpha in con.code.ambient.factors]
+            self.alphabets[cl] = alphas
+            self.tables[cl] = _index_table(con.code, alphas, cap)
+            inputs = []
+            for i, v in enumerate(con.vars):
+                self.slot[(cl, v)] = i
+                if (None, v) in self.msgs:
+                    inputs.append(((None, v), None))
+                else:
+                    (tc, _), (hc, _) = r.slots[v]
+                    inputs.append(((hc, v), self.forward.get(v)) if cl == tc
+                                  else ((tc, v), inverse.get(v)))
+            self.inputs[cl] = inputs
 
-    def other_end(self, cl: str, j: str) -> tuple[str, int]:
-        ends = self.r.slots[j]
-        return ends[1] if ends[0][0] == cl else ends[0]
+    def outgoing(self, cl: str, slots: list[int]) -> list[list]:
+        """Unnormalized messages out of cl at the ascending slots, from
+        the current msgs, in one pass over cl's table."""
+        msgs, sole = self.msgs, slots[0] if len(slots) == 1 else None
+        incoming = [None if i == sole else
+                    msgs[key] if perm is None else [msgs[key][k] for k in perm]
+                    for i, (key, perm) in enumerate(self.inputs[cl])]
+        return _sweep(self.tables[cl], incoming, slots,
+                      [self.alphabets[cl][i].order for i in slots], self.one)
 
-    def cross_edge(self, msg: Message, j: str, from_tail: bool) -> Message:
-        """Transport a message across edge j between its two end coordinates."""
-        iso = self.r.states[j].iso
-        if iso is None:
-            return msg
-        phi = iso if from_tail else iso.inverse()
-        w = [None] * msg.alphabet.order
-        for v in msg.alphabet.elements():
-            w[msg.alphabet.index(phi.apply(v))] = msg.weights[msg.alphabet.index(v)]
-        return Message(msg.alphabet, tuple(w))
+    def emit(self, cl: str, slots: list[int]) -> list[list]:
+        """Messages out of cl at the ascending slots, normalized in float mode."""
+        outs = self.outgoing(cl, slots)
+        return outs if self.exact else [_normalized(w) for w in outs]
 
-    def incoming_at(self, cl: str, skip_slot: int | None) -> dict:
-        """Messages for every slot of cl except skip_slot, keyed by slot label."""
-        con = self.r.constraints[cl]
-        amb = con.code.ambient
-        inc = {}
-        for i, v in enumerate(con.vars):
-            if i == skip_slot:
-                continue
-            lab = amb.labels[i]
-            if v in self.r.symbols:
-                inc[lab] = self.priors[v]
-            elif v in set(self.r.boundary):
-                # fragments decode with flat evidence on their half-edges
-                inc[lab] = uniform_message(self.r.states[v].alphabet, self.exact)
-            else:
-                oc, _ = self.other_end(cl, v)
-                m = self.msgs[(oc, v)]
-                produced_at_tail = self._end_is_tail(oc, v)
-                consumed_at_tail = self._end_is_tail(cl, v)
-                if produced_at_tail and not consumed_at_tail:
-                    m = self.cross_edge(m, v, from_tail=True)
-                elif not produced_at_tail and consumed_at_tail:
-                    m = self.cross_edge(m, v, from_tail=False)
-                inc[lab] = m
-        return inc
-
-    def _end_is_tail(self, cl: str, j: str) -> bool:
-        """Whether constraint cl holds the tail end of edge j."""
-        return self.r.slots[j][0][0] == cl
-
-    def compute(self, cl: str, j: str) -> Message:
-        """Outgoing message from cl across edge j, from current self.msgs."""
-        con = self.r.constraints[cl]
-        slot = con.vars.index(j)
-        inc = self.incoming_at(cl, slot)
-        out = sp_update(con.code, inc, con.code.ambient.labels[slot], self.exact)
-        return out if self.exact else out.normalized()
-
-    def tree_message(self, cl: str, j: str) -> Message:
+    def tree_message(self, cl: str, j: str) -> list:
         """Recursive exact message on a tree region (memoized)."""
         key = (cl, j)
-        if key in self.msgs:
-            return self.msgs[key]
-        con = self.r.constraints[cl]
-        for v in con.vars:
-            if v in self.r.symbols or v == j:
-                continue
-            oc, _ = self.other_end(cl, v)
-            self.tree_message(oc, v)
-        m = self.compute(cl, j)
-        self.msgs[key] = m
-        return m
-
-    def symbol_marginal(self, k: str) -> Message:
-        (cl, slot), = self.r.slots[k]
-        con = self.r.constraints[cl]
-        inc = self.incoming_at(cl, slot)
-        m = sp_update(con.code, inc, con.code.ambient.labels[slot], self.exact)
-        w = tuple(a * b for a, b in zip(m.weights, self.priors[k].weights))
-        return Message(m.alphabet, w).normalized()
-
-    def state_marginal(self, j: str) -> Message:
-        (tc, _), (hc, _) = self.r.slots[j]
-        m_tail = self.msgs[(tc, j)]                       # tail coordinates
-        m_head = self.cross_edge(self.msgs[(hc, j)], j, from_tail=False)
-        w = tuple(a * b for a, b in zip(m_tail.weights, m_head.weights))
-        return Message(m_tail.alphabet, w).normalized()
+        if key not in self.msgs:
+            for src, _ in self.inputs[cl]:
+                if src[0] is not None and src[1] != j:
+                    self.tree_message(*src)
+            self.msgs[key], = self.emit(cl, [self.slot[key]])
+        return self.msgs[key]
 
     def result(self) -> DecodeResult:
-        sym = {k: self.symbol_marginal(k) for k in sorted(self.r.symbols,
-                                                          key=sort_key)}
-        st = {j: self.state_marginal(j) for j in sorted(self.edges, key=sort_key)}
+        r, sym = self.r, {}
+        for cl, con in r.constraints.items():
+            slots = [i for i, v in enumerate(con.vars) if v in r.symbols]
+            if slots:
+                for i, w in zip(slots, self.outgoing(cl, slots)):
+                    prior = self.msgs[(None, con.vars[i])]
+                    sym[con.vars[i]] = Message(self.alphabets[cl][i], tuple(
+                        a * b for a, b in zip(w, prior))).normalized()
+        st = {}
+        for j in sorted(self.edges, key=sort_key):
+            (tc, ts), (hc, _) = r.slots[j]
+            head = self.msgs[(hc, j)]
+            if j in self.forward:
+                head = [head[k] for k in self.forward[j]]
+            st[j] = Message(self.alphabets[tc][ts], tuple(
+                a * b for a, b in zip(self.msgs[(tc, j)], head))).normalized()
+        sym = {k: sym[k] for k in sorted(r.symbols, key=sort_key)}
         contradiction = any(m.is_zero for m in sym.values())
         return DecodeResult(sym, st, contradiction)
 
@@ -270,39 +312,41 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
                   if all(cl in core for cl, _ in r.slots[j])]
     # messages pointing toward the core through the stripped forest are
     # computed once, exactly
+    adj = r.neighbors()
     for j in passer.edges:
         if j in core_edges:
             continue
         (tc, _), (hc, _) = r.slots[j]
-        if _points_coreward(r, core, tc, hc):
-            outside = hc  # tail side reaches the core; head side is the tree
-        else:
-            outside = tc
-        passer.tree_message(outside, j)
+        # the message comes from the side away from the core
+        passer.tree_message(hc if _points_coreward(adj, core, tc, hc) else tc, j)
     # iterate on the core
-    one = Fraction(1) if exact else 1.0
     for j in core_edges:
         for cl, _ in r.slots[j]:
-            passer.msgs[(cl, j)] = Message(
-                r.states[j].alphabet, (one,) * r.states[j].alphabet.order)
+            passer.msgs[(cl, j)] = [passer.one] * r.states[j].alphabet.order
     deltas: list[float] = []
     converged = False
     directed = sorted(((cl, j) for j in core_edges for cl, _ in r.slots[j]),
                       key=lambda t: (sort_key(t[1]), sort_key(t[0])))
-    damp = Fraction(damping) if exact else damping
+    # a flooding sweep sends all of a node's core-edge messages from one pass
+    sweep: dict[str, list[tuple[str, str]]] = {}
+    for key in sorted(directed, key=passer.slot.__getitem__):
+        sweep.setdefault(key[0], []).append(key)
+    plan = [(cl, [passer.slot[k] for k in keys], keys) for cl, keys in sweep.items()]
+    damp = Fraction(str(damping)) if exact else damping
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
         delta = 0.0
         if schedule == "flooding":
-            new = {key: passer.compute(*key) for key in directed}
+            new = {}
+            for cl, slots, keys in plan:
+                new.update(zip(keys, passer.emit(cl, slots)))
         for key in directed:
-            m = new[key] if schedule == "flooding" else passer.compute(*key)
+            m = (new[key] if schedule == "flooding"
+                 else passer.emit(key[0], [passer.slot[key]])[0])
             old = passer.msgs[key]
             if damping:
-                m = Message(m.alphabet, tuple(
-                    (1 - damp) * a + damp * b
-                    for a, b in zip(m.weights, old.weights)))
+                m = [(1 - damp) * a + damp * b for a, b in zip(m, old)]
             delta = max(delta, _message_delta(old, m))
             passer.msgs[key] = m
         deltas.append(delta)
@@ -312,19 +356,17 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
     # fill outward messages into the stripped forest for final marginals
     for j in passer.edges:
         for cl, _ in r.slots[j]:
-            if (cl, j) not in passer.msgs:
-                passer.tree_message(cl, j)
+            passer.tree_message(cl, j)
     res = passer.result()
     return res, ConvergenceReport(iterations, deltas, converged,
                                   res.contradiction)
 
 
-def _points_coreward(r: Realization, core: set[str], toward: str, away: str) -> bool:
+def _points_coreward(adj: dict, core: set[str], toward: str, away: str) -> bool:
     """True if `toward` is on the core side of the edge between these two."""
     # walk from `toward` without using `away`: reachable core?
     seen = {away, toward}
     stack = [toward]
-    adj = r.neighbors()
     while stack:
         c = stack.pop()
         if c in core:
@@ -336,10 +378,9 @@ def _points_coreward(r: Realization, core: set[str], toward: str, away: str) -> 
     return False
 
 
-def _message_delta(a: Message, b: Message) -> float:
-    an = a.normalized()
-    bn = b.normalized()
-    return max(abs(float(x) - float(y)) for x, y in zip(an.weights, bn.weights))
+def _message_delta(a: list, b: list) -> float:
+    return max(abs(float(x) - float(y))
+               for x, y in zip(_normalized(a), _normalized(b)))
 
 
 def brute_force_app(r: Realization, priors: Mapping[str, Message] | None = None,

@@ -2,9 +2,9 @@
 
 Top-level keys: `alphabets` (named), `symbols`, `states` (with optional
 `iso` matrix for generalized edges), `constraints` (generator rows are
-concatenated coordinate tuples in `vars` order), and optional `boundary`.
-Generator entries must be canonical residues; out-of-range values are
-rejected rather than silently reduced.
+concatenated coordinate tuples in `vars` order), and optional `boundary`;
+any other top-level key is an error.  Generator entries must be canonical
+residues; out-of-range values are rejected rather than silently reduced.
 """
 
 from __future__ import annotations
@@ -106,6 +106,9 @@ def realization_to_json(r: Realization) -> dict:
 def realization_from_json(doc: Any) -> Realization:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
+    for key in doc:
+        if key not in ("alphabets", "symbols", "states", "constraints", "boundary"):
+            raise ParseError(f"unknown top-level key {key!r}")
     try:
         alphabets = {name: _alphabet_from_json(name, entry)
                      for name, entry in doc.get("alphabets", {}).items()}

@@ -50,7 +50,7 @@ def _combine_kernel(ambient: ProductSpace, gens: Sequence[Sequence[int]],
 class CodeSubgroup:
     """A subgroup of a ProductSpace, held as a canonical generator matrix."""
 
-    __slots__ = ("ambient", "rows", "_lifted", "_order", "_elem_cache")
+    __slots__ = ("ambient", "rows", "_lifted", "_order")
 
     def __init__(self, ambient: ProductSpace, rows: Sequence[Sequence[int]]):
         """Canonicalize the subgroup generated by the given ambient rows."""
@@ -62,7 +62,6 @@ class CodeSubgroup:
         self._lifted = tuple(tuple(r) for r in hf)
         self.rows: tuple[Element, ...] = tuple(self._unlift(r) for r in hf)
         self._order = zmod.span_order(self._lifted, M) if M > 1 else 1
-        self._elem_cache: tuple[Element, ...] | None = None
 
     @classmethod
     def _from_howell(cls, ambient: ProductSpace, lifted: tuple[tuple[int, ...], ...],
@@ -71,7 +70,6 @@ class CodeSubgroup:
         sub = object.__new__(cls)
         sub.ambient, sub._lifted, sub._order = ambient, lifted, order
         sub.rows = tuple(sub._unlift(r) for r in lifted)
-        sub._elem_cache = None
         return sub
 
     # -- lifting between ambient residues and Z_M coordinates ----------------
@@ -116,12 +114,6 @@ class CodeSubgroup:
         M = self.ambient.lcm_modulus
         for y in zmod.span_elements(self._lifted, M, self.ambient.width):
             yield self._unlift(y)
-
-    def cached_elements(self, cap: int = ENUMERATION_CAP) -> tuple[Element, ...]:
-        """Tuple of all elements, memoized (sum-product inner loop)."""
-        if self._elem_cache is None:
-            self._elem_cache = tuple(self.elements(cap))
-        return self._elem_cache
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CodeSubgroup)

@@ -1,5 +1,5 @@
-"""Golden CLI outputs: stdout, stderr and exit code of the structure subcommands
-on every corpus document, compared byte for byte.
+"""Golden CLI outputs: stdout, stderr and exit code of the structure and
+decode subcommands on every corpus document, compared byte for byte.
 
 The expected outputs live in tests/golden/<document>.json.  A change that
 means to alter an output regenerates them with
@@ -34,6 +34,11 @@ COMMANDS = {
     "analyze --json": ["analyze", "--json"],
     "two-core": ["two-core"],
     "minimize": ["minimize"],
+    "decode --iters 20 --tol 0": ["decode", "--iters", "20", "--tol", "0"],
+    "decode --iters 7 --tol 0 --schedule serial --damping 0.5": [
+        "decode", "--iters", "7", "--tol", "0", "--schedule", "serial",
+        "--damping", "0.5"],
+    "decode --exact": ["decode", "--exact"],
 }
 
 DOCUMENTS = sorted(p.stem for p in CORPUS.glob("*.json"))

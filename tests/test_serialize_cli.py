@@ -205,6 +205,8 @@ MALFORMED_DOCUMENT = [
     ("generator entry a float", malformed_document(generators=[[1.0, 1]]), 4,
      "'c0' generator"),
     ("alphabets not an object", malformed_document(alphabets=[]), 4, None),
+    ("a priors file", json.loads((CORPUS / "rep3_priors.json").read_text()), 4,
+     "key 'a0'"),
 ]
 
 
