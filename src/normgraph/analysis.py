@@ -114,25 +114,25 @@ def local_reduce(r: Realization, constraint: str, edge: str) -> Realization:
     for cl, slot in folded.slots[edge]:
         con = new_constraints[cl]
         new_constraints[cl] = Constraint(
-            con.vars, _restrict_merge(con.code, slot, trimmed, quot))
+            con.vars, _restrict_merge(con.code, {slot: (trimmed, quot)}))
     return folded.replaced(states=new_states, constraints=new_constraints)
 
 
-def _restrict_merge(code: CodeSubgroup, slot: int, allowed: CodeSubgroup,
-                    quot: QuotientMap) -> CodeSubgroup:
-    """Restrict one slot to `allowed` and merge its values into quotient classes."""
+def _restrict_merge(code: CodeSubgroup,
+                    merges: dict[int, tuple[CodeSubgroup, QuotientMap]]) -> CodeSubgroup:
+    """Restrict each slot in `merges` to its allowed subgroup, in one
+    intersection, and merge that slot's values into its quotient classes."""
     amb = code.ambient
-    lab = amb.labels[slot]
-    allowed_here = CodeSubgroup(
-        ProductSpace([(lab, amb.alphabet(lab))]), allowed.rows)
-    restricted = code.intersect(cylinder(amb, {lab: allowed_here}))
-    a, b = amb.span(lab)
+    restricted = code.intersect(cylinder(
+        amb, {amb.labels[slot]: allowed for slot, (allowed, _) in merges.items()}))
     factors = list(amb.factors)
-    factors[slot] = (lab, quot.alphabet)
-    new_amb = ProductSpace(factors)
-    rows = [row[:a] + quot.project(row[a:b]) + row[b:]
+    for slot, (_, quot) in merges.items():
+        factors[slot] = (amb.labels[slot], quot.alphabet)
+    spans = [amb.span(lab) for lab in amb.labels]
+    rows = [sum((merges[i][1].project(row[a:b]) if i in merges else row[a:b]
+                 for i, (a, b) in enumerate(spans)), ())
             for row in restricted.rows]
-    return CodeSubgroup(new_amb, rows)
+    return CodeSubgroup(ProductSpace(factors), rows)
 
 
 def reduce_to_fixpoint(r: Realization) -> Realization:
@@ -231,7 +231,7 @@ def canonical_decomposition(r: Realization) -> CanonicalDecomposition:
         (cl, slot), = reduced.slots[k]
         con = constraints[cl]
         constraints[cl] = Constraint(
-            con.vars, _restrict_merge(con.code, slot, trimmed, quot))
+            con.vars, _restrict_merge(con.code, {slot: (trimmed, quot)}))
         symbols[k] = quot.alphabet
         interfaces[k] = InterfaceNode(k, iface_code, quot, trimmed, nondyn)
     core = reduced.replaced(symbols=symbols, constraints=constraints)

@@ -245,14 +245,21 @@ class _Passer:
         return outs if self.exact else [_normalized(w) for w in outs]
 
     def tree_message(self, cl: str, j: str) -> list:
-        """Recursive exact message on a tree region (memoized)."""
-        key = (cl, j)
-        if key not in self.msgs:
-            for src, _ in self.inputs[cl]:
-                if src[0] is not None and src[1] != j:
-                    self.tree_message(*src)
-            self.msgs[key], = self.emit(cl, [self.slot[key]])
-        return self.msgs[key]
+        """Exact message on a tree region (memoized): every message it
+        depends on is emitted first, in post-order on an explicit stack, so
+        a long tree needs no recursion."""
+        stack = [((cl, j), False)]
+        while stack:
+            key, ready = stack.pop()
+            if key in self.msgs:
+                continue
+            if ready:
+                self.msgs[key], = self.emit(key[0], [self.slot[key]])
+                continue
+            stack.append((key, True))
+            stack.extend((src, False) for src, _ in reversed(self.inputs[key[0]])
+                         if src[0] is not None and src[1] != key[1])
+        return self.msgs[(cl, j)]
 
     def result(self) -> DecodeResult:
         r, sym = self.r, {}

@@ -1,9 +1,11 @@
 """Minimization of cycle-free realizations and internal state recovery.
 
-Iterated local reduction provably minimizes a cycle-free realization: at the
-fixpoint every constraint is trim and proper, and every state space order
-equals the quotient order computed from the code itself on both sides of
-its cut.
+A cycle-free realization is minimal iff it is trim and proper at every
+state, and then each state space S_j is fixed by the two sides of its edge:
+the projection P and the cross-section X (the states reachable with every
+symbol and boundary value zero) of each side's behavior at j.  Both are
+computed for every directed edge in one inward and one outward pass of
+subgroup messages, and each edge then takes one local quotient.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alphabets import ProductSpace, sort_key
-from .analysis import reduce_to_fixpoint
+from .analysis import _restrict_merge
 from .errors import (
     Disconnected,
     NotCycleFree,
@@ -19,19 +21,99 @@ from .errors import (
     NotInternallyProper,
 )
 from .graphcore import cyclomatic_number
-from .realization import Configuration, Realization
-from .subgroups import CodeSubgroup
+from .realization import Configuration, Constraint, Realization, StateVar, _map_slot
+from .subgroups import CodeSubgroup, cylinder
 
 
 def minimize_cycle_free(r: Realization) -> Realization:
-    """Fixpoint of local reductions; minimal by the trim+proper theorem."""
+    """The minimal realization of the same code on the same tree.
+
+    The message c -> j along edge j is the pair (P, X): P is the projection
+    on S_j of C_c cut down by the P messages into c's other edges, and X
+    the same with c's symbol and boundary slots forced to zero and the X
+    messages in place of the P's.  With T_j = P-> cap P<- and
+    N_j = (X-> cap T_j) + (X<- cap T_j), S_j becomes T_j / N_j and both end
+    constraints are restricted to T_j and merged modulo N_j.  Every edge
+    isomorphism is folded first, so a reduced result carries none; an
+    already minimal input is returned as is.
+    """
     r.require_valid()
     if not r.is_connected:
         raise Disconnected("minimization requires a connected realization")
     if cyclomatic_number(r) != 0:
         raise NotCycleFree(
             "realization has cycles; use two_core / iterative decoding instead")
-    return reduce_to_fixpoint(r)
+    edges = r.internal_states()
+    codes = {cl: con.code for cl, con in r.constraints.items()}
+    for j in edges:
+        iso = r.states[j].iso
+        if iso is not None:
+            head, slot = r.slots[j][1]
+            codes[head] = _map_slot(codes[head], slot, iso.inverse())
+    # the far end of each edge seen from each of its ends, and a pre-order
+    # of the tree with the edge to each constraint's parent
+    far = {}
+    for j in edges:
+        (c1, _), (c2, _) = r.slots[j]
+        far[c1, j], far[c2, j] = c2, c1
+    root = next(iter(r.constraints))
+    order, up, stack = [], {root: None}, [root]
+    while stack:
+        c = stack.pop()
+        order.append(c)
+        for v in r.constraints[c].vars:
+            d = far.get((c, v))
+            if d is not None and d not in up:
+                up[d] = v
+                stack.append(d)
+    msgs: dict[tuple[str, str], tuple[CodeSubgroup, CodeSubgroup]] = {}
+
+    def send(c: str, j: str) -> None:
+        code = codes[c]
+        amb = code.ambient
+        p_parts, x_parts = {}, {}
+        for lab, v in zip(amb.labels, r.constraints[c].vars):
+            if v == j:
+                out = lab
+            elif (c, v) in far:
+                p_in, x_in = msgs[far[c, v], v]
+                if not p_in.is_full:
+                    p_parts[lab] = p_in
+                x_parts[lab] = x_in
+            else:
+                x_parts[lab] = CodeSubgroup(amb.subspace([lab]), [])
+        p = code.intersect(cylinder(amb, p_parts)) if p_parts else code
+        x = code.intersect(cylinder(amb, x_parts))
+        msgs[c, j] = (p.project([out]).renamed({out: j}),
+                      x.project([out]).renamed({out: j}))
+
+    for c in reversed(order[1:]):
+        send(c, up[c])
+    for c in order:
+        for v in r.constraints[c].vars:
+            if (c, v) in far and v != up[c]:
+                send(c, v)
+    reduced = {}
+    for j in edges:
+        (p1, x1), (p2, x2) = (msgs[c, j] for c, _ in r.slots[j])
+        trimmed = p1.intersect(p2)
+        nondyn = x1.intersect(trimmed).sum(x2.intersect(trimmed))
+        if not (trimmed.is_full and nondyn.is_trivial):
+            reduced[j] = (trimmed, trimmed.quotient_by(nondyn))
+    if not reduced:
+        return r
+    states = dict(r.states)
+    merges: dict[str, dict] = {}
+    for j in edges:
+        states[j] = StateVar(reduced[j][1].alphabet if j in reduced
+                             else r.states[j].alphabet)
+    for j, pair in reduced.items():
+        for c, slot in r.slots[j]:
+            merges.setdefault(c, {})[slot] = pair
+    constraints = {cl: Constraint(con.vars, _restrict_merge(codes[cl], merges[cl])
+                                  if cl in merges else codes[cl])
+                   for cl, con in r.constraints.items()}
+    return r.replaced(states=states, constraints=constraints)
 
 
 def state_orders(r: Realization) -> dict[str, int]:

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import random as _random
 
 import pytest
 
+from normgraph.analysis import reduce_to_fixpoint
 from normgraph.corpus import (
     GF2,
     GF3,
+    Z4,
+    random_fragment,
     random_realization,
     tail_biting_rep2,
+    tanner_realization,
     trellis_realization,
 )
 from normgraph.errors import NotCycleFree, NotInExternalBehavior
@@ -20,6 +25,7 @@ from normgraph.minimize import (
     state_orders,
     verify_state_space_theorem,
 )
+from tests.test_syndrome import POOL, with_isos
 
 HAMMING_G = [
     (1, 0, 0, 0, 1, 1, 0),
@@ -148,7 +154,6 @@ def test_recover_mixed_alphabets_path():
 def test_minimize_sweep_order_independent():
     """Any maximal sequence of local reductions reaches the same state-space
     orders (alphabet identity may differ; orders and the code are checked)."""
-    import random as _random
     from normgraph.analysis import local_reduce
 
     for seed in (11, 31, 51):
@@ -183,3 +188,98 @@ def test_connected_cycle_free_has_two_leaves():
             for cl, _ in r.slots[j]:
                 deg[cl] += 1
         assert sum(1 for d in deg.values() if d <= 1) >= 2
+
+
+# -- the two-pass minimizer against the fixpoint of local reductions -------------
+
+
+def tree_check_matrix(rng, m: int):
+    """A check matrix over Z_m whose Tanner graph is a tree: every check
+    after the first shares exactly one symbol with the checks before it.
+    A check on that symbol alone forces it to zero, which leaves replica
+    states to reduce."""
+    supports = [list(range(rng.randrange(2, 4)))]
+    n = len(supports[0])
+    for _ in range(rng.randrange(1, 4)):
+        fresh = list(range(n, n + rng.randrange(3)))
+        supports.append([rng.randrange(n)] + fresh)
+        n += len(fresh)
+    return [[rng.randrange(1, m) if j in sup else 0 for j in range(n)]
+            for sup in supports]
+
+
+def differential_instances():
+    """(family, realization): paths over both pools (the width-2 and
+    composite one with isos from the whole automorphism group), branching
+    Tanner trees, and fragments with a boundary half-edge."""
+    for seed in range(60):
+        yield "path", random_realization(seed, topology="path",
+                                         n_constraints=3 + seed % 3, iso_prob=0.5)
+    for seed in range(60):
+        base = random_realization(seed, topology="path", pool=POOL,
+                                  n_constraints=3 + seed % 2, symbol_prob=0.6,
+                                  max_gens=2)
+        yield "iso path", with_isos(base, _random.Random(f"iso/{seed}"), 0.7)
+    for seed in range(36):
+        rng = _random.Random(f"tree/{seed}")
+        alpha = (GF2, GF3, Z4)[seed % 3]
+        tree = tanner_realization(tree_check_matrix(rng, alpha.moduli[0]), alpha)
+        yield "tree", with_isos(tree, rng, 0.5)
+    for seed in range(80):
+        yield "fragment", random_fragment(seed, (GF2, GF3, Z4)[seed % 3],
+                                          n_constraints=2 + seed % 2)
+
+
+def test_two_pass_minimizer_matches_the_fixpoint_oracle():
+    reduced = dict.fromkeys(("path", "iso path", "tree", "fragment"), 0)
+    for family, r in differential_instances():
+        if not r.validate().is_valid:
+            continue
+        m = minimize_cycle_free(r)
+        oracle = reduce_to_fixpoint(r)
+        assert state_orders(m) == state_orders(oracle), family
+        assert m.code() == r.code(), family
+        assert m.external_behavior() == r.external_behavior(), family
+        assert reduce_to_fixpoint(m) is m, family
+        assert minimize_cycle_free(m) is m, family
+        if not m.boundary:
+            for j in m.internal_states():
+                assert verify_state_space_theorem(m, j).passed, (family, j)
+        reduced[family] += m is not r
+    assert min(reduced.values()) >= 10, reduced
+
+
+def fixed_profile_rows(rng, n: int, k: int):
+    """The benchmark's trellis rows: a trellis-oriented generator matrix
+    (row i spans [i, i + n - k]) with the last row added to every other
+    one, so every span but the last reaches the end."""
+    togm = []
+    for i in range(k):
+        row = [0] * n
+        row[i] = row[i + n - k] = 1
+        for t in range(i + 1, i + n - k):
+            row[t] = rng.randrange(2)
+        togm.append(row)
+    last = togm[-1]
+    return [[(a + b) % 2 for a, b in zip(row, last)] for row in togm[:-1]] + [last]
+
+
+def test_minimize_fixed_profile_trellis_n48():
+    n, k = 48, 24
+    r = trellis_realization(fixed_profile_rows(_random.Random("n48"), n, k),
+                            [GF2] * n)
+    m = minimize_cycle_free(r)
+    # the minimal order at cut t is 2^(number of generator spans across it)
+    want = {f"s{t}": 2 ** sum(1 for i in range(k) if i < t <= i + n - k)
+            for t in range(1, n)}
+    assert state_orders(r) != want
+    assert state_orders(m) == want
+
+
+def test_minimize_long_repetition_trellis_without_recursion():
+    n = 1200
+    r = trellis_realization([(1,) * n, (1,) * n], [GF2] * n)
+    assert set(state_orders(r).values()) == {4}
+    m = minimize_cycle_free(r)
+    assert set(state_orders(m).values()) == {2}
+    assert len(m.internal_states()) == n - 1

@@ -178,6 +178,22 @@ def test_cli_malformed_decode_inputs_exit_cleanly(tmp_path):
         assert proc.stdout == "", case
 
 
+def test_cli_exact_decode_of_a_long_trellis(tmp_path):
+    """Tree messages are passed without recursion: a 1,200-section trellis,
+    deeper than the interpreter's recursion limit, decodes exactly."""
+    path = tmp_path / "long.json"
+    r = trellis_realization([(1,) * 1200], [GF2] * 1200)
+    path.write_text(json.dumps(realization_to_json(r)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "normgraph.cli", "decode",
+                           str(path), "--exact"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr
+    assert "a1199" in proc.stdout
+
+
 def malformed_document(alphabet=None, vars_=None, generators=None, **top):
     doc = {
         "alphabets": {"F": alphabet if alphabet is not None else {"field": 2}},
