@@ -227,6 +227,8 @@ def cmd_decode(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return E_IO
+    # printed after the marginals, so that a failed write reports only its error
+    notes = []
     if exact:
         try:
             res = decode_exact(r, priors, exact=True)
@@ -238,18 +240,18 @@ def cmd_decode(args) -> int:
         res, report = decode_iterative(
             r, priors, max_iters=args.iters, schedule=args.schedule,
             damping=args.damping, tol=args.tol)
-        print(f"# iterations {report.iterations} converged {report.converged}",
-              file=sys.stderr)
+        notes.append(f"# iterations {report.iterations} converged {report.converged}")
         payload = marginals_to_json(res.symbol_marginals, exact=False)
     if res.contradiction:
-        print("# warning: contradictory evidence, all-zero marginals",
-              file=sys.stderr)
+        notes.append("# warning: contradictory evidence, all-zero marginals")
     text = json.dumps(payload, indent=1)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    for line in notes:
+        print(line, file=sys.stderr)
     return E_OK
 
 
@@ -321,6 +323,10 @@ def main(argv=None) -> int:
     except NormgraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return E_PRECONDITION
+    except OSError as exc:
+        # an output file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return E_IO
 
 
 if __name__ == "__main__":

@@ -7,24 +7,39 @@ are pre-solved once and their boundary messages held constant.  Two
 arithmetic modes: exact rationals and floats with per-message
 normalization.
 
-A decode compiles each constraint once, after checking every code's order
-against the enumeration cap, into a table holding each codeword as its
-per-slot alphabet indices.  One pass over a table sends any set of a node's
-messages: a flooding sweep sends all of them at once, a serial step or a
-tree message one.  Each product is folded in slot order, exactly as a
-separate loop per target folds it, so float results do not depend on how
-many targets share the pass.  Messages are weight lists inside the engine;
-an iso edge permutes them by index tables built once from the isomorphism.
+A decode compiles each distinct local code once, after checking every
+code's order against the enumeration cap, into a table holding each
+codeword as its per-slot alphabet indices; constraints with the same rows
+over the same slot moduli share it.  One pass over a table sends any set of
+a node's messages: a flooding sweep sends all of them at once, a serial
+step or a tree message one.  The pass is a kernel generated once per node
+shape (degree, targets) with the row loop unrolled over the slots.  Each
+product is folded in slot order, exactly as a separate loop per target
+folds it, so float results do not depend on how many targets share the
+pass.  Messages are weight lists inside the engine; an iso edge permutes
+them by index tables built once from the isomorphism.
+
+Message weights are finite.  The kernels rely on it: a product that turns
+zero is added as a zero instead of skipped, and a float marginal that
+overflows raises `WeightOverflow` instead of coming back as NaN.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .alphabets import ENUMERATION_CAP, Alphabet, Element, sort_key
-from .errors import MissingIncoming, NotCycleFree, TooLargeToEnumerate
+from .errors import (
+    MissingIncoming,
+    NotCycleFree,
+    TooLargeToEnumerate,
+    WeightOverflow,
+)
 from .graphcore import cyclomatic_number, two_core_constraints
 from .realization import Realization
 from .subgroups import CodeSubgroup, QuotientMap
@@ -32,7 +47,8 @@ from .subgroups import CodeSubgroup, QuotientMap
 
 @dataclass(frozen=True)
 class Message:
-    """Nonnegative weights indexed by the canonical alphabet enumeration."""
+    """Finite nonnegative weights indexed by the canonical alphabet
+    enumeration."""
 
     alphabet: Alphabet
     weights: tuple
@@ -42,6 +58,8 @@ class Message:
             raise ValueError("weight vector length must equal the alphabet order")
         if any(w < 0 for w in self.weights):
             raise ValueError("message weights must be nonnegative")
+        if not all(w < math.inf for w in self.weights):
+            raise ValueError("message weights must be finite")
 
     @property
     def total(self):
@@ -100,32 +118,50 @@ def _index_table(code: CodeSubgroup, alphabets, cap: int) -> list[tuple[int, ...
             for word in code.elements(cap)]
 
 
+# factors per generated expression, well under the compiler's nesting limit
+_FOLD = 32
+
+
+@functools.lru_cache(maxsize=512)
+def _kernel(degree: int, targets: tuple[int, ...]):
+    """The table pass of a degree-`degree` node to the ascending `targets`,
+    compiled: kernel(table, incoming, outs, one) adds into outs[k] the
+    message to slot targets[k].
+
+    Each row unpacks into locals r0..r{d-1}.  A running prefix starts at
+    `one` and is extended slot by slot up to each target; the row is left as
+    soon as the prefix is zero.  Target t adds prefix * i{t+1}[r{t+1}] * ...
+    * i{d-1}[r{d-1}], folded left, so every product and sum is the one the
+    loop over slots makes.  A product that turns zero in the suffix is added
+    as a zero instead of skipped, which changes nothing for finite weights.
+    The source holds only slot indices.
+    """
+    lines = ["def kernel(table, incoming, outs, one):",
+             "    " + "".join(f"i{i}, " for i in range(degree)) + "= incoming",
+             "    " + "".join(f"o{t}, " for t in targets) + "= outs",
+             "    for " + "".join(f"r{i}, " for i in range(degree)) + "in table:"]
+    prefix, s = "one", 0
+    for t in targets:
+        while s < t:
+            lines += [f"        p = {prefix} * i{s}[r{s}]",
+                      "        if not p: continue"]
+            prefix, s = "p", s + 1
+        factors = [prefix] + [f"i{i}[r{i}]" for i in range(t + 1, degree)]
+        while len(factors) > _FOLD:
+            lines.append("        w = " + " * ".join(factors[:_FOLD]))
+            factors[:_FOLD] = ["w"]
+        lines.append(f"        o{t}[r{t}] += " + " * ".join(factors))
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<kernel {degree} {targets}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _sweep(table, incoming, targets, sizes, one) -> list[list]:
     """One pass over a compiled constraint: the outgoing weights at each of
-    the ascending target slots, whose alphabet orders are `sizes`.
-
-    For target t each codeword adds the product of the incoming weights at
-    the other slots, folded left in slot order: a running prefix over slots
-    before t, continued over the slots after it, and dropped as soon as it
-    is zero.  A sole target's own incoming entry is never read.
-    """
+    the ascending target slots, whose alphabet orders are `sizes`.  A sole
+    target's own incoming entry is never read."""
     outs = [[one - one] * n for n in sizes]
-    jobs = [(t, range(t + 1, len(incoming)), out) for t, out in zip(targets, outs)]
-    for row in table:
-        prefix, s = one, 0
-        for t, rest, out in jobs:
-            while s < t and prefix != 0:
-                prefix *= incoming[s][row[s]]
-                s += 1
-            if prefix == 0:
-                break
-            w = prefix
-            for i in rest:
-                w *= incoming[i][row[i]]
-                if w == 0:
-                    break
-            else:
-                out[row[t]] += w
+    _kernel(len(incoming), tuple(targets))(table, incoming, outs, one)
     return outs
 
 
@@ -166,12 +202,22 @@ class ConvergenceReport:
 
 def _normalized(ws: list) -> list:
     t = sum(ws)
-    return ws if t == 0 else [w / t for w in ws]
+    # dividing by a total of 1 would change no bit
+    return ws if t == 0 or t == 1 else [w / t for w in ws]
+
+
+def _marginal(var: str, alpha: Alphabet, a: list, b: list) -> Message:
+    """The normalized product of the two messages meeting at `var`."""
+    w = tuple(x * y for x, y in zip(a, b))
+    if not all(x < math.inf for x in w):
+        raise WeightOverflow(f"float weights overflowed in the marginal of {var!r}; "
+                             f"scale the priors down")
+    return Message(alpha, w).normalized()
 
 
 class _Passer:
-    """Message passing over one realization, on constraint tables compiled
-    once.
+    """Message passing over one realization, on tables compiled once per
+    distinct constraint code.
 
     Messages are plain weight lists.  msgs[(cl, j)] is what constraint cl
     sends along edge j, in cl's own coordinates; msgs[(None, v)] is the
@@ -213,11 +259,19 @@ class _Passer:
                 for i, k in enumerate(fwd):
                     inverse[j][k] = i
                 self.forward[j] = fwd
-        self.tables, self.alphabets, self.inputs, self.slot = {}, {}, {}, {}
+        self.tables, self.alphabets, self.orders = {}, {}, {}
+        self.inputs, self.slot = {}, {}
+        # one table per distinct code: the table depends only on the rows
+        # and on each slot's moduli
+        shared: dict[tuple, list] = {}
         for cl, con in r.constraints.items():
             alphas = [alpha for _, alpha in con.code.ambient.factors]
             self.alphabets[cl] = alphas
-            self.tables[cl] = _index_table(con.code, alphas, cap)
+            self.orders[cl] = [alpha.order for alpha in alphas]
+            key = (tuple(alpha.moduli for alpha in alphas), con.code.rows)
+            if key not in shared:
+                shared[key] = _index_table(con.code, alphas, cap)
+            self.tables[cl] = shared[key]
             inputs = []
             for i, v in enumerate(con.vars):
                 self.slot[(cl, v)] = i
@@ -237,7 +291,7 @@ class _Passer:
                     msgs[key] if perm is None else [msgs[key][k] for k in perm]
                     for i, (key, perm) in enumerate(self.inputs[cl])]
         return _sweep(self.tables[cl], incoming, slots,
-                      [self.alphabets[cl][i].order for i in slots], self.one)
+                      [self.orders[cl][i] for i in slots], self.one)
 
     def emit(self, cl: str, slots: list[int]) -> list[list]:
         """Messages out of cl at the ascending slots, normalized in float mode."""
@@ -267,17 +321,16 @@ class _Passer:
             slots = [i for i, v in enumerate(con.vars) if v in r.symbols]
             if slots:
                 for i, w in zip(slots, self.outgoing(cl, slots)):
-                    prior = self.msgs[(None, con.vars[i])]
-                    sym[con.vars[i]] = Message(self.alphabets[cl][i], tuple(
-                        a * b for a, b in zip(w, prior))).normalized()
+                    v = con.vars[i]
+                    sym[v] = _marginal(v, self.alphabets[cl][i], w,
+                                       self.msgs[(None, v)])
         st = {}
         for j in sorted(self.edges, key=sort_key):
             (tc, ts), (hc, _) = r.slots[j]
             head = self.msgs[(hc, j)]
             if j in self.forward:
                 head = [head[k] for k in self.forward[j]]
-            st[j] = Message(self.alphabets[tc][ts], tuple(
-                a * b for a, b in zip(self.msgs[(tc, j)], head))).normalized()
+            st[j] = _marginal(j, self.alphabets[tc][ts], self.msgs[(tc, j)], head)
         sym = {k: sym[k] for k in sorted(r.symbols, key=sort_key)}
         contradiction = any(m.is_zero for m in sym.values())
         return DecodeResult(sym, st, contradiction)
@@ -340,6 +393,8 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
         sweep.setdefault(key[0], []).append(key)
     plan = [(cl, [passer.slot[k] for k in keys], keys) for cl, keys in sweep.items()]
     damp = Fraction(str(damping)) if exact else damping
+    # each stored message's normalized form, the "old" side of the next delta
+    normed = {key: _normalized(passer.msgs[key]) for key in directed}
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
@@ -351,11 +406,11 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
         for key in directed:
             m = (new[key] if schedule == "flooding"
                  else passer.emit(key[0], [passer.slot[key]])[0])
-            old = passer.msgs[key]
             if damping:
-                m = [(1 - damp) * a + damp * b for a, b in zip(m, old)]
-            delta = max(delta, _message_delta(old, m))
-            passer.msgs[key] = m
+                m = [(1 - damp) * a + damp * b for a, b in zip(m, passer.msgs[key])]
+            m_normed = _normalized(m)
+            delta = max(delta, _message_delta(normed[key], m_normed, exact))
+            passer.msgs[key], normed[key] = m, m_normed
         deltas.append(delta)
         if delta < tol:
             converged = True
@@ -385,9 +440,11 @@ def _points_coreward(adj: dict, core: set[str], toward: str, away: str) -> bool:
     return False
 
 
-def _message_delta(a: list, b: list) -> float:
-    return max(abs(float(x) - float(y))
-               for x, y in zip(_normalized(a), _normalized(b)))
+def _message_delta(a: list, b: list, exact: bool) -> float:
+    """The largest entry change between two normalized messages, in floats."""
+    if exact:
+        a, b = map(float, a), map(float, b)
+    return max(map(abs, map(operator.sub, a, b)))
 
 
 def brute_force_app(r: Realization, priors: Mapping[str, Message] | None = None,

@@ -73,6 +73,10 @@ class MissingIncoming(NormgraphError):
     """A sum-product update is missing an incoming message."""
 
 
+class WeightOverflow(NormgraphError):
+    """Float sum-product weights overflowed, so a marginal is not finite."""
+
+
 class NotInExternalBehavior(NormgraphError):
     """The supplied configuration is not a valid external configuration."""
 

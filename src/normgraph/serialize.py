@@ -174,7 +174,12 @@ def _weight(value: Any, exact: bool):
         w = Fraction(value)
     else:
         w = Fraction(str(value))
-    return w if exact else float(w)
+    if exact:
+        return w
+    try:
+        return float(w)
+    except OverflowError:
+        raise ValueError(f"weight {value} is too large for a float") from None
 
 
 def load_priors(path: str, r: Realization, exact: bool) -> dict[str, Message]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +31,8 @@ from normgraph.decode import (
     sp_update,
     uniform_message,
 )
-from normgraph.errors import MissingIncoming, NotCycleFree
+from normgraph.errors import MissingIncoming, NotCycleFree, WeightOverflow
+from normgraph.serialize import realization_from_json
 from normgraph.subgroups import CodeSubgroup
 
 
@@ -290,6 +292,33 @@ def test_homogeneity_of_update():
     out = sp_update(code, {0: m1, 1: m2}, 2)
     scaled = sp_update(code, {0: Message(GF2, fr(4, 6)), 1: m2}, 2)
     assert scaled.weights == tuple(2 * w for w in out.weights)
+
+
+def test_message_weights_must_be_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Message(GF2, (bad, 1.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Message(GF2, (-math.inf, 1.0))
+    huge = Fraction(10) ** 400             # finite, though beyond any float
+    assert Message(GF2, (huge, Fraction(1))).normalized().weights[1] == 1 / (huge + 1)
+
+
+def test_float_overflow_in_a_marginal_is_an_error():
+    """Two symbols under one parity check with priors near the float
+    range: their product overflows, which is reported, not returned."""
+    r = realization_from_json({
+        "alphabets": {"F": {"field": 2}},
+        "symbols": [{"id": "a0", "alphabet": "F"}, {"id": "a1", "alphabet": "F"}],
+        "states": [],
+        "constraints": [{"id": "c0", "vars": ["a0", "a1"], "generators": [[1, 1]]}],
+    })
+    big = Message(GF2, (1e300, 1.0))
+    with pytest.raises(WeightOverflow, match="'a0'"):
+        decode_iterative(r, {"a0": big, "a1": big})
+    res, _ = decode_iterative(r, {"a0": Message(GF2, (1e150, 1.0)),
+                                  "a1": Message(GF2, (1e150, 1.0))})
+    assert res.symbol_marginals["a0"].weights == (1.0, 1e-300)
 
 
 def test_decode_exact_rejects_cycles():

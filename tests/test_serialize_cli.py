@@ -158,6 +158,7 @@ MALFORMED_DECODE = [
     ("negative tolerance", ["--tol", "-1"], None, 4),
     ("negative prior weight", [], {"a0": [-1, 2]}, 4),
     ("prior entry not a list", [], {"a0": 5}, 4),
+    ("prior weight beyond the float range", [], {"a0": ["1e400", "1"]}, 4),
 ]
 
 
@@ -176,6 +177,32 @@ def test_cli_malformed_decode_inputs_exit_cleanly(tmp_path):
         assert "Traceback" not in proc.stderr, case
         assert proc.stderr.startswith("error: "), case
         assert proc.stdout == "", case
+
+
+UNWRITABLE_OUTPUT = [
+    # (subcommand and arguments up to the output flag, input document)
+    (["decode", "-o"], "rep3.json"),
+    (["minimize", "-o"], "rep3.json"),
+    (["dual", "-o"], "rep3.json"),
+    (["two-core", "-o"], "tail_biting_rep2.json"),
+    (["two-core", "--emit-graph"], "tail_biting_rep2.json"),
+]
+
+
+def test_cli_unwritable_output_exits_cleanly(tmp_path):
+    """An output path under a missing directory is an I/O error (exit 4)
+    reported on one line, not a traceback."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    target = tmp_path / "missing" / "out"
+    for (command, flag), doc in UNWRITABLE_OUTPUT:
+        proc = subprocess.run([sys.executable, "-m", "normgraph.cli", command,
+                               str(CORPUS / doc), flag, str(target)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 4, (command, flag, proc.stderr)
+        assert proc.stderr.startswith("error: "), (command, flag, proc.stderr)
+        assert proc.stderr.count("\n") == 1 and str(target) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_exact_decode_of_a_long_trellis(tmp_path):

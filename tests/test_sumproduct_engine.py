@@ -1,12 +1,15 @@
-"""The compiled sum-product engine against the per-target loop it replaced.
+"""The compiled sum-product engine against the loops it replaced.
 
 `decode.py` compiles each constraint into a table of per-slot alphabet
-indices and sends all of a node's messages from one pass over it.  The
-reference below is the earlier engine, kept whole: one enumeration of the
-code per target, `Message` objects throughout, and messages carried across
-an iso edge through `iso.apply` and `iso.inverse()`.  Float marginals and
-convergence deltas must be equal, not close: the new kernel folds each
-product in the same order, so the rounding is the same.
+indices and sends all of a node's messages from one pass over it, through a
+kernel generated per node shape.  Two references are kept here.  The first
+is the interpreted table pass, `ref_sweep`, which the generated kernels
+replaced.  The second is the per-target engine before the tables, kept
+whole: one enumeration of the code per target, `Message` objects
+throughout, and messages carried across an iso edge through `iso.apply` and
+`iso.inverse()`.  Float marginals and convergence deltas must be equal, not
+close: every kernel folds each product in the same order, so the rounding
+is the same.
 
 The realizations come from the width-2 and composite pool of
 `tests/test_syndrome.py`, with random automorphisms on most edges.
@@ -15,6 +18,7 @@ The realizations come from the width-2 and composite pool of
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,10 +26,13 @@ from fractions import Fraction
 import pytest
 
 from normgraph.alphabets import sort_key, vector_space
+from normgraph import decode
 from normgraph.cli import main
 from normgraph.corpus import (
+    GF2,
     random_realization,
     tail_biting_rep2,
+    tanner_realization,
     z4_sample_realizations,
 )
 from normgraph.decode import (
@@ -40,7 +47,134 @@ from normgraph.errors import MissingIncoming, TooLargeToEnumerate
 from normgraph.graphcore import cyclomatic_number, two_core_constraints
 from tests.test_syndrome import POOL, with_isos
 
-# -- the reference: the per-target loop and the passer around it ----------------
+# -- the reference kernel: the interpreted table pass ----------------------------
+
+
+def ref_sweep(table, incoming, targets, sizes, one):
+    """For target t each row adds the product of the incoming weights at
+    the other slots, folded left in slot order: a running prefix over slots
+    before t, continued over the slots after it, and dropped as soon as it
+    is zero."""
+    outs = [[one - one] * n for n in sizes]
+    jobs = [(t, range(t + 1, len(incoming)), out) for t, out in zip(targets, outs)]
+    for row in table:
+        prefix, s = one, 0
+        for t, rest, out in jobs:
+            while s < t and prefix != 0:
+                prefix *= incoming[s][row[s]]
+                s += 1
+            if prefix == 0:
+                break
+            w = prefix
+            for i in rest:
+                w *= incoming[i][row[i]]
+                if w == 0:
+                    break
+            else:
+                out[row[t]] += w
+    return outs
+
+
+def bits(outs):
+    """Each weight as its type and repr: equal floats of opposite sign, and
+    NaNs, compare as what they are."""
+    return [[(type(w), repr(w)) for w in out] for out in outs]
+
+
+def random_pass(rng, degree, exact, poison_before=None):
+    """A random table over per-slot orders 1-3 and incoming weights that
+    are floats or Fractions, some of them zero (float zeros half -0.0): a
+    fifth up to degree 8, one in a hundred above, so that long products
+    still reach the outputs.  Slots before `poison_before` also draw
+    infinities."""
+    sizes = [rng.randrange(1, 4) for _ in range(degree)]
+    table = [tuple(rng.randrange(n) for n in sizes)
+             for _ in range(rng.randrange(1, 40))]
+    zeros = 0.2 if degree <= 8 else 0.01
+
+    def weight(slot):
+        u = rng.random()
+        if u < zeros:
+            return Fraction(0) if exact else rng.choice((0.0, -0.0))
+        if poison_before is not None and slot < poison_before and u < zeros + 0.15:
+            return math.inf
+        return Fraction(rng.randrange(1, 50), rng.randrange(1, 50)) if exact \
+            else rng.random()
+    incoming = [[weight(i) for _ in range(n)] for i, n in enumerate(sizes)]
+    return table, incoming, sizes
+
+
+def test_kernels_equal_the_interpreted_pass():
+    """Degree 1 is the lone slot, whose product is `one`; degree 64 folds
+    its longest products over several generated statements."""
+    rng = random.Random("kernels")
+    passes = 0
+    for degree in (*range(1, 9), 64):
+        shapes = [[t] for t in range(degree)] + [list(range(degree))]
+        for targets in shapes:
+            for exact in (False, True):
+                one = Fraction(1) if exact else 1.0
+                for _ in range(3 if degree < 64 else 1):
+                    table, incoming, sizes = random_pass(rng, degree, exact)
+                    sizes = [sizes[t] for t in targets]
+                    got = decode._sweep(table, incoming, targets, sizes, one)
+                    want = ref_sweep(table, incoming, targets, sizes, one)
+                    assert got == want, (degree, targets, exact)
+                    assert bits(got) == bits(want), (degree, targets, exact)
+                    passes += 1
+    assert passes == 394
+
+
+def test_kernels_leave_a_row_at_its_first_zero_prefix():
+    """Infinities in the slots before a lone target are never multiplied
+    once the prefix is zero, so 0 * inf never turns a skipped row into NaN."""
+    rng = random.Random("prefix")
+    poisoned = 0
+    for degree in range(2, 9):
+        for t in range(1, degree):
+            for _ in range(6):
+                table, incoming, sizes = random_pass(rng, degree, False,
+                                                     poison_before=t)
+                got = decode._sweep(table, incoming, [t], [sizes[t]], 1.0)
+                want = ref_sweep(table, incoming, [t], [sizes[t]], 1.0)
+                assert bits(got) == bits(want), (degree, t)
+                for row in table:
+                    prefix = [incoming[s][row[s]] for s in range(t)]
+                    zero = next((s for s, w in enumerate(prefix) if w == 0), t)
+                    poisoned += math.inf in prefix[zero:]
+    assert poisoned >= 100
+
+
+def regular_tanner(rng, n, col_weight, row_weight):
+    """A check matrix with col_weight layers, each splitting the n columns
+    into checks of row_weight."""
+    cols, h = list(range(n)), []
+    for _ in range(col_weight):
+        rng.shuffle(cols)
+        for k in range(0, n, row_weight):
+            part = set(cols[k:k + row_weight])
+            h.append([int(j in part) for j in range(n)])
+    return tanner_realization(h, GF2)
+
+
+def test_one_table_per_distinct_code(monkeypatch):
+    """A (3,6)-regular Tanner graph has two distinct local codes, the
+    degree-6 check and the degree-4 equality node, so two tables."""
+    compiled = []
+    real = decode._index_table
+
+    def counting(code, alphabets, cap):
+        compiled.append(code)
+        return real(code, alphabets, cap)
+
+    monkeypatch.setattr(decode, "_index_table", counting)
+    r = regular_tanner(random.Random(3), 24, 3, 6)
+    assert len(r.constraints) == 36
+    decode_iterative(r, None, max_iters=2, tol=0)
+    assert sorted(len(code.ambient.labels) for code in compiled) == [4, 6]
+
+
+# -- the reference engine: the per-target loop and the passer around it ----------
 
 
 def ref_sp_update(code, incoming, target, exact=True, cap=2**20):
