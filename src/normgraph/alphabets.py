@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterator, Sequence
 from fractions import Fraction
 from functools import reduce
-from typing import Any, Iterator, Sequence
 
+from ._records import record
 from .errors import BadPartition, RowOutOfAmbient, TooLargeToEnumerate, UnknownLabel
 
 ENUMERATION_CAP = 2**20
@@ -97,7 +97,7 @@ class _Moduli:
         return itertools.product(*(range(m) for m in self.moduli))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Alphabet(_Moduli):
     """A finite abelian alphabet, either GF(p)^k or Z_{m1} x ... x Z_{mr}.
 
@@ -167,39 +167,39 @@ class ProductSpace(_Moduli):
 
     _noun = "ambient"
 
-    def __init__(self, factors: Sequence[tuple[Any, Alphabet]]):
+    def __init__(self, factors: Sequence[tuple[Hashable, Alphabet]]):
         labels = [lab for lab, _ in factors]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate factor labels in product space")
-        self.factors: tuple[tuple[Any, Alphabet], ...] = tuple(factors)
+        self.factors: tuple[tuple[Hashable, Alphabet], ...] = tuple(factors)
         self.moduli: tuple[int, ...] = tuple(
             m for _, alpha in factors for m in alpha.moduli
         )
         self.lcm_modulus: int = reduce(math.lcm, self.moduli, 1)
-        self._ranges: dict[Any, tuple[int, int]] = {}
+        self._ranges: dict[Hashable, tuple[int, int]] = {}
         pos = 0
         for lab, alpha in factors:
             self._ranges[lab] = (pos, pos + alpha.width)
             pos += alpha.width
 
     @property
-    def labels(self) -> tuple[Any, ...]:
+    def labels(self) -> tuple[Hashable, ...]:
         return tuple(lab for lab, _ in self.factors)
 
-    def alphabet(self, label: Any) -> Alphabet:
+    def alphabet(self, label: Hashable) -> Alphabet:
         for lab, alpha in self.factors:
             if lab == label:
                 return alpha
         raise UnknownLabel(f"no factor labeled {label!r}")
 
-    def span(self, label: Any) -> tuple[int, int]:
+    def span(self, label: Hashable) -> tuple[int, int]:
         """Coordinate range [start, stop) of one factor."""
         try:
             return self._ranges[label]
         except KeyError:
             raise UnknownLabel(f"no factor labeled {label!r}") from None
 
-    def columns(self, labels: Sequence[Any]) -> list[int]:
+    def columns(self, labels: Sequence[Hashable]) -> list[int]:
         """Flat coordinate indices of the given factors, in ambient order."""
         wanted = set(labels)
         for lab in labels:
@@ -212,7 +212,7 @@ class ProductSpace(_Moduli):
                 cols.extend(range(a, b))
         return cols
 
-    def subspace(self, labels: Sequence[Any]) -> "ProductSpace":
+    def subspace(self, labels: Sequence[Hashable]) -> "ProductSpace":
         """Sub-product of the given factors, keeping ambient order."""
         wanted = set(labels)
         for lab in labels:
@@ -220,7 +220,7 @@ class ProductSpace(_Moduli):
                 raise UnknownLabel(f"no factor labeled {lab!r}")
         return ProductSpace([(l, a) for l, a in self.factors if l in wanted])
 
-    def split(self, part: Sequence[Any]) -> tuple["ProductSpace", "ProductSpace"]:
+    def split(self, part: Sequence[Hashable]) -> tuple["ProductSpace", "ProductSpace"]:
         """Bipartition into (part, complement); errors if part is not a subset."""
         wanted = set(part)
         if len(wanted) != len(list(part)):
@@ -241,7 +241,7 @@ class ProductSpace(_Moduli):
                 raise RowOutOfAmbient(f"coordinate {v} out of range [0, {m})")
         return tuple(x)
 
-    def get(self, x: Sequence[int], label: Any) -> Element:
+    def get(self, x: Sequence[int], label: Hashable) -> Element:
         a, b = self.span(label)
         return tuple(x[a:b])
 
@@ -267,7 +267,7 @@ class ProductSpace(_Moduli):
         return f"ProductSpace({inner})"
 
 
-def sort_key(label: Any):
+def sort_key(label: Hashable):
     """Deterministic ordering key for mixed-type factor labels."""
     if isinstance(label, str):
         return (0, label)

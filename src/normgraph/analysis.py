@@ -9,9 +9,9 @@ classification at non-cut edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._records import record
 from .alphabets import ProductSpace, sort_key
 from .errors import (
     EdgeIsCutSet,
@@ -32,7 +32,7 @@ from .subgroups import (
 # -- trimness and properness ---------------------------------------------------
 
 
-@dataclass
+@record
 class TrimProperStatus:
     variable: str
     trim: bool
@@ -158,7 +158,7 @@ def reduce_to_fixpoint(r: Realization) -> Realization:
 # -- canonical decomposition -----------------------------------------------------
 
 
-@dataclass
+@record
 class InterfaceNode:
     """Inclusion/natural-map constraint between a symbol and its effective alphabet."""
 
@@ -169,7 +169,7 @@ class InterfaceNode:
     nondynamical: CodeSubgroup
 
 
-@dataclass
+@record
 class CanonicalDecomposition:
     core: Realization
     interfaces: dict[str, InterfaceNode]  # only symbols needing a nontrivial node
@@ -246,7 +246,7 @@ def canonical_decomposition(r: Realization) -> CanonicalDecomposition:
 # -- observability and controllability -------------------------------------------
 
 
-@dataclass
+@record
 class ObsCtrlReport:
     ext_unobservable: CodeSubgroup   # (C^F) : S_ext
     int_unobservable: CodeSubgroup   # (B^F) : S_int
@@ -314,7 +314,7 @@ def verify_controllability(f: Realization) -> bool:
 # -- behavioral controllability / observability ----------------------------------
 
 
-@dataclass
+@record
 class BehavioralReport:
     controllable: bool
     observable: bool
@@ -398,7 +398,7 @@ def behavioral_ctrl_obs(r: Realization, part_f: Sequence[str],
 # -- state-trimness at a non-cut edge ---------------------------------------------
 
 
-@dataclass
+@record
 class StateTrimReport:
     """Classification at one non-cut edge, in the collapsed one-constraint view.
 

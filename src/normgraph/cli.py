@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 1 validation failure, 2 property-check failure,
-3 precondition error, 4 I/O or parse error.
+3 precondition error, 4 I/O or parse error (a usage error included).
 """
 
 from __future__ import annotations
@@ -255,8 +255,15 @@ def cmd_decode(args) -> int:
     return E_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, as a parse error (exit 4)."""
+
+    def error(self, message):
+        self.exit(E_IO, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="normgraph",
         description="normal graph realizations of linear and group codes")
     sub = p.add_subparsers(dest="command", required=True)

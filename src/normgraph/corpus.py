@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._records import record
 from .alphabets import Alphabet, Element, ProductSpace, cyclic_group, sort_key, vector_space
 from .errors import TooLargeToEnumerate
 from .homs import Homomorphism
@@ -350,7 +350,7 @@ def close_rows(space: ProductSpace, rows) -> set[Element]:
     return seen
 
 
-@dataclass
+@record
 class OracleHarness:
     """Exhaustive model of one realization, for cross-checking everything.
 

@@ -29,10 +29,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
+from ._records import record
 from .alphabets import ENUMERATION_CAP, Alphabet, Element, sort_key
 from .errors import (
     MissingIncoming,
@@ -45,7 +45,7 @@ from .realization import Realization
 from .subgroups import CodeSubgroup, QuotientMap
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Message:
     """Finite nonnegative weights indexed by the canonical alphabet
     enumeration."""
@@ -185,14 +185,14 @@ def sp_update(code: CodeSubgroup, incoming: Mapping, target, exact: bool = True,
     return Message(target_alpha, tuple(out))
 
 
-@dataclass
+@record
 class DecodeResult:
     symbol_marginals: dict[str, Message]
     state_marginals: dict[str, Message]
     contradiction: bool
 
 
-@dataclass
+@record
 class ConvergenceReport:
     iterations: int
     deltas: list[float]
@@ -477,7 +477,7 @@ def brute_force_app(r: Realization, priors: Mapping[str, Message] | None = None,
 # -- message trimming and merging ------------------------------------------------
 
 
-@dataclass
+@record
 class ReducedMessage:
     """A message collapsed onto the cosets of a constraint's cross-section."""
 

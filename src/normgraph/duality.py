@@ -8,8 +8,7 @@ dualizing twice returns the original realization bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._records import record
 from .alphabets import sort_key
 from .homs import Homomorphism, identity_map
 from .realization import Realization, Constraint, StateVar, _is_identity
@@ -36,7 +35,7 @@ def dualize(r: Realization) -> Realization:
     return Realization(dict(r.symbols), states, constraints, r.boundary)
 
 
-@dataclass
+@record
 class DualityReport:
     code: CodeSubgroup
     dual_code: CodeSubgroup
@@ -75,7 +74,7 @@ def verify_duality(r: Realization) -> DualityReport:
     return DualityReport(code, dual_code, orthogonal_code, route)
 
 
-@dataclass
+@record
 class FragmentDualityReport:
     external: CodeSubgroup
     dual_external: CodeSubgroup

@@ -7,9 +7,7 @@ semantics of the 2-core.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
+from ._records import record
 from .alphabets import sort_key
 from .errors import Disconnected, NotTrimProper, UnknownEdge
 from .realization import Realization
@@ -39,14 +37,14 @@ def constraint_degrees(r: Realization, alive: set[str]) -> dict[str, int]:
     return deg
 
 
-@dataclass
+@record
 class LeafAttachment:
     fragment: Realization
     edge: str | None          # attachment edge label in the original realization
     boundary_var: str | None  # that edge's half-edge label inside the fragment
 
 
-@dataclass
+@record
 class TwoCoreDecomposition:
     core: Realization | None
     core_boundary_of: dict[str, str]  # attachment edge -> core-side half-edge label
@@ -124,13 +122,20 @@ def constraint_trim_proper(code: CodeSubgroup) -> tuple[bool, bool]:
 
 
 def internally_trim_proper(r: Realization) -> bool:
-    return all(
-        constraint_trim_proper(con.code) == (True, True)
-        for con in r.constraints.values()
-    )
+    """Every constraint trim and proper.  Both depend only on the code's rows
+    and each slot's moduli, so each distinct local code is checked once."""
+    passed = set()
+    for con in r.constraints.values():
+        key = (tuple(alpha.moduli for _, alpha in con.code.ambient.factors),
+               con.code.rows)
+        if key not in passed:
+            if constraint_trim_proper(con.code) != (True, True):
+                return False
+            passed.add(key)
+    return True
 
 
-@dataclass
+@record
 class LeafSummary:
     fragment: Realization
     edge: str | None
@@ -145,7 +150,7 @@ class LeafSummary:
         return self.quotient.order if self.quotient else None
 
 
-@dataclass
+@record
 class SecondDecomposition:
     core: Realization | None
     leaves: list[LeafSummary]

@@ -8,15 +8,15 @@ prime it is the transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._records import record
 from .alphabets import Alphabet, Element, ProductSpace
 from .errors import AlphabetMismatch
 from .subgroups import CodeSubgroup, full_subgroup
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Homomorphism:
     source: Alphabet
     target: Alphabet

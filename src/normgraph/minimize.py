@@ -10,8 +10,7 @@ subgroup messages, and each edge then takes one local quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._records import record
 from .alphabets import ProductSpace, sort_key
 from .analysis import _restrict_merge
 from .errors import (
@@ -121,7 +120,7 @@ def state_orders(r: Realization) -> dict[str, int]:
             for j in sorted(r.internal_states(), key=sort_key)}
 
 
-@dataclass
+@record
 class StateSpaceTheoremReport:
     edge: str
     state_order: int

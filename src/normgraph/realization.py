@@ -14,9 +14,10 @@ slot in the first-listed incident constraint.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
+from ._records import record
 from .alphabets import Alphabet, Element, ProductSpace, sort_key
 from .errors import (
     AlphabetMismatch,
@@ -32,7 +33,7 @@ from .subgroups import CodeSubgroup, full_subgroup
 Configuration = dict[str, Element]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StateVar:
     """State edge: one alphabet for both ends, head = iso(tail) when labeled."""
 
@@ -51,7 +52,7 @@ class StateVar:
         return self.iso.apply(tail) if self.iso else tuple(tail)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Constraint:
     """Constraint code over its incident variables, slots indexed 0..d-1."""
 
@@ -63,7 +64,7 @@ class Constraint:
             raise ValidationFailed("constraint code width differs from slot count")
 
 
-@dataclass
+@record
 class ValidationReport:
     degree_errors: list[str]
     alphabet_errors: list[str]
@@ -81,7 +82,7 @@ class ValidationReport:
         return out
 
 
-@dataclass
+@record
 class BehaviorBundle:
     """Universe U, syndromes, behaviors and realized code; `syndromes[i]` is
     sigma(universe.rows[i]) in `state_space` (see `Realization.syndromes`)."""
@@ -95,12 +96,9 @@ class BehaviorBundle:
     code: CodeSubgroup
 
 
-class Split(NamedTuple):
-    """Result of `Realization.split`."""
-
-    folded: "Realization"
-    fragments: list["Realization"]
-    halves: dict[str, tuple[str, str]]
+# Result of `Realization.split`: the folded realization, a list of
+# fragments and, per cut edge, its (tail, head) half-edge labels.
+Split = namedtuple("Split", ["folded", "fragments", "halves"])
 
 
 class Realization:
@@ -230,7 +228,7 @@ class Realization:
 
     def universe_space(self) -> ProductSpace:
         syms, bound, internal = self._blocks()
-        factors: list[tuple[Any, Alphabet]] = []
+        factors: list[tuple[Hashable, Alphabet]] = []
         factors += [(("a", k), self.symbols[k]) for k in syms]
         factors += [(("x", j), self.states[j].alphabet) for j in bound]
         factors += [(("s", j), self.states[j].alphabet) for j in internal]
@@ -569,7 +567,7 @@ def _map_slot(code: CodeSubgroup, slot: int, phi: Homomorphism) -> CodeSubgroup:
 # -- normalization of general (non-normal) systems ----------------------------
 
 
-@dataclass
+@record
 class GeneralSystem:
     """A behavioral system with variables of arbitrary degree."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
 
 from .alphabets import Alphabet, ProductSpace, sort_key
 from .decode import Message
@@ -35,20 +34,20 @@ def _alphabet_to_json(alpha: Alphabet) -> dict:
     return {"cyclic": list(alpha.moduli)}
 
 
-def _int(value: Any, what: str) -> int:
+def _int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _list_of(kind: type, values: Any, what: str) -> tuple:
+def _list_of(kind: type, values: object, what: str) -> tuple:
     if not isinstance(values, list) or any(
             isinstance(v, bool) or not isinstance(v, kind) for v in values):
         raise ParseError(f"{what} must be a list of {kind.__name__}, got {values!r}")
     return tuple(values)
 
 
-def _alphabet_from_json(name: str, obj: Any) -> Alphabet:
+def _alphabet_from_json(name: str, obj: object) -> Alphabet:
     if not isinstance(obj, dict):
         raise ParseError(f"alphabet {name!r} must be an object, got {obj!r}")
     try:
@@ -80,7 +79,7 @@ def realization_to_json(r: Realization) -> dict:
     states = []
     for j in sorted(r.states, key=sort_key):
         sv = r.states[j]
-        entry: dict[str, Any] = {"id": j, "alphabet": name_of(sv.alphabet)}
+        entry: dict[str, object] = {"id": j, "alphabet": name_of(sv.alphabet)}
         if sv.iso is not None:
             entry["iso"] = [list(row) for row in sv.iso.matrix]
         states.append(entry)
@@ -103,7 +102,7 @@ def realization_to_json(r: Realization) -> dict:
     return doc
 
 
-def realization_from_json(doc: Any) -> Realization:
+def realization_from_json(doc: object) -> Realization:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     for key in doc:
@@ -165,7 +164,7 @@ def load_realization(path: str) -> Realization:
     return realization_from_json(doc)
 
 
-def _weight(value: Any, exact: bool):
+def _weight(value: object, exact: bool):
     if isinstance(value, str):
         w = Fraction(value)
     elif isinstance(value, Fraction):

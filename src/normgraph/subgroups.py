@@ -11,7 +11,7 @@ intersection, quotients) are exact.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator, Sequence
+from collections.abc import Hashable, Iterator, Sequence
 
 from . import zmod
 from .alphabets import (
@@ -177,14 +177,14 @@ class CodeSubgroup:
         rows = [self.ambient.reduce(z) for z in ker]
         return CodeSubgroup(self.ambient, rows)
 
-    def project(self, labels: Sequence[Any]) -> "CodeSubgroup":
+    def project(self, labels: Sequence[Hashable]) -> "CodeSubgroup":
         """Projection onto the given factors (result ambient keeps their order)."""
         cols = self.ambient.columns(labels)
         sub = self.ambient.subspace(labels)
         rows = [tuple(r[c] for c in cols) for r in self.rows]
         return CodeSubgroup(sub, rows)
 
-    def _howell_reordered(self, labels: Sequence[Any], first: bool):
+    def _howell_reordered(self, labels: Sequence[Hashable], first: bool):
         """Howell form of the lifted rows with the labeled factors' columns
         moved first (or last), and those columns and the others."""
         part = self.ambient.columns(labels)
@@ -195,7 +195,7 @@ class CodeSubgroup:
                               self.ambient.lcm_modulus, self.ambient.width)
         return hf, part, rest
 
-    def cross_section(self, labels: Sequence[Any]) -> "CodeSubgroup":
+    def cross_section(self, labels: Sequence[Hashable]) -> "CodeSubgroup":
         """Elements with zeros outside the given factors, restricted to them."""
         hf, _, rest = self._howell_reordered(labels, first=False)
         sub = self.ambient.subspace(labels)
@@ -203,7 +203,7 @@ class CodeSubgroup:
         return CodeSubgroup(sub, [[v // (M // m) for v, m in zip(r[cut:], sub.moduli)]
                                   for r in hf if not any(r[:cut])])
 
-    def lift_prefix(self, labels: Sequence[Any], values: Sequence[int]) -> Element | None:
+    def lift_prefix(self, labels: Sequence[Hashable], values: Sequence[int]) -> Element | None:
         """Some element of the subgroup matching the given factor values, or None."""
         hf, part_cols, other_cols = self._howell_reordered(labels, first=True)
         M, cut = self.ambient.lcm_modulus, len(part_cols)
@@ -222,7 +222,7 @@ class CodeSubgroup:
             full[c] = ((-v[cut + i]) % M) // (M // m)
         return tuple(full)
 
-    def permuted(self, new_labels: Sequence[Any]) -> "CodeSubgroup":
+    def permuted(self, new_labels: Sequence[Hashable]) -> "CodeSubgroup":
         """Same subgroup with ambient factors reordered as given."""
         if set(new_labels) != set(self.ambient.labels) or len(new_labels) != len(
                 self.ambient.labels):
@@ -236,7 +236,7 @@ class CodeSubgroup:
         amb = ProductSpace(factors)
         return CodeSubgroup(amb, [tuple(r[c] for c in cols) for r in self.rows])
 
-    def renamed(self, mapping: dict[Any, Any]) -> "CodeSubgroup":
+    def renamed(self, mapping: dict[Hashable, Hashable]) -> "CodeSubgroup":
         """Same subgroup with factor labels renamed through the mapping.
 
         A Howell form depends on the moduli and the column order, not on
@@ -341,7 +341,7 @@ def product_subgroup(a: CodeSubgroup, b: CodeSubgroup) -> CodeSubgroup:
     return CodeSubgroup(amb, rows)
 
 
-def cylinder(ambient: ProductSpace, parts: dict[Any, CodeSubgroup]) -> CodeSubgroup:
+def cylinder(ambient: ProductSpace, parts: dict[Hashable, CodeSubgroup]) -> CodeSubgroup:
     """Product of given per-factor subgroups with full groups elsewhere.
 
     Each value in parts must be a subgroup whose ambient is the single
@@ -377,8 +377,8 @@ class FtspDecomposition:
         self.quot_b = quot_b
 
 
-def ftsp_decompose(code: CodeSubgroup, part_a: Sequence[Any],
-                   part_b: Sequence[Any]) -> FtspDecomposition:
+def ftsp_decompose(code: CodeSubgroup, part_a: Sequence[Hashable],
+                   part_b: Sequence[Hashable]) -> FtspDecomposition:
     """Interface-node decomposition of C <= A x B.
 
     node_a is {(a, a + C:A)} over A x (C|A / C:A), node_b likewise for B,
@@ -395,7 +395,7 @@ def ftsp_decompose(code: CodeSubgroup, part_a: Sequence[Any],
     quot_a = proj_a.quotient_by(cross_a)
     quot_b = proj_b.quotient_by(cross_b)
 
-    def interface(proj: CodeSubgroup, quot: QuotientMap, tag: Any) -> CodeSubgroup:
+    def interface(proj: CodeSubgroup, quot: QuotientMap, tag: Hashable) -> CodeSubgroup:
         amb = ProductSpace(list(proj.ambient.factors) + [(tag, quot.alphabet)])
         rows = [tuple(r) + quot.project(r) for r in proj.rows]
         return CodeSubgroup(amb, rows)

@@ -7,17 +7,25 @@ import random
 
 import pytest
 
+from normgraph import graphcore
+from normgraph.alphabets import cyclic_group, vector_space
 from normgraph.corpus import (
     GF2,
+    GF3,
+    TOPOLOGIES,
+    Z4,
     equality_code,
     random_realization,
     ring_realization,
     tail_biting_rep2,
+    tanner_realization,
     trellis_realization,
 )
 from normgraph.errors import NotTrimProper
 from normgraph.graphcore import (
+    constraint_trim_proper,
     cyclomatic_number,
+    internally_trim_proper,
     is_cut_edge,
     second_canonical_decomposition,
     two_core,
@@ -185,3 +193,66 @@ def test_second_decomposition_parallel_transitions():
     else:
         joined = leaf.fragment.connect(core, leaf.edge, tc.core_boundary_of[leaf.edge])
     assert joined.code() == r.code()
+
+
+def trim_proper_per_constraint(r: Realization) -> bool:
+    """Reference: every constraint checked on its own, nothing shared."""
+    return all(constraint_trim_proper(con.code) == (True, True)
+               for con in r.constraints.values())
+
+
+def test_internally_trim_proper_checks_each_distinct_code_once(monkeypatch):
+    # (3,6)-regular: check i covers symbols 2i, ..., 2i+5 (mod 12)
+    h = [[int((j - 2 * i) % 12 < 6) for j in range(12)] for i in range(6)]
+    assert all(sum(col) == 3 for col in zip(*h))
+    r = tanner_realization(h, GF2)
+    assert len(r.constraints) == 18
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return constraint_trim_proper(code)
+
+    monkeypatch.setattr(graphcore, "constraint_trim_proper", counting)
+    assert internally_trim_proper(r)
+    assert len(calls) == 2
+
+
+def test_internally_trim_proper_matches_per_constraint_loop():
+    pool = (GF2, GF3, Z4, cyclic_group(2), cyclic_group(6), vector_space(2, 2))
+    subs = 0
+    for seed in range(30):
+        for topology in TOPOLOGIES:
+            r = random_realization(seed, topology=topology, pool=pool,
+                                   iso_prob=0.5)
+            assert internally_trim_proper(r) == trim_proper_per_constraint(r)
+            # the constraints that pass, alone and then with one that fails
+            good = {cl: con for cl, con in r.constraints.items()
+                    if constraint_trim_proper(con.code) == (True, True)}
+            bad = [cl for cl in r.constraints if cl not in good]
+            for extra in ([], bad[:1]):
+                cons = dict(good, **{cl: r.constraints[cl] for cl in extra})
+                sub = Realization(r.symbols, r.states, cons)
+                assert internally_trim_proper(sub) \
+                    == trim_proper_per_constraint(sub) == (not extra)
+                subs += bool(good)
+    assert subs >= 10
+
+
+def test_internally_trim_proper_keys_on_slot_moduli():
+    # the same rows over Z_4 x Z_4 (trim and proper) and over GF(2)^2 (not
+    # trim): a key on the rows alone would reuse the first verdict
+    z4_pair = ProductSpace([(0, Z4), (1, Z4)])
+    gf4 = ProductSpace([(0, vector_space(2, 2))])
+    r = Realization(
+        symbols={"x": Z4, "y": Z4, "u": vector_space(2, 2)},
+        states={},
+        constraints={
+            "c1": Constraint(("x", "y"), CodeSubgroup(z4_pair, [(1, 1)])),
+            "c2": Constraint(("u",), CodeSubgroup(gf4, [(1, 1)])),
+        })
+    assert r.constraints["c1"].code.rows == r.constraints["c2"].code.rows
+    assert constraint_trim_proper(r.constraints["c1"].code) == (True, True)
+    assert constraint_trim_proper(r.constraints["c2"].code) == (False, False)
+    assert not internally_trim_proper(r)
+    assert not trim_proper_per_constraint(r)

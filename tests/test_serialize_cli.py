@@ -159,6 +159,7 @@ MALFORMED_DECODE = [
     ("negative prior weight", [], {"a0": [-1, 2]}, 4),
     ("prior entry not a list", [], {"a0": 5}, 4),
     ("prior weight beyond the float range", [], {"a0": ["1e400", "1"]}, 4),
+    ("iterations not an integer", ["--iters", "abc"], None, 4),
 ]
 
 
@@ -177,6 +178,33 @@ def test_cli_malformed_decode_inputs_exit_cleanly(tmp_path):
         assert "Traceback" not in proc.stderr, case
         assert proc.stderr.startswith("error: "), case
         assert proc.stdout == "", case
+
+
+USAGE_ERRORS = [
+    # (case, arguments): a usage error is a parse error, reported on one line
+    ("unknown subcommand", ["frobnicate"]),
+    ("no subcommand", []),
+    ("validate without a file", ["validate"]),
+    ("unknown option", ["validate", str(CORPUS / "rep3.json"), "--bogus"]),
+]
+
+
+def test_cli_usage_errors_exit_cleanly():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for case, argv in USAGE_ERRORS:
+        proc = subprocess.run([sys.executable, "-m", "normgraph.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 4, (case, proc.stderr)
+        assert proc.stderr.startswith("error: "), (case, proc.stderr)
+        assert proc.stderr.count("\n") == 1, (case, proc.stderr)
+        assert proc.stdout == "", case
+    for argv in (["-h"], ["decode", "-h"]):
+        proc = subprocess.run([sys.executable, "-m", "normgraph.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, argv
+        assert proc.stdout.startswith("usage: normgraph"), argv
+        assert proc.stderr == "", argv
 
 
 UNWRITABLE_OUTPUT = [
