@@ -29,6 +29,7 @@ from .decode import (
 from .duality import dual_fragment_check, dualize, verify_duality
 from .errors import NormgraphError
 from .graphcore import (
+    cut_edges,
     cyclomatic_number,
     is_cut_edge,
     second_canonical_decomposition,
@@ -69,7 +70,7 @@ __all__ = [
     "dualize", "verify_duality", "dual_fragment_check",
     "trim_proper", "local_reduce", "canonical_decomposition", "obs_ctrl",
     "verify_controllability", "behavioral_ctrl_obs", "state_trim_status",
-    "cyclomatic_number", "is_cut_edge", "two_core",
+    "cut_edges", "cyclomatic_number", "is_cut_edge", "two_core",
     "second_canonical_decomposition",
     "minimize_cycle_free", "verify_state_space_theorem",
     "recover_internal_states", "state_orders",

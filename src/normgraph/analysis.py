@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from . import zmod
 from ._records import record
 from .alphabets import ProductSpace, sort_key
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     NotAStateEdge,
     UnknownVariable,
 )
-from .graphcore import is_cut_edge
+from .graphcore import cut_edges
 from .realization import Constraint, Realization, StateVar, _map_slot
 from .subgroups import (
     CodeSubgroup,
@@ -427,42 +428,71 @@ class StateTrimReport:
             self.state_trim and self.controllable)
 
 
+def _cut_pairs(bundle, k: int):
+    """Per edge j, proj_(s_j, h_j) of sigma^-1(S_j) on U0 = U with its first
+    k factors zero: ker sigma + preimages of Sigma0 cap S_j, Sigma0 = sigma(U0),
+    where Sigma0 cap S_j = (proj_j Sigma0-perp)-perp.  One Howell form of the
+    lifted rows (u_zero, sigma(u), u_rest), built once: its rows leading in
+    the state block reduce (0, y, 0), y in Sigma0, to (0, 0, -u) with
+    sigma(u) = y, and those leading after it span ker sigma on U0."""
+    uni, states = bundle.universe.ambient, bundle.state_space
+    space = ProductSpace(uni.factors[:k] + states.factors + uni.factors[k:])
+    M = space.lcm_modulus
+    scale = [M // m for m in space.moduli]
+    a = sum(alpha.width for _, alpha in uni.factors[:k])
+    b = a + states.width
+    hf = zmod.howell_form([[v * s for v, s in zip(u[:a] + y + u[a:], scale)]
+                           for u, y in zip(bundle.universe.rows, bundle.syndromes)],
+                          M, space.width)
+    reducers = [row for row in hf if any(row[a:b]) and not any(row[:a])]
+    kernel = [row for row in hf if not any(row[:b])]
+    perp = CodeSubgroup(states, [[v // s for v, s in zip(row[a:b], scale[a:b])]
+                                 for row in reducers]).orthogonal()
+
+    def pairs(edge: str) -> CodeSubgroup:
+        ya, yb = (a + c for c in states.span(edge))
+        rows = list(kernel)
+        for y in perp.project([edge]).orthogonal().rows:
+            v = [0] * space.width
+            v[ya:yb] = [t * s for t, s in zip(y, scale[ya:yb])]
+            rows.append([-x % M for x in zmod.reduce_vector(v, reducers, M)])
+        pair = [("s", edge), ("h", edge)]
+        cols = space.columns(pair)
+        return CodeSubgroup(space.subspace(pair),
+                            [[row[c] // scale[c] for c in cols] for row in rows])
+    return pairs
+
+
 def state_trim_status(r: Realization, edge: str) -> StateTrimReport:
     """Classify the unobservable transition space of the fragment cut at `edge`.
 
     The edge must not be a cut set.  Also verifies both parts of the
-    state-trimness theorem on this instance.
-    """
+    state-trimness theorem on this instance.  The fragment's behavior, from
+    the duality route of `_cut_pairs`, is read at (s_j, h_j) with the head
+    mapped back through the iso, which cutting folds into the head constraint."""
     if edge not in r.states or edge in set(r.boundary):
         raise NotAStateEdge(f"{edge!r} is not an internal state edge")
-    if is_cut_edge(r, edge):
+    if r._edge_duals is None:
+        r._edge_duals = [cut_edges(r), None]
+    if edge in r._edge_duals[0]:
         raise EdgeIsCutSet(f"cutting {edge!r} would disconnect the realization")
-    # the fragment cut at the edge has behavior K, the kernel of the syndrome
-    # map without the edge's block; its boundary pair is (s, h) with the head
-    # mapped back through the iso, which cutting folds into the head constraint
-    bundle = r.behavior_bundle()
-    space = bundle.state_space
-    a, b = space.span(edge)
-    kernel = bundle.universe.kernel([y[:a] + y[b:] for y in bundle.syndromes],
-                                    space.subspace([j for j in space.labels if j != edge]))
-    pair = [("s", edge), ("h", edge)]
-    ext = kernel.project([lab for lab in kernel.ambient.labels
-                          if lab[0] in ("a", "x")] + pair)
+    if r._edge_duals[1] is None:
+        bundle, free = r.behavior_bundle(), len(r.symbols) + len(r.boundary)
+        r._edge_duals[1] = (_cut_pairs(bundle, 0), _cut_pairs(bundle, free))
+    pair_proj, utrans = (pairs(edge) for pairs in r._edge_duals[1])
     iso = r.states[edge].iso
     if iso is not None:
-        ext = _map_slot(ext, ext.ambient.labels.index(("h", edge)), iso.inverse())
-    utrans = ext.cross_section(pair)
+        inv = iso.inverse()
+        pair_proj, utrans = (_map_slot(sub, 1, inv) for sub in (pair_proj, utrans))
 
     alpha = r.states[edge].alphabet
     diag = CodeSubgroup(utrans.ambient, [e + e for e in alpha.unit_rows()])
     dual_state_trim = diag.contains_subgroup(utrans)
     observable = utrans.intersect(diag).is_trivial
-
-    state_trim = bundle.behavior.project([("s", edge)]).order == alpha.order
+    state_trim = r.behavior_bundle().behavior.project([("s", edge)]).order == alpha.order
 
     # controllable subspace of the collapsed view: the difference image of
     # the fragment's boundary pairs
-    pair_proj = ext.project(pair)
     w = alpha.width
     diffs = [alpha.add(row[:w], alpha.neg(row[w:])) for row in pair_proj.rows]
     controllable = CodeSubgroup(ProductSpace([(edge, alpha)]), diffs).is_full

@@ -21,8 +21,8 @@ from .errors import (
     NotTrimProper,
 )
 from .graphcore import (
+    cut_edges,
     cyclomatic_number,
-    is_cut_edge,
     second_canonical_decomposition,
 )
 from .minimize import minimize_cycle_free, state_orders
@@ -117,8 +117,9 @@ def cmd_analyze(args) -> int:
         }
         if not frag.is_fragment:
             st_entries = {}
+            cut = cut_edges(frag)
             for j in sorted(frag.internal_states(), key=sort_key):
-                if len(frag.slots[j]) != 2 or is_cut_edge(frag, j):
+                if len(frag.slots[j]) != 2 or j in cut:
                     continue
                 srep = state_trim_status(frag, j)
                 st_entries[j] = {
@@ -322,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

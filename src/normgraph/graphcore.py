@@ -20,11 +20,40 @@ def cyclomatic_number(r: Realization) -> int:
     return len(edges) - len(r.constraints) + len(r.components())
 
 
+def cut_edges(r: Realization) -> set[str]:
+    """The bridges: internal edges whose removal disconnects their component,
+    from one depth-first search on an explicit stack.  A self-loop, or one of
+    two parallel edges, never is one."""
+    adj, disc, low, bridges = r.neighbors(), {}, {}, set()
+    for root in r.constraints:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            c, via, todo = stack[-1]
+            for j, other in todo:
+                if other not in disc:
+                    disc[other] = low[other] = len(disc)
+                    stack.append((other, j, iter(adj[other])))
+                    break
+                if j != via:
+                    low[c] = min(low[c], disc[other])
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[c])
+                    if low[c] > disc[parent]:
+                        bridges.add(via)
+    return bridges
+
+
 def is_cut_edge(r: Realization, j: str) -> bool:
     """True iff removing edge j disconnects its component."""
     if j not in r.states or j in set(r.boundary):
         raise UnknownEdge(f"no internal state edge {j!r}")
-    return len(r.components({j})) > len(r.components())
+    return j in cut_edges(r)
 
 
 def constraint_degrees(r: Realization, alive: set[str]) -> dict[str, int]:

@@ -128,6 +128,7 @@ class Realization:
                     raise UnknownLabel(f"constraint {cl!r} uses unknown variable {v!r}")
                 self.slots[v].append((cl, i))
         self._bundle: BehaviorBundle | None = None
+        self._edge_duals = None  # cut edges and `analysis._cut_pairs`, on first use
 
     # -- structural helpers ---------------------------------------------------
 

@@ -40,10 +40,7 @@ def unit_scale(a: int, mod: int) -> tuple[int, int]:
 
 
 def _lead(row: tuple[int, ...] | list[int]) -> int:
-    for i, v in enumerate(row):
-        if v:
-            return i
-    return len(row)
+    return next(compress(count(), row), len(row))
 
 
 def howell_form(rows, mod: int, ncols: int) -> list[list[int]]:
@@ -117,7 +114,8 @@ def reduce_vector(v, rows, mod: int) -> list[int]:
         if v[j] % d:
             break  # not reducible at this pivot; v cannot be in the span
         q = v[j] // d
-        v = [(x - q * y) % mod for x, y in zip(v, row)]
+        # the row is zero before its pivot
+        v[j:] = [(x - q * y) % mod for x, y in zip(v[j:], row[j:])]
     return v
 
 

@@ -24,6 +24,7 @@ from normgraph.corpus import (
 from normgraph.errors import NotTrimProper
 from normgraph.graphcore import (
     constraint_trim_proper,
+    cut_edges,
     cyclomatic_number,
     internally_trim_proper,
     is_cut_edge,
@@ -87,6 +88,37 @@ def test_cut_edges():
     pend = random_realization(13, topology="cycle_pendant", n_constraints=5)
     bridges = [j for j in pend.internal_states() if is_cut_edge(pend, j)]
     assert len(bridges) == 1
+
+
+def cut_edges_by_definition(r: Realization) -> set[str]:
+    base = len(r.components())
+    return {j for j in r.internal_states()
+            if len(r.slots[j]) == 2 and len(r.components({j})) > base}
+
+
+def test_cut_edges_match_the_component_definition():
+    cases = [random_realization(seed, topology=topology, n_constraints=3 + seed % 4)
+             for seed in range(10) for topology in TOPOLOGIES]
+    # (3,6)-regular: check i covers symbols 2i, ..., 2i+5 (mod 12)
+    h = [[int((j - 2 * i) % 12 < 6) for j in range(12)] for i in range(6)]
+    cases += [tanner_realization(h, GF2), tanner_realization(h[:2], GF2),
+              trellis_realization([(1, 1, 0, 1, 1), (0, 1, 1, 1, 0)], [GF2] * 5)]
+    # a self-loop at c0, two parallel edges c0-c1 and a bridge c1-c2
+    space = ProductSpace([(i, GF2) for i in range(5)])
+    self_loop = Realization(
+        {}, {j: StateVar(GF2) for j in "stuv"},
+        {"c0": Constraint(("s", "s", "t", "u", "v"), CodeSubgroup(space, [])),
+         "c1": Constraint(("t", "u"), equality_code(GF2, 2)),
+         "c2": Constraint(("v",), CodeSubgroup(ProductSpace([(0, GF2)]), []))})
+    assert cut_edges(self_loop) == {"v"}
+    bridges = 0
+    for r in cases + [self_loop]:
+        want = cut_edges_by_definition(r)
+        assert cut_edges(r) == want
+        bridges += len(want)
+        for j in r.internal_states():
+            assert is_cut_edge(r, j) == (j in want)
+    assert bridges >= 40 and not cut_edges(cases[-3])
 
 
 def test_two_core_cycle_free():

@@ -207,6 +207,17 @@ def test_cli_usage_errors_exit_cleanly():
         assert proc.stderr == "", argv
 
 
+def test_main_returns_usage_exit_codes(capsys):
+    """In process, `main` returns the usage and help exit codes rather than
+    raising SystemExit."""
+    for case, argv in USAGE_ERRORS:
+        assert main(argv) == 4, case
+        assert capsys.readouterr().err.startswith("error: "), case
+    for argv in (["-h"], ["decode", "-h"]):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.startswith("usage: normgraph"), argv
+
+
 UNWRITABLE_OUTPUT = [
     # (subcommand and arguments up to the output flag, input document)
     (["decode", "-o"], "rep3.json"),
