@@ -4,8 +4,9 @@ Exact two-pass decoding on cycle-free realizations (provably the
 a-posteriori marginals), iterative decoding with flooding or serial
 schedules on cyclic ones.  Cycle-free leaf fragments hanging off the 2-core
 are pre-solved once and their boundary messages held constant.  Two
-arithmetic modes: exact rationals and floats with per-message
-normalization.
+arithmetic modes: exact and floats with per-message normalization.  Exact
+tree decoding runs on integers and normalizes once into `Fraction`s; exact
+iterative decoding on cyclic graphs damps unnormalized `Fraction` messages.
 
 A decode compiles each distinct local code once, after checking every
 code's order against the enumeration cap, into a table holding each
@@ -120,6 +121,35 @@ def _index_table(code: CodeSubgroup, alphabets, cap: int) -> list[tuple[int, ...
 
 # factors per generated expression, well under the compiler's nesting limit
 _FOLD = 32
+# above this degree a suffix product is a loop, so the source grows linearly
+_UNROLL = 64
+
+
+def _kernel_source(degree: int, targets: tuple[int, ...]) -> str:
+    unrolled, row = degree <= _UNROLL, "".join(f"r{i}, " for i in range(degree))
+    lines = ["def kernel(table, incoming, outs, one):",
+             "    " + "".join(f"i{i}, " for i in range(degree)) + "= incoming",
+             "    " + "".join(f"o{t}, " for t in targets) + "= outs"]
+    lines += ([f"    for {row}in table:"] if unrolled else
+              ["    for row in table:", f"        {row}= row"])
+    prefix, s = "one", 0
+    for t in targets:
+        while s < t:
+            lines += [f"        p = {prefix} * i{s}[r{s}]",
+                      "        if not p: continue"]
+            prefix, s = "p", s + 1
+        if not unrolled:
+            lines += [f"        w = {prefix}",
+                      f"        for k in range({t + 1}, {degree}): "
+                      f"w = w * incoming[k][row[k]]",
+                      f"        o{t}[r{t}] += w"]
+            continue
+        factors = [prefix] + [f"i{i}[r{i}]" for i in range(t + 1, degree)]
+        while len(factors) > _FOLD:
+            lines.append("        w = " + " * ".join(factors[:_FOLD]))
+            factors[:_FOLD] = ["w"]
+        lines.append(f"        o{t}[r{t}] += " + " * ".join(factors))
+    return "\n".join(lines)
 
 
 @functools.lru_cache(maxsize=512)
@@ -132,27 +162,14 @@ def _kernel(degree: int, targets: tuple[int, ...]):
     `one` and is extended slot by slot up to each target; the row is left as
     soon as the prefix is zero.  Target t adds prefix * i{t+1}[r{t+1}] * ...
     * i{d-1}[r{d-1}], folded left, so every product and sum is the one the
-    loop over slots makes.  A product that turns zero in the suffix is added
-    as a zero instead of skipped, which changes nothing for finite weights.
-    The source holds only slot indices.
+    loop over slots makes; above degree `_UNROLL` that suffix is such a
+    loop.  A product that turns zero in the suffix is added as a zero
+    instead of skipped, which changes nothing for finite weights.  The
+    source (`_kernel_source`) holds only slot indices.
     """
-    lines = ["def kernel(table, incoming, outs, one):",
-             "    " + "".join(f"i{i}, " for i in range(degree)) + "= incoming",
-             "    " + "".join(f"o{t}, " for t in targets) + "= outs",
-             "    for " + "".join(f"r{i}, " for i in range(degree)) + "in table:"]
-    prefix, s = "one", 0
-    for t in targets:
-        while s < t:
-            lines += [f"        p = {prefix} * i{s}[r{s}]",
-                      "        if not p: continue"]
-            prefix, s = "p", s + 1
-        factors = [prefix] + [f"i{i}[r{i}]" for i in range(t + 1, degree)]
-        while len(factors) > _FOLD:
-            lines.append("        w = " + " * ".join(factors[:_FOLD]))
-            factors[:_FOLD] = ["w"]
-        lines.append(f"        o{t}[r{t}] += " + " * ".join(factors))
     namespace: dict = {}
-    exec(compile("\n".join(lines), f"<kernel {degree} {targets}>", "exec"), namespace)
+    exec(compile(_kernel_source(degree, targets), f"<kernel {degree} {targets}>",
+                 "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -206,9 +223,22 @@ def _normalized(ws: list) -> list:
     return ws if t == 0 or t == 1 else [w / t for w in ws]
 
 
+def _integer_weights(weights) -> tuple[int, ...]:
+    """The weights times one positive constant: coprime integers."""
+    fs = [Fraction(w) for w in weights]
+    scale = math.lcm(*(f.denominator for f in fs))
+    ints = [f.numerator * (scale // f.denominator) for f in fs]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
 def _marginal(var: str, alpha: Alphabet, a: list, b: list) -> Message:
-    """The normalized product of the two messages meeting at `var`."""
+    """The normalized product of the two messages meeting at `var`; integer
+    weights are normalized into `Fraction`s."""
     w = tuple(x * y for x, y in zip(a, b))
+    if isinstance(w[0], int):
+        t = sum(w)
+        return Message(alpha, tuple(Fraction(x, t) if t else Fraction(0) for x in w))
     if not all(x < math.inf for x in w):
         raise WeightOverflow(f"float weights overflowed in the marginal of {var!r}; "
                              f"scale the priors down")
@@ -227,11 +257,12 @@ class _Passer:
     slot[(cl, v)] is the slot of variable v in constraint cl.
     """
 
-    def __init__(self, r: Realization, priors: PriorSet, exact: bool):
+    def __init__(self, r: Realization, priors: PriorSet, one):
         r.require_valid()
         self.r = r
-        self.exact = exact
-        self.one = one = Fraction(1) if exact else 1.0
+        # the weight unit: 1.0 normalizes every message, 1 or Fraction(1) none
+        self.one = one
+        self.exact = not isinstance(one, float)
         self.edges = [j for j in r.internal_states() if len(r.slots[j]) == 2]
         for j in self.edges:
             (tc, _), (hc, _) = r.slots[j]
@@ -338,10 +369,16 @@ class _Passer:
 
 def decode_exact(r: Realization, priors: Mapping[str, Message] | None = None,
                  exact: bool = True) -> DecodeResult:
-    """Two-pass sum-product on a cycle-free realization: exact marginals."""
+    """Two-pass sum-product on a cycle-free realization: exact marginals.
+    Exact mode scales each prior to integers; every tree message is
+    multilinear in the priors, so normalizing cancels the scales."""
     if cyclomatic_number(r) != 0 or not r.is_connected:
         raise NotCycleFree("exact decoding requires a connected cycle-free graph")
-    passer = _Passer(r, full_priors(r, priors, exact), exact)
+    pri = full_priors(r, priors, exact)
+    if exact:
+        pri = {k: Message(m.alphabet, _integer_weights(m.weights))
+               for k, m in pri.items()}
+    passer = _Passer(r, pri, 1 if exact else 1.0)
     for j in passer.edges:
         (tc, _), (hc, _) = r.slots[j]
         passer.tree_message(tc, j)
@@ -366,7 +403,8 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
         res = decode_exact(r, priors, exact)
         return res, ConvergenceReport(1, [0.0], True, res.contradiction)
 
-    passer = _Passer(r, full_priors(r, priors, exact), exact)
+    passer = _Passer(r, full_priors(r, priors, exact),
+                     Fraction(1) if exact else 1.0)
     core = two_core_constraints(r)
     core_edges = [j for j in passer.edges
                   if all(cl in core for cl, _ in r.slots[j])]

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 from ._records import record
 from .alphabets import sort_key
-from .homs import Homomorphism, identity_map
+from .homs import Homomorphism, negation_map
 from .realization import Realization, Constraint, StateVar, _is_identity
 from .subgroups import CodeSubgroup
 
 
 def _dual_edge_map(sv: StateVar) -> Homomorphism | None:
-    """Map for the dual edge: head' = -adjoint(iso)^(-1)(tail')."""
-    phi = sv.iso if sv.iso is not None else identity_map(sv.alphabet)
-    psi = phi.adjoint().inverse().negated()
+    """Map for the dual edge: head' = -adjoint(iso)^(-1)(tail'), which is
+    plain negation on an edge without an iso."""
+    psi = (negation_map(sv.alphabet) if sv.iso is None
+           else sv.iso.adjoint().inverse().negated())
     return None if _is_identity(psi) else psi
 
 

@@ -124,21 +124,29 @@ def realization_from_json(doc: object) -> Realization:
                     for row in entry["iso"]))
             states[entry["id"]] = StateVar(alpha, iso)
         constraints: dict[str, Constraint] = {}
+        spaces: dict[tuple, ProductSpace] = {}    # one per slot alphabet tuple
+        codes: dict[tuple, CodeSubgroup] = {}     # one per (alphabets, rows)
         for entry in doc.get("constraints", []):
             vars_ = _list_of(str, entry["vars"], f"constraint {entry['id']!r} vars")
-            factors = []
-            for i, v in enumerate(vars_):
+            alphas = []
+            for v in vars_:
                 if v in symbols:
-                    factors.append((i, symbols[v]))
+                    alphas.append(symbols[v])
                 elif v in states:
-                    factors.append((i, states[v].alphabet))
+                    alphas.append(states[v].alphabet)
                 else:
                     raise UnknownLabel(f"constraint {entry['id']!r} references "
                                        f"unknown variable {v!r}")
-            amb = ProductSpace(factors)
-            code = CodeSubgroup(amb, [
+            alphas = tuple(alphas)
+            amb = spaces.get(alphas)
+            if amb is None:
+                amb = spaces[alphas] = ProductSpace(list(enumerate(alphas)))
+            key = (alphas, tuple(
                 _list_of(int, row, f"constraint {entry['id']!r} generator")
-                for row in entry["generators"]])
+                for row in entry["generators"]))
+            code = codes.get(key)
+            if code is None:
+                code = codes[key] = CodeSubgroup(amb, key[1])
             constraints[entry["id"]] = Constraint(vars_, code)
         boundary = doc.get("boundary", [])
         return Realization(symbols, states, constraints, boundary)

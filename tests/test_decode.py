@@ -77,6 +77,20 @@ def test_rep3_exact_marginals():
     assert bf.state_marginals == res.state_marginals
 
 
+def test_exact_mode_with_float_priors_returns_fractions():
+    """A float weight is read as the exact binary fraction it holds, so
+    exact mode never mixes floats into its marginals."""
+    r = trellis_realization([(1, 1, 1)], [GF2] * 3)
+    res = decode_exact(r, {"a0": Message(GF2, (0.9, 0.1))})
+    bf = brute_force_app(r, {"a0": Message(GF2, fr(0.9, 0.1))})
+    assert res.symbol_marginals == bf.symbol_marginals
+    assert res.state_marginals == bf.state_marginals
+    for m in (*res.symbol_marginals.values(), *res.state_marginals.values()):
+        assert all(type(w) is Fraction for w in m.weights)
+    # 0.9 + 0.1 is not 1 in binary, so the marginal is the normalized prior
+    assert res.symbol_marginals["a1"] == Message(GF2, fr(0.9, 0.1)).normalized()
+
+
 def test_uniform_priors_count_codewords():
     r = trellis_realization([(1, 1, 0), (0, 1, 1)], [GF2] * 3)
     res = decode_exact(r)

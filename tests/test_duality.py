@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
-from normgraph.duality import dual_fragment_check, dualize, verify_duality
-from normgraph.homs import Homomorphism, negation_map
-from normgraph.realization import Constraint, Realization, StateVar
+from normgraph.duality import (
+    _dual_edge_map,
+    dual_fragment_check,
+    dualize,
+    verify_duality,
+)
+from normgraph.homs import Homomorphism, identity_map, negation_map
+from normgraph.realization import Constraint, Realization, StateVar, _is_identity
+from normgraph.serialize import load_realization
 from normgraph.subgroups import CodeSubgroup
 
+from .test_syndrome import instances as pool_instances
 from .test_realization import (
     _random_small_realization,
     _rep_code_trellis,
@@ -64,6 +72,23 @@ def test_identity_edge_dualizes_to_sign_inverter():
     # over GF(2) no sign inverter is observable
     r2 = rep3_trellis()
     assert dualize(r2).states["s"].iso is None
+
+
+def test_an_edge_without_an_iso_dualizes_by_negation():
+    """The dual map of an edge without an iso is read as negation; the
+    general formula, -adjoint(identity)^(-1), gives the same map."""
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    realizations = [load_realization(p) for p in sorted(corpus.glob("*.json"))
+                    if not p.stem.endswith("_priors")]
+    alphabets = {sv.alphabet for r in [*realizations, *pool_instances()]
+                 for sv in r.states.values()}
+    negations = 0
+    for alpha in alphabets:
+        general = identity_map(alpha).adjoint().inverse().negated()
+        want = None if _is_identity(general) else general
+        assert _dual_edge_map(StateVar(alpha)) == want, alpha
+        negations += want is not None
+    assert len(alphabets) >= 6 and negations >= 3
 
 
 def test_dualize_involutive():

@@ -310,6 +310,32 @@ def test_cli_malformed_documents_exit_cleanly(tmp_path, capsys):
             assert out.startswith("ok"), case
 
 
+def test_equal_constraint_codes_share_one_object():
+    """Constraints over the same slot alphabets with the same generator rows
+    load as one code; equal slot alphabets share one ambient."""
+    def pair(cl, a, b, gens):
+        return {"id": cl, "vars": [a, b], "generators": gens}
+
+    doc = {
+        "alphabets": {"F": {"field": 2}, "T": {"field": 3}},
+        "symbols": [{"id": f"a{i}", "alphabet": "F" if i < 6 else "T"}
+                    for i in range(8)],
+        "states": [],
+        "constraints": [pair("c0", "a0", "a1", [[1, 1]]),
+                        pair("c1", "a2", "a3", [[1, 1]]),
+                        pair("c2", "a4", "a5", [[1, 0]]),
+                        pair("c3", "a6", "a7", [[1, 1]])],
+    }
+    c = {cl: con.code for cl, con in realization_from_json(doc).constraints.items()}
+    assert c["c0"] is c["c1"]
+    assert c["c2"] is not c["c0"] and c["c2"].ambient is c["c0"].ambient
+    assert c["c3"].ambient is not c["c0"].ambient
+    # a repeated code still has every entry's rows type-checked
+    doc["constraints"].append(pair("c4", "a0", "a1", [[1.0, 1]]))
+    with pytest.raises(ParseError, match="constraint 'c4' generator"):
+        realization_from_json(doc)
+
+
 def test_graph_export_contains_half_edges():
     r = trellis_realization([(1, 1, 1)], [GF2] * 3)
     frag = r.split(["s2"]).fragments[0]

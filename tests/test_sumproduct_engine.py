@@ -106,10 +106,12 @@ def random_pass(rng, degree, exact, poison_before=None):
 
 def test_kernels_equal_the_interpreted_pass():
     """Degree 1 is the lone slot, whose product is `one`; degree 64 folds
-    its longest products over several generated statements."""
+    its longest products over several generated statements; a degree above
+    `_UNROLL` takes each suffix product in a loop."""
     rng = random.Random("kernels")
     passes = 0
-    for degree in (*range(1, 9), 64):
+    loop_degree = decode._UNROLL + 16
+    for degree in (*range(1, 9), 64, loop_degree):
         shapes = [[t] for t in range(degree)] + [list(range(degree))]
         for targets in shapes:
             for exact in (False, True):
@@ -122,7 +124,7 @@ def test_kernels_equal_the_interpreted_pass():
                     assert got == want, (degree, targets, exact)
                     assert bits(got) == bits(want), (degree, targets, exact)
                     passes += 1
-    assert passes == 394
+    assert passes == 394 + 2 * (loop_degree + 1)
 
 
 def test_kernels_leave_a_row_at_its_first_zero_prefix():
@@ -130,8 +132,9 @@ def test_kernels_leave_a_row_at_its_first_zero_prefix():
     once the prefix is zero, so 0 * inf never turns a skipped row into NaN."""
     rng = random.Random("prefix")
     poisoned = 0
-    for degree in range(2, 9):
-        for t in range(1, degree):
+    loop_degree = decode._UNROLL + 16
+    for degree in (*range(2, 9), loop_degree):
+        for t in (range(1, degree) if degree < 9 else range(1, degree, 9)):
             for _ in range(6):
                 table, incoming, sizes = random_pass(rng, degree, False,
                                                      poison_before=t)
@@ -143,6 +146,16 @@ def test_kernels_leave_a_row_at_its_first_zero_prefix():
                     zero = next((s for s, w in enumerate(prefix) if w == 0), t)
                     poisoned += math.inf in prefix[zero:]
     assert poisoned >= 100
+
+
+def test_kernel_source_grows_linearly_in_the_degree():
+    """Above `_UNROLL` a suffix product is a loop, so a node sending all its
+    messages compiles from source linear in its degree, not quadratic."""
+    def length(degree):
+        return len(decode._kernel_source(degree, tuple(range(degree))))
+    assert decode._UNROLL < 1000
+    assert length(1000) < 50 * length(20)
+    assert length(2000) < 2.1 * length(1000)
 
 
 def regular_tanner(rng, n, col_weight, row_weight):
@@ -356,6 +369,36 @@ def random_priors(r, rng, exact):
             for k, alpha in r.symbols.items()}
 
 
+def assert_exact(res, want):
+    """Equal marginals and flag, every weight of `res` a `Fraction`."""
+    assert res.symbol_marginals == want.symbol_marginals
+    assert res.state_marginals == want.state_marginals
+    assert res.contradiction == want.contradiction
+    for m in (*res.symbol_marginals.values(), *res.state_marginals.values()):
+        assert all(type(w) is Fraction for w in m.weights), m
+
+
+def mixed_priors(r, rng):
+    """Weights over the denominators 3, 7 and 6, a fifth of them zero."""
+    def weight():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return rng.choice((Fraction(1, 3), Fraction(2, 7), Fraction(5, 6))) \
+            * rng.randrange(1, 4)
+    return {k: Message(alpha, tuple(weight() for _ in range(alpha.order)))
+            for k, alpha in r.symbols.items()}
+
+
+def assert_both_exact_routes(r, priors):
+    """`decode_exact` and `decode_iterative(exact=True)` against the oracle."""
+    want = brute_force_app(r, priors)
+    assert_exact(decode_exact(r, priors), want)
+    res, report = decode_iterative(r, priors, exact=True)
+    assert report.converged
+    assert_exact(res, want)
+    return want
+
+
 def test_float_decode_equals_the_per_target_loop():
     runs = iso_instances = 0
     for r in pool_instances(("cycle", "cycle_pendant", "theta"), 30):
@@ -389,17 +432,22 @@ def test_exact_iterative_equals_the_per_target_loop():
 
 
 def test_exact_decode_equals_brute_force():
-    done = 0
+    """Both exact routes run on integer weights; priors alternate between
+    twentieths and mixed denominators, and every fourth instance has an
+    all-zero prior, which no word survives."""
+    done = iso_instances = contradictions = 0
     for r in pool_instances(("path",), 40):
         if r.configuration_space_order() > 2**16:
             continue            # beyond what enumeration reaches quickly
-        priors = random_priors(r, random.Random(done), exact=True)
-        res = decode_exact(r, priors)
-        bf = brute_force_app(r, priors)
-        assert res.symbol_marginals == bf.symbol_marginals
-        assert res.state_marginals == bf.state_marginals
+        rng = random.Random(done)
+        priors = mixed_priors(r, rng) if done % 2 else random_priors(r, rng, exact=True)
+        if done % 4 == 3 and r.symbols:
+            k = min(r.symbols, key=sort_key)
+            priors[k] = Message(r.symbols[k], (Fraction(0),) * r.symbols[k].order)
+        contradictions += assert_both_exact_routes(r, priors).contradiction
+        iso_instances += any(sv.iso is not None for sv in r.states.values())
         done += 1
-    assert done >= 20
+    assert done >= 20 and iso_instances >= 10 and contradictions >= 5
 
 
 def test_exact_damping_is_read_from_its_decimal_string():
@@ -415,13 +463,18 @@ def test_exact_damping_is_read_from_its_decimal_string():
 
 
 def test_decode_exact_on_a_fragment_uses_flat_boundary_evidence():
-    r = random_realization(5, topology="path", n_constraints=3)
-    for frag in r.split(["s0"]).fragments:
-        priors = random_priors(frag, random.Random(5), exact=True)
-        res = decode_exact(frag, priors)
-        bf = brute_force_app(frag, priors)
-        assert res.symbol_marginals == bf.symbol_marginals
-        assert res.state_marginals == bf.state_marginals
+    base = random_realization(5, topology="path", n_constraints=3)
+    cases = [(frag, random_priors(frag, random.Random(5), exact=True))
+             for frag in base.split(["s0"]).fragments]
+    for r in pool_instances(("path",), 40):
+        edges = [j for j in r.internal_states() if len(r.slots[j]) == 2]
+        if edges and r.configuration_space_order() <= 2**16:
+            cases += [(frag, mixed_priors(frag, random.Random(len(cases))))
+                      for frag in r.split(edges[:1]).fragments]
+    for frag, priors in cases:
+        assert frag.boundary
+        assert_both_exact_routes(frag, priors)
+    assert len(cases) >= 20
 
 
 def test_a_prior_over_another_alphabet_is_refused():
