@@ -17,8 +17,11 @@ step or a tree message one.  The pass is a kernel generated once per node
 shape (degree, targets) with the row loop unrolled over the slots.  Each
 product is folded in slot order, exactly as a separate loop per target
 folds it, so float results do not depend on how many targets share the
-pass.  Messages are weight lists inside the engine; an iso edge permutes
-them by index tables built once from the isomorphism.
+pass.  Messages are weight lists in one flat store, numbered once per
+decode; an iso edge permutes them by index tables built once from the
+isomorphism.  The iteration plan (kernel, table, input and output ids of
+each pass) is built once, and each sweep normalizes, damps, stores and
+takes the change of every message in one loop over each pass's outputs.
 
 Message weights are finite.  The kernels rely on it: a product that turns
 zero is added as a zero instead of skipped, and a float marginal that
@@ -29,9 +32,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import sub
 
 from ._records import record
 from .alphabets import ENUMERATION_CAP, Alphabet, Element, sort_key
@@ -236,32 +239,38 @@ def _marginal(var: str, alpha: Alphabet, a: list, b: list) -> Message:
     """The normalized product of the two messages meeting at `var`; integer
     weights are normalized into `Fraction`s."""
     w = tuple(x * y for x, y in zip(a, b))
-    if isinstance(w[0], int):
-        t = sum(w)
+    t = sum(w)
+    if isinstance(t, int):
         return Message(alpha, tuple(Fraction(x, t) if t else Fraction(0) for x in w))
     if not all(x < math.inf for x in w):
         raise WeightOverflow(f"float weights overflowed in the marginal of {var!r}; "
                              f"scale the priors down")
-    return Message(alpha, w).normalized()
+    return Message(alpha, tuple(x / t for x in w) if t else w)
 
 
 class _Passer:
     """Message passing over one realization, on tables compiled once per
-    distinct constraint code.
+    distinct constraint code, with every message in one flat store.
 
-    Messages are plain weight lists.  msgs[(cl, j)] is what constraint cl
-    sends along edge j, in cl's own coordinates; msgs[(None, v)] is the
-    evidence on a symbol (its prior) or on a boundary half-edge (flat).
-    inputs[cl][i] = (key, perm) names the message slot i of cl reads; perm
+    Each evidence slot (a symbol's prior, a boundary half-edge's flat
+    weights) and each directed message is numbered once: ids[(None, v)] is
+    the evidence on v, ids[(cl, j)] what constraint cl sends along edge j,
+    in cl's own coordinates.  store[id] is that message's weight list, None
+    until it is sent; sender[id] = (cl, slot) is where it comes from.
+    inputs[cl][i] = (id, perm) names the message slot i of cl reads; perm
     carries it across an iso edge whose other end is on the other side.
-    slot[(cl, v)] is the slot of variable v in constraint cl.
+
+    A step (kernel, table, inputs, sizes, ids) is one pass over a table,
+    resolved once: `step` builds it, `outgoing` runs it, and `send` runs a
+    list of them, normalizing, damping, storing and taking the largest
+    change of each message in one loop over each pass's outputs.
     """
 
     def __init__(self, r: Realization, priors: PriorSet, one):
         r.require_valid()
         self.r = r
         # the weight unit: 1.0 normalizes every message, 1 or Fraction(1) none
-        self.one = one
+        self.one, self.zero = one, one - one
         self.exact = not isinstance(one, float)
         self.edges = [j for j in r.internal_states() if len(r.slots[j]) == 2]
         for j in self.edges:
@@ -275,10 +284,15 @@ class _Passer:
                 raise TooLargeToEnumerate(
                     f"constraint {cl!r} has {con.code.order} codewords, over the "
                     f"sum-product cap {cap}")
-        self.msgs: dict[tuple, list] = {(None, k): list(m.weights)
-                                        for k, m in priors.items()}
-        for b in r.boundary:
-            self.msgs[(None, b)] = [one] * r.states[b].alphabet.order
+        self.store = [list(m.weights) for m in priors.values()]
+        self.store += ([one] * r.states[b].alphabet.order for b in r.boundary)
+        self.ids = {(None, v): i for i, v in enumerate([*priors, *r.boundary])}
+        self.sender: list = [None] * len(self.store)
+        for j in self.edges:
+            for key in r.slots[j]:
+                self.ids[(key[0], j)] = len(self.store)
+                self.store.append(None)
+                self.sender.append(key)
         # forward[i] = index of iso(element i); inverse inverts that list
         self.forward, inverse = {}, {}
         for j in self.edges:
@@ -291,7 +305,7 @@ class _Passer:
                     inverse[j][k] = i
                 self.forward[j] = fwd
         self.tables, self.alphabets, self.orders = {}, {}, {}
-        self.inputs, self.slot = {}, {}
+        self.inputs = {}
         # one table per distinct code: the table depends only on the rows
         # and on each slot's moduli
         shared: dict[tuple, list] = {}
@@ -304,64 +318,99 @@ class _Passer:
                 shared[key] = _index_table(con.code, alphas, cap)
             self.tables[cl] = shared[key]
             inputs = []
-            for i, v in enumerate(con.vars):
-                self.slot[(cl, v)] = i
-                if (None, v) in self.msgs:
-                    inputs.append(((None, v), None))
+            for v in con.vars:
+                if (None, v) in self.ids:
+                    inputs.append((self.ids[(None, v)], None))
                 else:
                     (tc, _), (hc, _) = r.slots[v]
-                    inputs.append(((hc, v), self.forward.get(v)) if cl == tc
-                                  else ((tc, v), inverse.get(v)))
+                    inputs.append((self.ids[(hc, v)], self.forward.get(v))
+                                  if cl == tc else
+                                  (self.ids[(tc, v)], inverse.get(v)))
             self.inputs[cl] = inputs
 
-    def outgoing(self, cl: str, slots: list[int]) -> list[list]:
-        """Unnormalized messages out of cl at the ascending slots, from
-        the current msgs, in one pass over cl's table."""
-        msgs, sole = self.msgs, slots[0] if len(slots) == 1 else None
-        incoming = [None if i == sole else
-                    msgs[key] if perm is None else [msgs[key][k] for k in perm]
-                    for i, (key, perm) in enumerate(self.inputs[cl])]
-        return _sweep(self.tables[cl], incoming, slots,
-                      [self.orders[cl][i] for i in slots], self.one)
+    def step(self, cl: str, slots: list[int]) -> tuple:
+        """The pass of cl to the ascending slots.  A sole target's own
+        input is never read, so it is left out."""
+        sole = slots[0] if len(slots) == 1 else None
+        inputs = [(None, None) if i == sole else x
+                  for i, x in enumerate(self.inputs[cl])]
+        vars_ = self.r.constraints[cl].vars
+        return (_kernel(len(inputs), tuple(slots)), self.tables[cl], inputs,
+                [self.orders[cl][i] for i in slots],
+                [self.ids.get((cl, vars_[i])) for i in slots])
 
-    def emit(self, cl: str, slots: list[int]) -> list[list]:
-        """Messages out of cl at the ascending slots, normalized in float mode."""
-        outs = self.outgoing(cl, slots)
-        return outs if self.exact else [_normalized(w) for w in outs]
+    def outgoing(self, step: tuple, read: list) -> list[list]:
+        """The step's unnormalized messages, from the messages in `read`."""
+        kernel, table, inputs, sizes, _ = step
+        outs = [[self.zero] * n for n in sizes]
+        kernel(table, [None if i is None else read[i] if perm is None else
+                       [read[i][k] for k in perm] for i, perm in inputs],
+               outs, self.one)
+        return outs
+
+    def send(self, steps: list, read: list, write: list, normed: list,
+             damp) -> float:
+        """Each step's messages from `read` into `write`: normalized in
+        float mode, damped toward their value in `read` and stored, with
+        their normalized forms in floats kept in `normed`.  Returns the
+        largest entry change of any normalized message."""
+        one, zero, exact, delta = self.one, self.zero, self.exact, 0.0
+        for kernel, table, inputs, sizes, ids in steps:
+            # `outgoing`, inlined: a call per pass costs 7% of a sweep
+            outs = [[zero] * n for n in sizes]
+            kernel(table, [None if i is None else read[i] if perm is None else
+                           [read[i][k] for k in perm] for i, perm in inputs],
+                   outs, one)
+            for i, m in zip(ids, outs):
+                if not exact:
+                    t = sum(m)
+                    if t != 0 and t != 1:
+                        m = [w / t for w in m]
+                if damp:
+                    m = [(1 - damp) * a + damp * b for a, b in zip(m, read[i])]
+                t = sum(m)
+                new = m if t == 0 or t == 1 else [w / t for w in m]
+                if exact:
+                    new = [float(w) for w in new]
+                d = max(map(abs, map(sub, normed[i], new)))
+                if d > delta:
+                    delta = d
+                write[i], normed[i] = m, new
+        return delta
 
     def tree_message(self, cl: str, j: str) -> list:
-        """Exact message on a tree region (memoized): every message it
-        depends on is emitted first, in post-order on an explicit stack, so
-        a long tree needs no recursion."""
-        stack = [((cl, j), False)]
+        """Exact message on a tree region (memoized): the messages it
+        depends on are sent first, from an explicit stack, so a long tree
+        needs no recursion."""
+        store, i = self.store, self.ids[(cl, j)]
+        stack = [i] if store[i] is None else []
         while stack:
-            key, ready = stack.pop()
-            if key in self.msgs:
-                continue
-            if ready:
-                self.msgs[key], = self.emit(key[0], [self.slot[key]])
-                continue
-            stack.append((key, True))
-            stack.extend((src, False) for src, _ in reversed(self.inputs[key[0]])
-                         if src[0] is not None and src[1] != key[1])
-        return self.msgs[(cl, j)]
+            cl, slot = self.sender[stack[-1]]
+            step = self.step(cl, [slot])
+            missing = [k for k, _ in step[2] if k is not None and store[k] is None]
+            if missing:
+                stack += missing
+            else:
+                m, = self.outgoing(step, store)
+                store[stack.pop()] = m if self.exact else _normalized(m)
+        return store[i]
 
     def result(self) -> DecodeResult:
-        r, sym = self.r, {}
+        r, store, ids, sym = self.r, self.store, self.ids, {}
         for cl, con in r.constraints.items():
             slots = [i for i, v in enumerate(con.vars) if v in r.symbols]
             if slots:
-                for i, w in zip(slots, self.outgoing(cl, slots)):
+                for i, w in zip(slots, self.outgoing(self.step(cl, slots), store)):
                     v = con.vars[i]
                     sym[v] = _marginal(v, self.alphabets[cl][i], w,
-                                       self.msgs[(None, v)])
+                                       store[ids[(None, v)]])
         st = {}
         for j in sorted(self.edges, key=sort_key):
             (tc, ts), (hc, _) = r.slots[j]
-            head = self.msgs[(hc, j)]
+            head = store[ids[(hc, j)]]
             if j in self.forward:
                 head = [head[k] for k in self.forward[j]]
-            st[j] = _marginal(j, self.alphabets[tc][ts], self.msgs[(tc, j)], head)
+            st[j] = _marginal(j, self.alphabets[tc][ts], store[ids[(tc, j)]], head)
         sym = {k: sym[k] for k in sorted(r.symbols, key=sort_key)}
         contradiction = any(m.is_zero for m in sym.values())
         return DecodeResult(sym, st, contradiction)
@@ -418,39 +467,34 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
         # the message comes from the side away from the core
         passer.tree_message(hc if _points_coreward(adj, core, tc, hc) else tc, j)
     # iterate on the core
-    for j in core_edges:
-        for cl, _ in r.slots[j]:
-            passer.msgs[(cl, j)] = [passer.one] * r.states[j].alphabet.order
+    directed = [passer.ids[key] for key in
+                sorted(((cl, j) for j in core_edges for cl, _ in r.slots[j]),
+                       key=lambda t: (sort_key(t[1]), sort_key(t[0])))]
+    # each stored message's normalized form in floats, the "old" side of the
+    # next delta
+    normed = [None] * len(passer.store)
+    sweep: dict[str, list[int]] = {}
+    for i in directed:
+        cl, s = passer.sender[i]
+        passer.store[i] = [passer.one] * passer.orders[cl][s]
+        normed[i] = [float(w) for w in _normalized(passer.store[i])]
+        sweep.setdefault(cl, []).append(s)
+    # a flooding pass sends all of a node's core-edge messages, a serial step one
+    steps = ([passer.step(cl, sorted(slots)) for cl, slots in sweep.items()]
+             if schedule == "flooding" else
+             [passer.step(cl, [s]) for cl, s in map(passer.sender.__getitem__,
+                                                    directed)])
+    damp = Fraction(str(damping)) if exact else damping
     deltas: list[float] = []
     converged = False
-    directed = sorted(((cl, j) for j in core_edges for cl, _ in r.slots[j]),
-                      key=lambda t: (sort_key(t[1]), sort_key(t[0])))
-    # a flooding sweep sends all of a node's core-edge messages from one pass
-    sweep: dict[str, list[tuple[str, str]]] = {}
-    for key in sorted(directed, key=passer.slot.__getitem__):
-        sweep.setdefault(key[0], []).append(key)
-    plan = [(cl, [passer.slot[k] for k in keys], keys) for cl, keys in sweep.items()]
-    damp = Fraction(str(damping)) if exact else damping
-    # each stored message's normalized form, the "old" side of the next delta
-    normed = {key: _normalized(passer.msgs[key]) for key in directed}
-    iterations = 0
     for _ in range(max_iters):
-        iterations += 1
-        delta = 0.0
+        # a flooding sweep reads the last sweep's messages, a serial one
+        # each message as soon as it is sent
+        read = passer.store
         if schedule == "flooding":
-            new = {}
-            for cl, slots, keys in plan:
-                new.update(zip(keys, passer.emit(cl, slots)))
-        for key in directed:
-            m = (new[key] if schedule == "flooding"
-                 else passer.emit(key[0], [passer.slot[key]])[0])
-            if damping:
-                m = [(1 - damp) * a + damp * b for a, b in zip(m, passer.msgs[key])]
-            m_normed = _normalized(m)
-            delta = max(delta, _message_delta(normed[key], m_normed, exact))
-            passer.msgs[key], normed[key] = m, m_normed
-        deltas.append(delta)
-        if delta < tol:
+            passer.store = read[:]
+        deltas.append(passer.send(steps, read, passer.store, normed, damp))
+        if deltas[-1] < tol:
             converged = True
             break
     # fill outward messages into the stripped forest for final marginals
@@ -458,7 +502,7 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
         for cl, _ in r.slots[j]:
             passer.tree_message(cl, j)
     res = passer.result()
-    return res, ConvergenceReport(iterations, deltas, converged,
+    return res, ConvergenceReport(len(deltas), deltas, converged,
                                   res.contradiction)
 
 
@@ -476,13 +520,6 @@ def _points_coreward(adj: dict, core: set[str], toward: str, away: str) -> bool:
                 seen.add(o)
                 stack.append(o)
     return False
-
-
-def _message_delta(a: list, b: list, exact: bool) -> float:
-    """The largest entry change between two normalized messages, in floats."""
-    if exact:
-        a, b = map(float, a), map(float, b)
-    return max(map(abs, map(operator.sub, a, b)))
 
 
 def brute_force_app(r: Realization, priors: Mapping[str, Message] | None = None,

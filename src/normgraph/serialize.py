@@ -173,6 +173,8 @@ def load_realization(path: str) -> Realization:
 
 
 def _weight(value: object, exact: bool):
+    if isinstance(value, bool):
+        raise ValueError(f"weight {json.dumps(value)} is a boolean, not a number")
     if isinstance(value, str):
         w = Fraction(value)
     elif isinstance(value, Fraction):

@@ -158,6 +158,7 @@ MALFORMED_DECODE = [
     ("negative tolerance", ["--tol", "-1"], None, 4),
     ("negative prior weight", [], {"a0": [-1, 2]}, 4),
     ("prior entry not a list", [], {"a0": 5}, 4),
+    ("boolean prior weight", [], {"a0": [True, False]}, 4),
     ("prior weight beyond the float range", [], {"a0": ["1e400", "1"]}, 4),
     ("iterations not an integer", ["--iters", "abc"], None, 4),
 ]
@@ -177,6 +178,7 @@ def test_cli_malformed_decode_inputs_exit_cleanly(tmp_path):
         assert proc.returncode == code, (case, proc.stderr)
         assert "Traceback" not in proc.stderr, case
         assert proc.stderr.startswith("error: "), case
+        assert proc.stderr.count("\n") == 1, (case, proc.stderr)
         assert proc.stdout == "", case
 
 
@@ -187,6 +189,43 @@ USAGE_ERRORS = [
     ("validate without a file", ["validate"]),
     ("unknown option", ["validate", str(CORPUS / "rep3.json"), "--bogus"]),
 ]
+
+
+IN_PROCESS_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from normgraph.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"sentinel": codes}))
+"""
+
+
+def test_in_process_main_writes_only_to_the_current_streams(tmp_path):
+    """A caller that runs `main` under `redirect_stdout` (as the bench's
+    traced run does) and prints its own result last must find that result
+    on the last line: no subcommand writes to fd 1, `sys.__stdout__`, a
+    stream bound at import time or from an exit hook."""
+    rep3, ring = str(CORPUS / "rep3.json"), str(CORPUS / "tail_biting_rep2.json")
+    commands = [
+        ["validate", rep3],
+        ["behavior", rep3],
+        ["check-duality", rep3],
+        ["minimize", rep3, "-o", str(tmp_path / "minimized.json")],
+        ["analyze", rep3, "--json"],
+        ["two-core", ring],
+        ["decode", ring, "--iters", "20", "--tol", "0"],
+        ["decode", rep3, "--exact", "--priors", str(CORPUS / "rep3_priors.json")],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", IN_PROCESS_SCRIPT,
+                           json.dumps(commands)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == json.dumps({"sentinel": [0] * len(commands)}) + "\n"
+    assert proc.stderr == ""
 
 
 def test_cli_usage_errors_exit_cleanly():

@@ -12,7 +12,8 @@ close: every kernel folds each product in the same order, so the rounding
 is the same.
 
 The realizations come from the width-2 and composite pool of
-`tests/test_syndrome.py`, with random automorphisms on most edges.
+`tests/test_syndrome.py`, with random automorphisms on most edges, and
+from regular Tanner graphs shaped like the bench's `ldpc` document.
 """
 
 from __future__ import annotations
@@ -416,6 +417,32 @@ def test_float_decode_equals_the_per_target_loop():
                 assert report.deltas == deltas
                 runs += 1
     assert runs >= 100 and iso_instances >= 20
+
+
+def test_bench_shaped_tanner_decode_equals_the_per_target_loop():
+    """The shape of the bench's `ldpc` decode: degree-4 equality nodes and
+    degree-6 checks, every node sending all its core messages in one pass,
+    priors with zeros."""
+    for n in (24, 48):
+        rng = random.Random(f"tanner/{n}")
+        r = regular_tanner(rng, n, 3, 6)
+        priors = random_priors(r, rng, exact=False)
+        for schedule in ("flooding", "serial"):
+            for damping in (0.0, 0.5):
+                res, report = decode_iterative(r, priors, max_iters=8,
+                                               schedule=schedule,
+                                               damping=damping, tol=0)
+                (sym, st), deltas = ref_decode(r, priors, 8, schedule, damping,
+                                               exact=False)
+                assert res.symbol_marginals == sym, (n, schedule, damping)
+                assert res.state_marginals == st, (n, schedule, damping)
+                assert report.deltas == deltas, (n, schedule, damping)
+    r = regular_tanner(random.Random("tanner/exact"), 24, 3, 6)
+    priors = random_priors(r, random.Random(24), exact=True)
+    res, report = decode_iterative(r, priors, max_iters=3, tol=0, exact=True)
+    (sym, st), deltas = ref_decode(r, priors, 3, "flooding", 0.0, exact=True)
+    assert (res.symbol_marginals, res.state_marginals) == (sym, st)
+    assert report.deltas == deltas
 
 
 def test_exact_iterative_equals_the_per_target_loop():
