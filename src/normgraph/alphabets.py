@@ -14,6 +14,7 @@ import math
 from collections.abc import Hashable, Iterator, Sequence
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 
 from ._records import record
 from .errors import BadPartition, RowOutOfAmbient, TooLargeToEnumerate, UnknownLabel
@@ -176,6 +177,8 @@ class ProductSpace(_Moduli):
             m for _, alpha in factors for m in alpha.moduli
         )
         self.lcm_modulus: int = reduce(math.lcm, self.moduli, 1)
+        # M // m_i: the factor that lifts coordinate i into Z_M
+        self.scales: tuple[int, ...] = tuple(self.lcm_modulus // m for m in self.moduli)
         self._ranges: dict[Hashable, tuple[int, int]] = {}
         pos = 0
         for lab, alpha in factors:
@@ -251,10 +254,7 @@ class ProductSpace(_Moduli):
 
     def pair_nums(self, x: Sequence[int], y: Sequence[int]) -> int:
         """Numerator of the pairing over the common denominator lcm(moduli)."""
-        M = self.lcm_modulus
-        return (
-            sum(xi * yi * (M // m) for xi, yi, m in zip(x, y, self.moduli)) % M
-        )
+        return sum(map(mul, map(mul, x, y), self.scales)) % self.lcm_modulus
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ProductSpace) and self.factors == other.factors

@@ -5,13 +5,20 @@ m_i.  Internally every coordinate is lifted into Z_M (M = lcm of the moduli)
 by scaling with M/m_i; the Howell normal form of the lifted generator matrix
 is the canonical representation, so two equal subgroups are bit-identical.
 All set operations (orthogonal, projection, cross-section, sum,
-intersection, quotients) are exact.
+intersection, quotients) are exact, and each makes at most one elimination:
+a kernel, an intersection or an orthogonal is the cut Howell form of the
+rows (relation | image), a cross-section the cut form of the reordered
+lifted rows, and a projection onto a column prefix the truncated rows that
+lead inside the prefix, with no elimination at all.  A Howell form over
+Z_(kM) of rows that are multiples of k is k times the Howell form over Z_M
+of the rows divided by k, which is how a result is read in a smaller lcm.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Hashable, Iterator, Sequence
+from operator import floordiv, mul
 
 from . import zmod
 from .alphabets import (
@@ -30,23 +37,6 @@ from .errors import (
 from .intmat import hermite_form, mat_mul, smith_form, solve_upper_triangular
 
 
-def _combine_kernel(ambient: ProductSpace, gens: Sequence[Sequence[int]],
-                    relations: Sequence[Sequence[int]], width: int,
-                    mod: int) -> list[Element]:
-    """Generators of {sum z_i gens_i : sum z_i relations_i = 0 in Z_mod^width}.
-
-    z may have more coordinates than gens; mod is a multiple of every
-    ambient modulus."""
-    out = []
-    for z in zmod.kernel(lambda i: relations[i], width, len(relations), mod):
-        vec = [0] * ambient.width
-        for c, g in zip(z, gens):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, g)]
-        out.append(ambient.reduce(vec))
-    return out
-
-
 class CodeSubgroup:
     """A subgroup of a ProductSpace, held as a canonical generator matrix."""
 
@@ -54,33 +44,31 @@ class CodeSubgroup:
 
     def __init__(self, ambient: ProductSpace, rows: Sequence[Sequence[int]]):
         """Canonicalize the subgroup generated by the given ambient rows."""
-        self.ambient = ambient
-        checked = [ambient.check_row(r) for r in rows]
-        M = ambient.lcm_modulus
-        lifted = [self._lift(r) for r in checked]
-        hf = zmod.howell_form(lifted, M, ambient.width)
-        self._lifted = tuple(tuple(r) for r in hf)
-        self.rows: tuple[Element, ...] = tuple(self._unlift(r) for r in hf)
-        self._order = zmod.span_order(self._lifted, M) if M > 1 else 1
+        self._read(ambient, zmod.howell_form(
+            [list(map(mul, ambient.check_row(r), ambient.scales)) for r in rows],
+            ambient.lcm_modulus, ambient.width))
 
     @classmethod
-    def _from_howell(cls, ambient: ProductSpace, lifted: tuple[tuple[int, ...], ...],
-                     order: int) -> "CodeSubgroup":
-        """The subgroup whose lifted rows are already in Howell form."""
+    def _from_howell(cls, ambient: ProductSpace, hf, k: int = 1) -> "CodeSubgroup":
+        """The subgroup whose lifted rows, times k, are the Howell form hf
+        over Z_(kM): no elimination."""
         sub = object.__new__(cls)
-        sub.ambient, sub._lifted, sub._order = ambient, lifted, order
-        sub.rows = tuple(sub._unlift(r) for r in lifted)
+        sub._read(ambient, hf, k)
         return sub
+
+    def _read(self, ambient: ProductSpace, hf, k: int = 1) -> None:
+        self.ambient = ambient
+        self._lifted = tuple(map(tuple, [[v // k for v in r] for r in hf] if k > 1 else hf))
+        self._order = zmod.span_order(self._lifted, ambient.lcm_modulus)
+        self.rows: tuple[Element, ...] = tuple(map(self._unlift, self._lifted))
 
     # -- lifting between ambient residues and Z_M coordinates ----------------
 
     def _lift(self, x: Sequence[int]) -> list[int]:
-        M = self.ambient.lcm_modulus
-        return [v * (M // m) for v, m in zip(x, self.ambient.moduli)]
+        return list(map(mul, x, self.ambient.scales))
 
     def _unlift(self, y: Sequence[int]) -> Element:
-        M = self.ambient.lcm_modulus
-        return tuple(v // (M // m) for v, m in zip(y, self.ambient.moduli))
+        return tuple(map(floordiv, y, self.ambient.scales))
 
     # -- basic queries --------------------------------------------------------
 
@@ -140,12 +128,11 @@ class CodeSubgroup:
     def intersect(self, other: "CodeSubgroup") -> "CodeSubgroup":
         """Exact intersection via the relation module of the two generator sets."""
         self._check_same_ambient(other)
-        M = self.ambient.lcm_modulus
+        M, n = self.ambient.lcm_modulus, self.ambient.width
         # x = z1*G1 lies in other iff z1*G1 - z2*G2 = 0 for some z2
-        relations = [list(r) for r in self._lifted]
-        relations += [[-v % M for v in r] for r in other._lifted]
-        return CodeSubgroup(self.ambient, _combine_kernel(
-            self.ambient, self.rows, relations, self.ambient.width, M))
+        relations = list(self._lifted) + [[-v % M for v in r] for r in other._lifted]
+        images = list(self._lifted) + [(0,) * n] * len(other._lifted)
+        return self._solve(relations, n, M, images)
 
     def kernel(self, images: Sequence[Sequence[int]],
                target: ProductSpace) -> "CodeSubgroup":
@@ -157,56 +144,68 @@ class CodeSubgroup:
             raise ValueError(f"{len(images)} images for {len(self.rows)} rows")
         L = math.lcm(self.ambient.lcm_modulus, target.lcm_modulus)
         scale = [L // d for d in target.moduli]
-        relations = [[v * s for v, s in zip(target.check_row(y), scale)]
-                     for y in images]
-        return CodeSubgroup(self.ambient, _combine_kernel(
-            self.ambient, self.rows, relations, target.width, L))
+        relations = [list(map(mul, target.check_row(y), scale)) for y in images]
+        k = L // self.ambient.lcm_modulus
+        return self._solve(relations, target.width, L,
+                           [[v * k for v in r] for r in self._lifted])
+
+    def _solve(self, relations: Sequence[Sequence[int]], width: int, mod: int,
+               images: Sequence[Sequence[int]]) -> "CodeSubgroup":
+        """The subgroup of lifted elements {sum z_i images_i : sum z_i
+        relations_i = 0 in Z_mod^width}; the images are lifted rows times
+        mod/M.  One Howell form of the rows (relations_i | images_i)."""
+        hf = zmod.kernel(relations.__getitem__, width, len(relations), mod, images)
+        return CodeSubgroup._from_howell(self.ambient, hf,
+                                         mod // self.ambient.lcm_modulus)
 
     def orthogonal(self) -> "CodeSubgroup":
-        """Orthogonal subgroup under <x,y> = sum x_i y_i / m_i, in the same ambient."""
-        M = self.ambient.lcm_modulus
-        n = self.ambient.width
-        if M == 1 or n == 0:
-            return CodeSubgroup(self.ambient, [])
-        lifted = self._lifted
+        """Orthogonal subgroup under <x,y> = sum x_i y_i / m_i, in the same ambient.
 
-        def column(i: int) -> list[int]:
-            return [row[i] for row in lifted]
-
-        ker = zmod.kernel(column, len(lifted), n, M)
-        rows = [self.ambient.reduce(z) for z in ker]
-        return CodeSubgroup(self.ambient, rows)
+        y is orthogonal iff sum_i g_i y_i = 0 in Z_M for every lifted row g,
+        and only y_i mod m_i matters there: the kernel of the pairing map on
+        the full group, whose unit rows lift to (M/m_i) e_i."""
+        n, lifted = self.ambient.width, self._lifted
+        columns = [[row[i] for row in lifted] for i in range(n)]
+        return self._solve(columns, len(lifted), self.ambient.lcm_modulus,
+                           full_subgroup(self.ambient)._lifted)
 
     def project(self, labels: Sequence[Hashable]) -> "CodeSubgroup":
-        """Projection onto the given factors (result ambient keeps their order)."""
+        """Projection onto the given factors (result ambient keeps their order).
+
+        On a column prefix the rows leading inside it, truncated, are
+        already the Howell form of the projection (the Howell property)."""
         cols = self.ambient.columns(labels)
         sub = self.ambient.subspace(labels)
-        rows = [tuple(r[c] for c in cols) for r in self.rows]
-        return CodeSubgroup(sub, rows)
+        p = len(cols)
+        if cols == list(range(p)):
+            return CodeSubgroup._from_howell(
+                sub, [r[:p] for r in self._lifted if any(r[:p])],
+                self.ambient.lcm_modulus // sub.lcm_modulus)
+        return CodeSubgroup(sub, [tuple(r[c] for c in cols) for r in self.rows])
 
-    def _howell_reordered(self, labels: Sequence[Hashable], first: bool):
-        """Howell form of the lifted rows with the labeled factors' columns
-        moved first (or last), and those columns and the others."""
+    def _reordered(self, labels: Sequence[Hashable], first: bool):
+        """The lifted rows with the labeled factors' columns moved first (or
+        last), and those columns and the others."""
         part = self.ambient.columns(labels)
         taken = set(part)
         rest = [c for c in range(self.ambient.width) if c not in taken]
         order = part + rest if first else rest + part
-        hf = zmod.howell_form([[r[c] for c in order] for r in self._lifted],
-                              self.ambient.lcm_modulus, self.ambient.width)
-        return hf, part, rest
+        return [[r[c] for c in order] for r in self._lifted], part, rest
 
     def cross_section(self, labels: Sequence[Hashable]) -> "CodeSubgroup":
         """Elements with zeros outside the given factors, restricted to them."""
-        hf, _, rest = self._howell_reordered(labels, first=False)
+        rows, _, rest = self._reordered(labels, first=False)
         sub = self.ambient.subspace(labels)
-        M, cut = self.ambient.lcm_modulus, len(rest)
-        return CodeSubgroup(sub, [[v // (M // m) for v, m in zip(r[cut:], sub.moduli)]
-                                  for r in hf if not any(r[:cut])])
+        M = self.ambient.lcm_modulus
+        return CodeSubgroup._from_howell(
+            sub, zmod.howell_form(rows, M, self.ambient.width, len(rest)),
+            M // sub.lcm_modulus)
 
     def lift_prefix(self, labels: Sequence[Hashable], values: Sequence[int]) -> Element | None:
         """Some element of the subgroup matching the given factor values, or None."""
-        hf, part_cols, other_cols = self._howell_reordered(labels, first=True)
+        rows, part_cols, other_cols = self._reordered(labels, first=True)
         M, cut = self.ambient.lcm_modulus, len(part_cols)
+        hf = zmod.howell_form(rows, M, self.ambient.width)
         # values are concatenated coordinates of the labeled factors, ambient order
         sub = self.ambient.subspace(labels)
         target = sub.check_row(values)
@@ -244,8 +243,7 @@ class CodeSubgroup:
         """
         factors = [(mapping.get(lab, lab), alpha)
                    for lab, alpha in self.ambient.factors]
-        return CodeSubgroup._from_howell(ProductSpace(factors), self._lifted,
-                                         self._order)
+        return CodeSubgroup._from_howell(ProductSpace(factors), self._lifted)
 
     # -- quotients -------------------------------------------------------------
 
@@ -322,11 +320,9 @@ def zero_subgroup(ambient: ProductSpace) -> CodeSubgroup:
 
 
 def full_subgroup(ambient: ProductSpace) -> CodeSubgroup:
-    # the lifted unit rows e_i * M / m_i are already in Howell form
-    M = ambient.lcm_modulus
-    lifted = tuple(tuple(M // m * v for v in e)
-                   for e, m in zip(ambient.unit_rows(), ambient.moduli))
-    return CodeSubgroup._from_howell(ambient, lifted, ambient.order)
+    # the lifted unit rows (M/m_i) e_i are already in Howell form
+    return CodeSubgroup._from_howell(
+        ambient, [map(mul, e, ambient.scales) for e in ambient.unit_rows()])
 
 
 def product_subgroup(a: CodeSubgroup, b: CodeSubgroup) -> CodeSubgroup:

@@ -5,7 +5,10 @@ Its defining property: every span element whose leading zeros cover the
 first j columns lies in the span of the basis rows with pivot beyond j.
 That property is what makes greedy membership reduction and cross-section
 extraction correct, and it is the reason subgroup equality can be tested
-by comparing matrices entry-wise.
+by comparing matrices entry-wise.  It also makes the rows with pivot
+beyond j, cut to their last columns, the Howell form of the elements that
+vanish on the first j columns: a kernel or a cross-section is read off the
+trailing rows of one form (`howell_form(..., cut=j)`), never eliminated twice.
 """
 
 from __future__ import annotations
@@ -43,12 +46,18 @@ def _lead(row: tuple[int, ...] | list[int]) -> int:
     return next(compress(count(), row), len(row))
 
 
-def howell_form(rows, mod: int, ncols: int) -> list[list[int]]:
+def howell_form(rows, mod: int, ncols: int, cut: int = 0) -> list[list[int]]:
     """Howell normal form of the Z_mod-span of the given rows.
 
     Returns rows with strictly increasing pivot columns; each pivot divides
     mod; entries above a pivot are reduced modulo it.  The result is a
     canonical representative of the span: equal spans give equal matrices.
+
+    With cut > 0, only the rows whose pivot column is at least cut are
+    returned, without their first cut entries: the Howell form of
+    {x : (0, x) in the span}.  By the Howell property those rows span that
+    submodule, and they are the trailing rows of the full form, because
+    back-substitution reduces a row only by the pivot rows below it.
 
     Each column is eliminated once.  Rows wait in buckets keyed by their
     lead (first nonzero) column, and a bucket holds each row from its lead
@@ -90,8 +99,9 @@ def howell_form(rows, mod: int, ncols: int) -> list[list[int]]:
         if g != 1:
             mg = mod // g
             push([(mg * x) % mod for x in piv], col)
-        result.append([0] * col + piv)
-        tails.append(piv)
+        if col >= cut:
+            result.append([0] * (col - cut) + piv)
+            tails.append(piv)
     # reduce entries above each pivot
     for i, (row, tail) in enumerate(zip(result, tails)):
         j = len(row) - len(tail)
@@ -157,25 +167,18 @@ def span_elements(rows, mod: int, ncols: int):
     yield from rec(0, (0,) * ncols)
 
 
-def kernel(columns_of, nrows: int, ncols: int, mod: int) -> list[list[int]]:
-    """Generators of {z in Z_mod^ncols : sum_i z_i * column_i = 0 in Z_mod^nrows}.
+def kernel(columns_of, nrows: int, ncols: int, mod: int,
+           images=None) -> list[list[int]]:
+    """Howell form of {sum_i z_i * images[i] : sum_i z_i * column_i = 0 in
+    Z_mod^nrows}, z in Z_mod^ncols.
 
     columns_of(i) must return the i-th column as a length-nrows sequence.
-    Built from the Howell form of [A^T | I]: rows with a zero left block
-    carry kernel generators in their right block.
+    The images default to the unit rows, which gives the kernel itself.
+    One Howell form of the rows (column_i | images[i]), cut at nrows: its
+    rows with a zero left block carry the answer in their right block.
     """
-    if mod == 1:
-        return []
-    aug = []
-    for i in range(ncols):
-        col = list(columns_of(i))
-        e = [0] * ncols
-        e[i] = 1
-        aug.append(col + e)
-    hf = howell_form(aug, mod, nrows + ncols)
-    gens = []
-    for row in hf:
-        if _lead(row) >= nrows:
-            gens.append(row[nrows:])
-    return gens
-
+    if images is None:
+        images = [[0] * i + [1] + [0] * (ncols - 1 - i) for i in range(ncols)]
+    width = len(images[0]) if ncols else 0
+    return howell_form([[*columns_of(i), *images[i]] for i in range(ncols)],
+                       mod, nrows + width, nrows)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -44,6 +45,26 @@ def test_product_space_layout():
         ps.span("c")
     with pytest.raises(RowOutOfAmbient):
         ps.check_row((0, 0, 3))
+
+
+def test_check_row_rejects_as_the_coordinate_loop_does():
+    """In-range rows pass as they are; every rejection, NaN included, names
+    the first bad coordinate, and a non-number raises TypeError."""
+    ps = ProductSpace([("a", vector_space(2, 2)), ("b", cyclic_group(3))])
+    assert ps.check_row([1, 0, 2]) == (1, 0, 2)
+    assert ps.check_row((True, 0, 2.0)) == (True, 0, 2.0)
+    for row, msg in [((0, 0, 3), "coordinate 3 out of range [0, 3)"),
+                     ((0, -1, 0), "coordinate -1 out of range [0, 2)"),
+                     ((math.nan, 0, 0), "coordinate nan out of range [0, 2)"),
+                     ((0, 2, math.nan), "coordinate 2 out of range [0, 2)"),
+                     ((0, 0, math.inf), "coordinate inf out of range [0, 3)"),
+                     ((5, "x", 0), "coordinate 5 out of range [0, 2)"),
+                     ((0, 0), "row has 2 coordinates, ambient has 3")]:
+        with pytest.raises(RowOutOfAmbient) as err:
+            ps.check_row(row)
+        assert str(err.value) == msg
+    with pytest.raises(TypeError):
+        ps.check_row((0, "x", 0))
 
 
 def test_pairing_bihomomorphic_exhaustive():

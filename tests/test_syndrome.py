@@ -277,24 +277,20 @@ def bench_like_ring(n: int, seed: int = 0) -> Realization:
 
 
 def wide_eliminations(monkeypatch, tmp_path, r: Realization) -> int:
-    """Howell forms and kernels at least as wide as the universe during one
-    `analyze --json` of the realization."""
+    """Howell forms at least as wide as the universe during one `analyze
+    --json` of the realization.  Each elimination counts once: a
+    `zmod.kernel` is counted through the Howell form it makes."""
     path = tmp_path / f"ring{len(r.constraints)}.json"
     dump_realization(r, str(path))
     width = r.universe_space().width
     wide = []
-    howell, kernel = zmod.howell_form, zmod.kernel
+    howell = zmod.howell_form
 
-    def counted_howell(rows, mod, ncols):
+    def counted_howell(rows, mod, ncols, cut=0):
         wide.append(ncols >= width)
-        return howell(rows, mod, ncols)
-
-    def counted_kernel(columns_of, nrows, ncols, mod):
-        wide.append(ncols >= width)
-        return kernel(columns_of, nrows, ncols, mod)
+        return howell(rows, mod, ncols, cut)
 
     monkeypatch.setattr(zmod, "howell_form", counted_howell)
-    monkeypatch.setattr(zmod, "kernel", counted_kernel)
     with redirect_stdout(io.StringIO()):
         assert main(["analyze", str(path), "--json"]) == 0
     monkeypatch.undo()
@@ -303,12 +299,14 @@ def wide_eliminations(monkeypatch, tmp_path, r: Realization) -> int:
 
 def test_analyze_eliminates_the_universe_a_fixed_number_of_times(monkeypatch, tmp_path):
     """The per-edge reports cost no elimination of the whole universe: the
-    count is the same on 8 and 32 sections (every edge is reported)."""
+    count is the same on 8 and 32 sections (every edge is reported), and
+    at most 4: U, its syndrome kernel and the two cut-pair forms."""
     small, large = bench_like_ring(8), bench_like_ring(32)
     assert not cut_edges(small) and not cut_edges(large)
     assert any(sv.iso is not None for sv in large.states.values())
     counts = [wide_eliminations(monkeypatch, tmp_path, r) for r in (small, large)]
     assert counts[0] == counts[1] > 0
+    assert counts[0] <= 4
 
 
 def test_the_isos_matter():
