@@ -302,12 +302,12 @@ def verify_controllability(f: Realization) -> bool:
 
     The counting route: |U| / |extended behavior| = |controllable subspace|.
     The independence route: the syndrome map is onto the state space iff
-    the constraint and validity checks are independent, U⊥ ∩ V⊥ = 0.
+    the checks from `Realization.check_rows` are independent, U⊥ ∩ V⊥ = 0.
     """
-    bundle = f.behavior_bundle()
     rep = obs_ctrl(f)
-    independent = bundle.universe.orthogonal().intersect(
-        f.validity().orthogonal()).is_trivial
+    space, (u_perp, v_perp) = f.universe_space(), f.check_rows()
+    independent = CodeSubgroup(space, u_perp).intersect(
+        CodeSubgroup(space, v_perp)).is_trivial
     return (rep.order_universe == rep.order_extended * rep.int_controllable.order
             and independent == rep.int_controllable_flag)
 

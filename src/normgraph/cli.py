@@ -60,8 +60,7 @@ def cmd_validate(args) -> int:
 
 def cmd_behavior(args) -> int:
     r = _load(args.file)
-    bundle = r.behavior_bundle()
-    sub = bundle.code if args.external_only else bundle.behavior
+    sub = r.code() if args.external_only else r.behavior_bundle().behavior
     labels = " ".join(str(lab) for lab in sub.ambient.labels)
     print(f"# columns: {labels}")
     print(f"# order {sub.order}")
@@ -94,7 +93,7 @@ def cmd_analyze(args) -> int:
     for idx, frag in enumerate(targets):
         entry: dict = {"fragment": idx, "constraints": sorted(frag.constraints)}
         tp = {}
-        ext = frag.external_behavior()
+        ext = frag.behavior_bundle().external  # every report below reads the bundle
         for v in ext.ambient.labels:
             st = trim_proper(frag, v)
             tp[str(v)] = {"trim": st.trim, "proper": st.proper,

@@ -16,7 +16,9 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping, Sequence
+from operator import mul
 
+from . import zmod
 from ._records import record
 from .alphabets import Alphabet, Element, ProductSpace, sort_key
 from .errors import (
@@ -84,7 +86,7 @@ class ValidationReport:
 
 @record
 class BehaviorBundle:
-    """Universe U, syndromes, behaviors and realized code; `syndromes[i]` is
+    """Universe U, syndromes and behaviors; `syndromes[i]` is
     sigma(universe.rows[i]) in `state_space` (see `Realization.syndromes`)."""
 
     universe: CodeSubgroup
@@ -93,7 +95,6 @@ class BehaviorBundle:
     extended: CodeSubgroup
     behavior: CodeSubgroup
     external: CodeSubgroup
-    code: CodeSubgroup
 
 
 # Result of `Realization.split`: the folded realization, a list of
@@ -128,6 +129,7 @@ class Realization:
                     raise UnknownLabel(f"constraint {cl!r} uses unknown variable {v!r}")
                 self.slots[v].append((cl, i))
         self._bundle: BehaviorBundle | None = None
+        self._external: CodeSubgroup | None = None
         self._edge_duals = None  # cut edges and `analysis._cut_pairs`, on first use
 
     # -- structural helpers ---------------------------------------------------
@@ -247,86 +249,141 @@ class Realization:
         return ("s", v) if ends[0] == (cl, i) else ("h", v)
 
     def behavior_bundle(self) -> BehaviorBundle:
-        """Exact U, extended behavior, behavior, external behavior and code."""
+        """Exact U, extended behavior, behavior and external behavior."""
         if self._bundle is not None:
             return self._bundle
         self.require_valid()
         space = self.universe_space()
         syms, bound, internal = self._blocks()
-        rows: list[list[int]] = []
-        for cl, con in self.constraints.items():
-            slot_spans = []
-            for i in range(len(con.vars)):
-                lab = self._slot_coordinate(cl, i)
-                slot_spans.append(space.span(lab))
-            local = con.code.ambient
-            for r in con.code.rows:
-                row = [0] * space.width
-                for i in range(len(con.vars)):
-                    a, b = local.span(local.labels[i])
-                    ga, gb = slot_spans[i]
-                    row[ga:gb] = list(r[a:b])
-                rows.append(row)
-        universe = CodeSubgroup(space, rows)
+        universe = CodeSubgroup(space, self._block_rows(space, lambda con: con.code))
         state_space = ProductSpace([(j, self.states[j].alphabet) for j in internal])
         syndromes = self.syndromes(universe.rows)
         extended = universe.kernel(syndromes, state_space)
         free = [("a", k) for k in syms] + [("x", j) for j in bound]
         behavior = extended.project(free + [("s", j) for j in internal])
-        external = extended.project(free).renamed(
-            {("a", k): k for k in syms} | {("x", j): j for j in bound})
-        code = extended.project([("a", k) for k in syms]).renamed(
-            {("a", k): k for k in syms})
+        external = extended.project(free).renamed({lab: lab[1] for lab in free})
         self._bundle = BehaviorBundle(universe, state_space, syndromes, extended,
-                                      behavior, external, code)
+                                      behavior, external)
         return self._bundle
 
-    def syndromes(self, points: Iterable[Sequence[int]]) -> list[Element]:
+    def _block_rows(self, space: ProductSpace, code_of) -> list[list[int]]:
+        """Each constraint's `code_of(con)` rows, placed at its slots in the
+        universe space."""
+        rows: list[list[int]] = []
+        for cl, con in self.constraints.items():
+            code = code_of(con)
+            spans = [(code.ambient.span(lab), space.span(self._slot_coordinate(cl, i)))
+                     for i, lab in enumerate(code.ambient.labels)]
+            for r in code.rows:
+                row = [0] * space.width
+                for (a, b), (ga, gb) in spans:
+                    row[ga:gb] = r[a:b]
+                rows.append(row)
+        return rows
+
+    def syndromes(self, points: Iterable[Sequence[int]], space: ProductSpace | None = None,
+                  edges: Sequence[str] | None = None) -> list[Element]:
         """The syndrome map sigma: U -> (+)_j S_j, sigma_j(u) = h_j - iso(s_j)
-        over the internal edges j in sorted order, on universe-space points.
+        over the internal edges j in sorted order, on universe-space points
+        (or over the given edges, on points of a space holding their ends).
 
         On U, ker sigma is the extended behavior and sigma(U) the
         controllable subspace; without block j, ker is the behavior of the
         fragment cut at j."""
-        space = self.universe_space()
-        edges = [(space.span(("s", j)), space.span(("h", j)), self.states[j])
-                 for j in self._blocks()[2]]
+        space = self.universe_space() if space is None else space
+        spans = [(space.span(("s", j)), space.span(("h", j)), self.states[j])
+                 for j in (self._blocks()[2] if edges is None else edges)]
         out = []
         for u in points:
             syn: list[int] = []
-            for (sa, sb), (ha, hb), sv in edges:
+            for (sa, sb), (ha, hb), sv in spans:
                 mapped = sv.head_of(u[sa:sb])
                 syn.extend((h - m) % q for h, m, q in
                            zip(u[ha:hb], mapped, sv.alphabet.moduli))
             out.append(tuple(syn))
         return out
 
-    def validity(self) -> CodeSubgroup:
-        """Validity subgroup V (head = iso(tail) on every internal edge) of the
-        universe space: the verification routes' independent reference for
-        the extended behavior U cap V, which `behavior_bundle` takes as ker sigma."""
+    def check_rows(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Generators of U-perp and V-perp in the universe space, in closed
+        form: each constraint's C_c-perp at its slots, and for each internal
+        edge the rows (-iso*(e), e) on (s_j, h_j), e a unit row of S_j."""
         space = self.universe_space()
-        syms, bound, internal = self._blocks()
-        units = space.unit_rows()
-        free = [("a", k) for k in syms] + [("x", j) for j in bound]
-        vrows = [units[c] for c in space.columns(free)]
-        for j in internal:
+        v_perp = []
+        for j in self._blocks()[2]:
             sv = self.states[j]
-            sa, _ = space.span(("s", j))
-            ha, hb = space.span(("h", j))
-            for i, e in enumerate(sv.alphabet.unit_rows()):
-                row = list(units[sa + i])
-                row[ha:hb] = sv.head_of(e)
-                vrows.append(row)
-        return CodeSubgroup(space, vrows)
+            (sa, sb), (ha, hb) = space.span(("s", j)), space.span(("h", j))
+            adjoint = (sv.iso or identity_map(sv.alphabet)).adjoint()
+            for e in sv.alphabet.unit_rows():
+                row = [0] * space.width
+                row[sa:sb], row[ha:hb] = sv.alphabet.neg(adjoint.apply(e)), e
+                v_perp.append(row)
+        return self._block_rows(space, lambda con: con.code.orthogonal()), v_perp
 
     def code(self) -> CodeSubgroup:
-        """The code realized: projection of the behavior on the symbols."""
-        return self.behavior_bundle().code
+        """The code realized: projection of the external behavior on the symbols."""
+        return self.external_behavior().project(sorted(self.symbols, key=sort_key))
 
     def external_behavior(self) -> CodeSubgroup:
-        """C^F over symbols then boundary states (plain variable labels)."""
-        return self.behavior_bundle().external
+        """C^F over symbols then boundary states (plain variable labels):
+        joined on cycle-free input without a cached bundle, else the bundle's."""
+        if self._external is None:
+            from .graphcore import cyclomatic_number  # graphcore imports this module
+            self.require_valid()
+            self._external = (self.behavior_bundle().external
+                              if self._bundle is not None or cyclomatic_number(self)
+                              else self._joined_external())
+        return self._external
+
+    def _join_order(self) -> list[str]:
+        """The constraints leaves first: a depth-first preorder from the last
+        listed constraint of each component, reversed, so that every
+        constraint follows its subtrees.  On a chain it is section order."""
+        adj, seen, order = self.neighbors(), set(), []
+        for root in reversed(self.constraints):
+            stack = [] if root in seen else [root]
+            seen.add(root)
+            while stack:
+                order.append(stack.pop())
+                for _, other in adj[order[-1]]:
+                    if other not in seen:
+                        seen.add(other)
+                        stack.append(other)
+        return order[::-1]
+
+    def _joined_external(self) -> CodeSubgroup:
+        """C^F without the universe: the constraints joined in `_join_order`.
+
+        The partial code lives on its open edge ends, then its external
+        variables in final order.  Each join takes the product with one
+        constraint's code and closes the edges whose two ends are now
+        present: one cut Howell form, with their syndromes h_j - iso(s_j) as
+        relations and the rows without their columns as images."""
+        syms, bound, _ = self._blocks()
+        free = [("a", k) for k in syms] + [("x", j) for j in bound]
+        final = {lab: t for t, lab in enumerate(free)}
+        part, present = CodeSubgroup(ProductSpace([]), []), set()
+        for cl in self._join_order():
+            con, w = self.constraints[cl], part.ambient.width
+            present.add(cl)
+            new = [(self._slot_coordinate(cl, i), self.alphabet_of(v))
+                   for i, v in enumerate(con.vars)]
+            amb = ProductSpace(list(part.ambient.factors) + new)
+            closed = [j for j in dict.fromkeys(j for (kind, j), _ in new if kind in "sh")
+                      if {c for c, _ in self.slots[j]} <= present]
+            shut = {(kind, j) for j in closed for kind in "sh"}
+            sub = ProductSpace(sorted((f for f in amb.factors if f[0] not in shut),
+                                      key=lambda f: final.get(f[0], -1)))
+            M = amb.lcm_modulus
+            cols = [(c, M // amb.moduli[c]) for lab in sub.labels
+                    for c in range(*amb.span(lab))]
+            lift = [M // q for j in closed for q in self.states[j].alphabet.moduli]
+            gens = ([[*r, *[0] * (amb.width - w)] for r in part.rows]
+                    + [[0] * w + list(r) for r in con.code.rows])
+            relations = [list(map(mul, y, lift)) for y in self.syndromes(gens, amb, closed)]
+            hf = zmod.kernel(relations.__getitem__, len(lift), len(gens), M,
+                             [[g[c] * k for c, k in cols] for g in gens])
+            part = CodeSubgroup._from_howell(sub, hf, M // sub.lcm_modulus)
+        return part.renamed({lab: lab[1] for lab in free})
 
     # -- structure editing (persistent: returns new realizations) -------------
 

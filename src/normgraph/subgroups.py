@@ -341,24 +341,20 @@ def cylinder(ambient: ProductSpace, parts: dict[Hashable, CodeSubgroup]) -> Code
     """Product of given per-factor subgroups with full groups elsewhere.
 
     Each value in parts must be a subgroup whose ambient is the single
-    corresponding factor of the big ambient.
+    corresponding factor of the big ambient.  The parts' lifted rows, scaled
+    into Z_M, and the lifted unit rows elsewhere are block-diagonal in
+    column order, so they already are the Howell form: no elimination.
     """
-    rows: list[Element] = []
-    n = ambient.width
-    units = ambient.unit_rows()
+    hf: list[list[int]] = []
+    n, M = ambient.width, ambient.lcm_modulus
     for lab, alpha in ambient.factors:
         a, b = ambient.span(lab)
-        if lab in parts:
-            sub = parts[lab]
-            if sub.ambient.moduli != alpha.moduli:
-                raise AmbientMismatch(f"cylinder part at {lab!r} has wrong alphabet")
-            for r in sub.rows:
-                row = [0] * n
-                row[a:b] = list(r)
-                rows.append(tuple(row))
-        else:
-            rows.extend(units[a:b])
-    return CodeSubgroup(ambient, rows)
+        sub = parts[lab] if lab in parts else full_subgroup(ProductSpace([(lab, alpha)]))
+        if sub.ambient.moduli != alpha.moduli:
+            raise AmbientMismatch(f"cylinder part at {lab!r} has wrong alphabet")
+        k = M // sub.ambient.lcm_modulus
+        hf += [[0] * a + [v * k for v in r] + [0] * (n - b) for r in sub._lifted]
+    return CodeSubgroup._from_howell(ambient, hf)
 
 
 class FtspDecomposition:

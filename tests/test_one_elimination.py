@@ -13,8 +13,8 @@ import random
 
 from normgraph import zmod
 from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
-from normgraph.corpus import GF2, trellis_realization
-from normgraph.subgroups import CodeSubgroup
+from normgraph.corpus import GF2, random_subgroup, trellis_realization
+from normgraph.subgroups import CodeSubgroup, cylinder
 from tests.test_minimize import fixed_profile_rows
 from tests.test_syndrome import POOL, bench_like_ring
 
@@ -174,9 +174,38 @@ def count_howell(monkeypatch, fn) -> int:
 
 
 def test_behavior_bundle_eliminates_twice(monkeypatch):
-    """U and its syndrome kernel; the behavior, the external behavior and
-    the code are column prefixes of the extended behavior."""
+    """U and its syndrome kernel; the behavior and the external behavior
+    are column prefixes of the extended behavior."""
     trellis = trellis_realization(fixed_profile_rows(random.Random("bundle"), 14, 7),
                                   [GF2] * 14)
     for r in (trellis, bench_like_ring(16)):
         assert count_howell(monkeypatch, r.behavior_bundle) == 2
+
+
+def test_cylinder_is_read_without_elimination(monkeypatch):
+    """The parts' rows and the unit rows elsewhere, block-diagonal in column
+    order, are the Howell form: `cylinder` equals the subgroup those rows
+    generate, with no elimination, on Z_4 and GF(3) parts (and GF(3)^2,
+    Z_2 x Z_4 parts) in an lcm-12 ambient."""
+    GF3 = vector_space(3, 1)
+    ambient = ProductSpace([("p", Z4), ("q", GF3), ("u", Z2), ("v", vector_space(3, 2)),
+                            ("w", cyclic_group(2, 4)), ("z", cyclic_group(12))])
+    rng = random.Random("cylinder")
+    units = ambient.unit_rows()
+    for trial in range(40):
+        labels = [lab for lab in ambient.labels if rng.random() < 0.6] or ["p", "q"]
+        parts = {lab: random_subgroup(rng, ProductSpace([(lab, ambient.alphabet(lab))]), 2)
+                 for lab in labels}
+        rows = []
+        for lab in ambient.labels:
+            a, b = ambient.span(lab)
+            if lab not in parts:
+                rows += units[a:b]
+                continue
+            rows += [(0,) * a + r + (0,) * (ambient.width - b) for r in parts[lab].rows]
+        got = []
+        assert count_howell(monkeypatch, lambda: got.append(cylinder(ambient, parts))) == 0
+        assert got[0] == CodeSubgroup(ambient, rows)
+        assert got[0].order == math.prod(
+            parts[lab].order if lab in parts else ambient.alphabet(lab).order
+            for lab in ambient.labels)

@@ -119,7 +119,7 @@ def test_behavior_matches_exhaustive_oracle():
         for config in r.enumerate_behavior():
             word = tuple(v for k in syms for v in config[k])
             oracle.add(word)
-        assert set(bundle.code.elements()) == oracle
+        assert set(r.code().elements()) == oracle
         assert bundle.extended.order == bundle.behavior.order
 
 

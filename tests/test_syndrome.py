@@ -145,6 +145,26 @@ def checked_edges(r):
         yield j, rep, frag, halves
 
 
+def validity(r: Realization) -> CodeSubgroup:
+    """The validity subgroup V of the universe space (head = iso(tail) on
+    every internal edge, anything elsewhere), built directly: the oracle
+    for the extended behavior U cap V, which `behavior_bundle` takes as
+    ker sigma, and for the check space U-perp + V-perp."""
+    space = r.universe_space()
+    units = space.unit_rows()
+    vrows = [units[c] for lab in space.labels if lab[0] in ("a", "x")
+             for c in range(*space.span(lab))]
+    for j in r.internal_states():
+        sv = r.states[j]
+        sa, _ = space.span(("s", j))
+        ha, hb = space.span(("h", j))
+        for i, e in enumerate(sv.alphabet.unit_rows()):
+            row = list(units[sa + i])
+            row[ha:hb] = sv.head_of(e)
+            vrows.append(row)
+    return CodeSubgroup(space, vrows)
+
+
 def instances():
     for seed in range(44):
         base = random_realization(seed, topology=TOPOLOGIES[seed % len(TOPOLOGIES)],
@@ -158,7 +178,7 @@ def test_extended_behavior_is_the_syndrome_kernel():
     done = 0
     for r in instances():
         bundle = r.behavior_bundle()
-        assert bundle.extended == bundle.universe.intersect(r.validity())
+        assert bundle.extended == bundle.universe.intersect(validity(r))
         assert bundle.syndromes == r.syndromes(bundle.universe.rows)
         assert verify_controllability(r)
         assert verify_duality(r).passed
@@ -276,13 +296,10 @@ def bench_like_ring(n: int, seed: int = 0) -> Realization:
     return r.replaced(states=states)
 
 
-def wide_eliminations(monkeypatch, tmp_path, r: Realization) -> int:
-    """Howell forms at least as wide as the universe during one `analyze
-    --json` of the realization.  Each elimination counts once: a
-    `zmod.kernel` is counted through the Howell form it makes."""
-    path = tmp_path / f"ring{len(r.constraints)}.json"
-    dump_realization(r, str(path))
-    width = r.universe_space().width
+def count_wide(monkeypatch, width: int, run) -> int:
+    """Howell forms at least `width` columns wide made while run() runs.
+    Each elimination counts once: a `zmod.kernel` is counted through the
+    Howell form it makes."""
     wide = []
     howell = zmod.howell_form
 
@@ -291,10 +308,24 @@ def wide_eliminations(monkeypatch, tmp_path, r: Realization) -> int:
         return howell(rows, mod, ncols, cut)
 
     monkeypatch.setattr(zmod, "howell_form", counted_howell)
-    with redirect_stdout(io.StringIO()):
-        assert main(["analyze", str(path), "--json"]) == 0
+    run()
     monkeypatch.undo()
     return sum(wide)
+
+
+def wide_eliminations(monkeypatch, tmp_path, r: Realization, *argv: str) -> int:
+    """Howell forms at least as wide as the universe during one CLI command
+    on the realization: `argv` is the subcommand and its options, `analyze
+    --json` by default."""
+    path = tmp_path / f"r{len(r.constraints)}.json"
+    dump_realization(r, str(path))
+    command, *options = argv or ("analyze", "--json")
+
+    def run():
+        with redirect_stdout(io.StringIO()):
+            assert main([command, str(path), *options]) == 0
+
+    return count_wide(monkeypatch, r.universe_space().width, run)
 
 
 def test_analyze_eliminates_the_universe_a_fixed_number_of_times(monkeypatch, tmp_path):
