@@ -9,19 +9,20 @@ tree decoding runs on integers and normalizes once into `Fraction`s; exact
 iterative decoding on cyclic graphs damps unnormalized `Fraction` messages.
 
 A decode compiles each distinct local code once, after checking every
-code's order against the enumeration cap, into a table holding each
-codeword as its per-slot alphabet indices; constraints with the same rows
-over the same slot moduli share it.  One pass over a table sends any set of
-a node's messages: a flooding sweep sends all of them at once, a serial
-step or a tree message one.  The pass is a kernel generated once per node
-shape (degree, targets) with the row loop unrolled over the slots.  Each
-product is folded in slot order, exactly as a separate loop per target
-folds it, so float results do not depend on how many targets share the
-pass.  Messages are weight lists in one flat store, numbered once per
-decode; an iso edge permutes them by index tables built once from the
-isomorphism.  The iteration plan (kernel, table, input and output ids of
-each pass) is built once, and each sweep normalizes, damps, stores and
-takes the change of every message in one loop over each pass's outputs.
+code's order against the enumeration cap, into a table of each codeword's
+per-slot alphabet indices, folded from the span's coordinate columns
+without building a codeword; constraints with the same rows over the same
+slot moduli share it.  One pass over a table sends any set of a node's
+messages: a flooding sweep sends all of them at once, a serial step or a
+tree message one.  The pass is a kernel generated once per node shape
+(degree, targets) with the row loop unrolled over the slots.  Each product
+is folded in slot order, exactly as a separate loop per target folds it, so
+float results do not depend on how many targets share the pass.  Messages
+are weight lists in one flat store, numbered once per decode; an iso edge
+permutes them by index tables built once from the isomorphism.  The
+iteration plan (kernel, table, input and output ids of each pass) is built
+once, and each sweep normalizes, damps, stores and takes the change of
+every message in one loop over each pass's outputs.
 
 Message weights are finite.  The kernels rely on it: a product that turns
 zero is added as a zero instead of skipped, and a float marginal that
@@ -116,10 +117,16 @@ def full_priors(r: Realization, priors: Mapping[str, Message] | None,
 
 
 def _index_table(code: CodeSubgroup, alphabets, cap: int) -> list[tuple[int, ...]]:
-    """Each codeword as the tuple of its per-slot alphabet indices."""
-    spans = [code.ambient.span(lab) for lab in code.ambient.labels]
-    return [tuple(alpha.index(word[a:b]) for alpha, (a, b) in zip(alphabets, spans))
-            for word in code.elements(cap)]
+    """Each codeword's per-slot alphabet indices, in `code.elements()` order,
+    folded from the span's coordinate columns; no codeword is built."""
+    columns, slots = code.columns(cap), []
+    for alpha in alphabets:
+        u = next(columns) if alpha.moduli else [0] * code.order
+        for m in alpha.moduli[1:]:
+            u = [a * m + y for a, y in zip(u, next(columns))]
+        slots.append(u)
+    del columns                 # frees the last column before the table is built
+    return list(zip(*slots)) if slots else [()]
 
 
 # factors per generated expression, well under the compiler's nesting limit
@@ -237,15 +244,20 @@ def _integer_weights(weights) -> tuple[int, ...]:
 
 def _marginal(var: str, alpha: Alphabet, a: list, b: list) -> Message:
     """The normalized product of the two messages meeting at `var`; integer
-    weights are normalized into `Fraction`s."""
+    weights are normalized into `Fraction`s.  Sums of products of validated
+    weights need no re-validation: only a float overflow is checked."""
     w = tuple(x * y for x, y in zip(a, b))
     t = sum(w)
     if isinstance(t, int):
-        return Message(alpha, tuple(Fraction(x, t) if t else Fraction(0) for x in w))
-    if not all(x < math.inf for x in w):
+        w = tuple(Fraction(x, t or 1) for x in w)
+    elif isinstance(t, float) and not all(x < math.inf for x in w):
         raise WeightOverflow(f"float weights overflowed in the marginal of {var!r}; "
                              f"scale the priors down")
-    return Message(alpha, tuple(x / t for x in w) if t else w)
+    elif t:
+        w = tuple(x / t for x in w)
+    m = object.__new__(Message)
+    m.__dict__.update(alphabet=alpha, weights=w)
+    return m
 
 
 class _Passer:

@@ -10,6 +10,7 @@ residues; out-of-range values are rejected rather than silently reduced.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .alphabets import Alphabet, ProductSpace, sort_key
@@ -224,14 +225,16 @@ def load_priors(path: str, r: Realization, exact: bool) -> dict[str, Message]:
 
 
 def marginals_to_json(marginals: dict[str, Message], exact: bool) -> dict:
-    out = {}
-    for key in sorted(marginals, key=sort_key):
-        msg = marginals[key]
-        if exact:
-            out[key] = [str(w) for w in msg.weights]
-        else:
-            out[key] = [float(w) for w in msg.weights]
-    return out
+    # exact weights may have more digits than int-to-str allows by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return {key: [str(w) if exact else float(w) for w in marginals[key].weights]
+                for key in sorted(marginals, key=sort_key)}
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def graph_to_dot(r: Realization, name: str = "realization") -> str:

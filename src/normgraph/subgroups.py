@@ -94,14 +94,19 @@ class CodeSubgroup:
         self._check_same_ambient(other)
         return all(self.contains(r) for r in other.rows)
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> Iterator[Element]:
-        """Yield each element exactly once (chain coset decomposition)."""
+    def columns(self, cap: int = ENUMERATION_CAP) -> Iterator[list[int]]:
+        """Each coordinate's column of the `elements()` listing, one at a
+        time; the order is checked against `cap` before any is built."""
         if self._order > cap:
             raise TooLargeToEnumerate(
                 f"subgroup of order {self._order} exceeds cap {cap}")
-        M = self.ambient.lcm_modulus
-        for y in zmod.span_elements(self._lifted, M, self.ambient.width):
-            yield self._unlift(y)
+        amb = self.ambient
+        cols = zmod.span_columns(self._lifted, amb.lcm_modulus, amb.width)
+        return (c if s == 1 else [y // s for y in c] for c, s in zip(cols, amb.scales))
+
+    def elements(self, cap: int = ENUMERATION_CAP) -> Iterator[Element]:
+        """Yield each element exactly once (chain coset decomposition)."""
+        yield from zip(*self.columns(cap)) if self.ambient.width else [()]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CodeSubgroup)

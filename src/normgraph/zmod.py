@@ -143,28 +143,23 @@ def span_order(rows, mod: int) -> int:
     return order
 
 
-def span_elements(rows, mod: int, ncols: int):
-    """Iterate every span element once via the chain coset decomposition.
-
-    Each element has a unique expression sum c_i * row_i with
-    c_i in [0, mod/pivot_i), by the triangular pivot structure.
-    """
-    if mod == 1 or ncols == 0:
-        yield (0,) * ncols
-        return
-    counts = [mod // row[_lead(row)] for row in rows]
-
-    def rec(i: int, acc: tuple[int, ...]):
-        if i == len(rows):
-            yield acc
-            return
-        row = rows[i]
-        step = acc
-        for _ in range(counts[i]):
-            yield from rec(i + 1, step)
-            step = tuple((x + y) % mod for x, y in zip(step, row))
-
-    yield from rec(0, (0,) * ncols)
+def span_columns(rows, mod: int, ncols: int):
+    """Yield the span of a Howell basis column by column: the k-th entries
+    of the columns are the k-th element, sum c_i * row_i.  Each element has
+    one such expression with c_i in [0, mod/pivot_i), by the triangular
+    pivot structure; elements are listed in lexicographic order of (c_0,
+    c_1, ...), the first row slowest."""
+    ranges = [range(mod // row[_lead(row)]) for row in rows]
+    for j in range(ncols):
+        # a run of rows that are zero here repeats each entry in one pass
+        col, reps = [0], 1
+        for row, cs in zip(rows, ranges):
+            if row[j]:
+                steps = [c * row[j] % mod for c in cs] * reps
+                col, reps = [(x + s) % mod for x in col for s in steps], 1
+            else:
+                reps *= len(cs)
+        yield [x for x in col for _ in range(reps)] if reps > 1 else col
 
 
 def kernel(columns_of, nrows: int, ncols: int, mod: int,

@@ -21,6 +21,7 @@ from normgraph.corpus import (
     trellis_realization,
     z4_sample_realizations,
 )
+from normgraph.decode import Message, brute_force_app
 from normgraph.serialize import (
     ParseError,
     graph_to_dot,
@@ -388,3 +389,33 @@ def test_cli_outputs_deterministic(capsys):
     first = capsys.readouterr().out
     main(["behavior", str(CORPUS / "tail_biting_rep2.json")])
     assert capsys.readouterr().out == first
+
+
+def test_decode_prints_exact_marginals_beyond_the_int_string_limit(tmp_path, capsys):
+    """Exact decimal priors are read exactly, so a marginal may have more
+    digits than int-to-str allows by default; it is printed, and an
+    in-process caller keeps its own limit."""
+    rep3, priors = str(CORPUS / "rep3.json"), tmp_path / "priors.json"
+    priors.write_text(json.dumps({"a0": ["1e5000", "1"]}))
+    argv = ["decode", rep3, "--exact", "--priors", str(priors)]
+    env = {**os.environ, "PYTHONPATH": str(CORPUS.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "normgraph.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    r = load_realization(rep3)
+    big = Message(r.symbols["a0"], (Fraction(10**5000), Fraction(1)))
+    want = brute_force_app(r, {"a0": big}).symbol_marginals
+    printed = json.loads(proc.stdout)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert main(argv) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    assert json.loads(capsys.readouterr().out) == printed
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert {k: [Fraction(w) for w in ws] for k, ws in printed.items()} == \
+            {k: list(m.weights) for k, m in want.items()}
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert len(printed["a0"][0]) > 10_000

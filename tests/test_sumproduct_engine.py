@@ -22,15 +22,18 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from normgraph.alphabets import sort_key, vector_space
+from normgraph.alphabets import ProductSpace, sort_key, vector_space
 from normgraph import decode
 from normgraph.cli import main
 from normgraph.corpus import (
     GF2,
+    TOPOLOGIES,
     random_realization,
     tail_biting_rep2,
     tanner_realization,
@@ -46,7 +49,14 @@ from normgraph.decode import (
 )
 from normgraph.errors import MissingIncoming, TooLargeToEnumerate
 from normgraph.graphcore import cyclomatic_number, two_core_constraints
+from normgraph.serialize import load_realization, realization_from_json
+from normgraph.subgroups import CodeSubgroup
+from tests.test_bench_guard import bench_module
 from tests.test_syndrome import POOL, with_isos
+from tests.test_syndrome import instances as syndrome_instances
+from tests.test_zmod import span_elements
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # -- the reference kernel: the interpreted table pass ----------------------------
 
@@ -543,3 +553,75 @@ def test_over_cap_constraint_exits_before_any_message(tmp_path, capsys):
         assert err.startswith("error: constraint 'h'") and err.count("\n") == 1
         assert elapsed < 1.0
 
+
+
+# -- the index tables against the per-codeword builder ---------------------------
+
+
+def ref_index_table(code, alphabets, cap):
+    """The per-codeword builder the column-wise tables replaced: the code
+    listed by the recursive span oracle, one `Alphabet.index` per slot per
+    codeword."""
+    if code.order > cap:
+        raise TooLargeToEnumerate(f"subgroup of order {code.order} exceeds cap {cap}")
+    amb = code.ambient
+    spans = [amb.span(lab) for lab in amb.labels]
+    words = map(code._unlift, span_elements(code._lifted, amb.lcm_modulus, amb.width))
+    return [tuple(alpha.index(word[a:b]) for alpha, (a, b) in zip(alphabets, spans))
+            for word in words]
+
+
+def table_realizations():
+    """The syndrome pool, random realizations with isos in all four
+    topologies (the width-2 pool and the default one), the corpus, and the
+    bench's trellis, ring and (3,6) Tanner documents."""
+    yield from syndrome_instances()
+    yield from pool_instances(TOPOLOGIES, 24)
+    for seed in range(24):
+        r = random_realization(seed, topology=TOPOLOGIES[seed % 4], iso_prob=0.8)
+        if r.validate().is_valid:
+            yield r
+    for path in sorted(CORPUS.glob("*.json")):
+        if not path.stem.endswith("_priors"):
+            yield load_realization(str(path))
+    workloads = bench_module("workloads")
+    for w in (workloads.trellis_workload(0), workloads.ring_workload(0),
+              workloads.ldpc_workload(0, 48)):
+        yield realization_from_json(w.realization)
+
+
+def test_index_tables_equal_the_per_codeword_builder():
+    """Same rows in the same order, which fixes the order of float sums."""
+    seen = set()
+    for r in table_realizations():
+        for con in r.constraints.values():
+            alphas = [alpha for _, alpha in con.code.ambient.factors]
+            key = (tuple(alpha.moduli for alpha in alphas), con.code.rows)
+            if key not in seen:
+                seen.add(key)
+                assert (decode._index_table(con.code, alphas, 2**20)
+                        == ref_index_table(con.code, alphas, 2**20)), key
+    assert len(seen) >= 300
+
+
+def test_an_index_table_over_the_cap_is_refused_before_it_is_built():
+    code = realization_from_json(over_cap_document()).constraints["h"].code
+    alphas = [alpha for _, alpha in code.ambient.factors]
+    for cap in (2**20, 2**21 - 1):
+        with pytest.raises(TooLargeToEnumerate) as want:
+            ref_index_table(code, alphas, cap)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeToEnumerate) as got:
+                decode._index_table(code, alphas, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(got.value) == str(want.value)
+        assert peak < 2**16
+    # a table of 2^100 rows cannot be allocated, so only a check first passes
+    space = vector_space(2, 100)
+    huge = CodeSubgroup(ProductSpace([("x", space)]),
+                        [[int(i == j) for j in range(100)] for i in range(100)])
+    with pytest.raises(TooLargeToEnumerate, match=f"order {2**100} exceeds"):
+        decode._index_table(huge, [space], 2**20)

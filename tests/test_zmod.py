@@ -27,6 +27,32 @@ def random_rows(rng, mod, ncols, k):
     return [[rng.randrange(mod) for _ in range(ncols)] for _ in range(k)]
 
 
+def span_elements(rows, mod, ncols):
+    """Every element of the span of a Howell basis, recursively, by the
+    chain coset decomposition: sum c_i * row_i with c_i in [0,
+    mod/pivot_i), coefficients in lexicographic order (oracle)."""
+    if mod == 1 or ncols == 0:
+        yield (0,) * ncols
+        return
+    counts = [mod // row[zmod._lead(row)] for row in rows]
+
+    def rec(i, acc):
+        if i == len(rows):
+            yield acc
+            return
+        step = acc
+        for _ in range(counts[i]):
+            yield from rec(i + 1, step)
+            step = tuple((x + y) % mod for x, y in zip(step, rows[i]))
+
+    yield from rec(0, (0,) * ncols)
+
+
+def listed(hf, mod, ncols):
+    """The span's elements read off `zmod.span_columns`."""
+    return list(zip(*zmod.span_columns(hf, mod, ncols))) if ncols else [()]
+
+
 def test_howell_span_preserved():
     rng = random.Random(7)
     for mod in (2, 3, 4, 5, 6, 8, 12):
@@ -86,9 +112,35 @@ def test_span_order_and_elements():
             hf = zmod.howell_form(rows, mod, ncols)
             span = close_span(rows, mod, ncols)
             assert zmod.span_order(hf, mod) == len(span)
-            listed = list(zmod.span_elements(hf, mod, ncols))
-            assert len(listed) == len(span)
-            assert set(listed) == span
+            elements = listed(hf, mod, ncols)
+            assert len(elements) == len(span)
+            assert set(elements) == span
+
+
+def test_span_columns_equal_the_recursive_listing():
+    """The column-wise enumeration lists the span in the recursive
+    oracle's order, on Howell forms over prime, prime-power and composite
+    moduli, widths 0-7, order-1 spans and Z_1; the order is checked before
+    either enumeration lists anything."""
+    rng = random.Random(19)
+    compared = trivial = 0
+    for mod in (1, 2, 3, 4, 6, 8, 9, 12, 36):
+        for ncols in range(8):
+            for _ in range(60):
+                # rows scaled by a divisor of mod span subgroups of every
+                # order down to 1 (d = mod)
+                divisors = [d for d in range(1, mod) if mod % d == 0]
+                d = rng.choice(divisors) if divisors and rng.random() < 0.9 else mod
+                rows = [[v * d % mod for v in r]
+                        for r in random_rows(rng, mod, ncols, rng.randrange(0, 4))]
+                hf = zmod.howell_form(rows, mod, ncols)
+                order = zmod.span_order(hf, mod)
+                if order > 4096:
+                    continue
+                assert listed(hf, mod, ncols) == list(span_elements(hf, mod, ncols))
+                compared += 1
+                trivial += order == 1
+    assert compared - trivial > 2000 and trivial > 300
 
 
 def test_kernel_is_exact():
