@@ -1,76 +1,44 @@
 """Exact integer matrix forms used for quotient-group structure.
 
-Hermite form of full-rank lattices and Smith form with transform tracking.
-Sizes here are tiny (a few dozen rows), so the naive pivot algorithms with
-arbitrary-precision ints are the right tool.
+A subgroup C of Z_m1 x ... x Z_mn is the image of the lattice
+L_C = {x in Z^n : x mod m in C}, and C/D = L_C / L_D.  The Hermite basis
+of L_C is read off C's canonical Howell form, with no elimination; the
+Smith form of L_D in that basis, with its column transform, gives the
+invariant factors of C/D and the maps.  Sizes here are small, so the naive
+Smith pivot algorithm with arbitrary-precision ints is the right tool.
 """
 
 from __future__ import annotations
 
-from .zmod import xgcd
+from collections.abc import Sequence
+
+# `hermite_form` and `smith_form` keep their names: the bench traces them.
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def hermite_form(howell, moduli: Sequence[int],
+                 scales: Sequence[int]) -> list[list[int]]:
+    """Row Hermite basis of L_C, read off the Howell form of C over Z_M
+    (lifted rows: column c scaled by M/m_c).
 
-
-def mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    row[j] += a * Bt[j]
-    return out
-
-
-def hermite_form(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Row Hermite normal form of the lattice spanned by rows.
-
-    For a full-rank lattice in Z^ncols this returns an ncols x ncols
-    upper-triangular basis with positive diagonal and entries above each
-    pivot reduced into [0, pivot).
+    Column c takes the Howell row with pivot c, or M e_c if no row has
+    its pivot there, and every entry is divided by its column's scale.
+    The rows are triangular, lie in L_C and have index prod m_c / |C|, so
+    they are a basis; the Howell form reduces each entry above a pivot
+    into [0, pivot), so it is the Hermite form: an upper-triangular basis
+    with positive diagonal and entries above each pivot in [0, pivot).
     """
-    work = [list(r) for r in rows if any(r)]
-    result: list[list[int]] = []
-    for col in range(ncols):
-        cur = [r for r in work if _lead(r) == col]
-        work = [r for r in work if _lead(r) > col]
-        if not cur:
-            continue
-        piv = cur[0]
-        for other in cur[1:]:
-            a, b = piv[col], other[col]
-            g, s, t = xgcd(a, b)
-            new_piv = [s * x + t * y for x, y in zip(piv, other)]
-            resid = [(-(b // g)) * x + (a // g) * y for x, y in zip(piv, other)]
-            piv = new_piv
-            if any(resid):
-                work.append(resid)
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        result.append(piv)
-    for i, row in enumerate(result):
-        j = _lead(row)
-        d = row[j]
-        for k in range(i):
-            q = result[k][j] // d
-            if q:
-                result[k] = [x - q * y for x, y in zip(result[k], row)]
-    return result
-
-
-def _lead(row) -> int:
-    for i, v in enumerate(row):
-        if v:
-            return i
-    return len(row)
+    n = len(moduli)
+    rows = iter(howell)
+    row = next(rows, None)
+    basis = []
+    for c, m in enumerate(moduli):
+        # pivots strictly increase, so the next row leads at c or later
+        if row is not None and row[c]:
+            basis.append([v // s for v, s in zip(row, scales)])
+            row = next(rows, None)
+        else:
+            basis.append([0] * c + [m] + [0] * (n - c - 1))
+    return basis
 
 
 def solve_upper_triangular(x: list[int], B: list[list[int]]) -> list[int]:
@@ -91,30 +59,18 @@ def solve_upper_triangular(x: list[int], B: list[list[int]]) -> list[int]:
     return w
 
 
-def smith_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms: returns (S, U, V, Vinv), S = U*A*V.
+def smith_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Smith normal form with the column transform: returns (S, V, Vinv).
 
-    S is diagonal with nonnegative entries d_1 | d_2 | ...; U and V are
-    unimodular and Vinv = V^-1 is tracked alongside.
+    S = U*A*V is diagonal with nonnegative entries d_1 | d_2 | ... for a
+    unimodular U that is not kept; V is unimodular and Vinv = V^-1 is
+    tracked alongside.
     """
     m = len(A)
     n = len(A[0]) if A else 0
     S = [list(r) for r in A]
-    U = identity(m)
-    V = identity(n)
-    Vinv = identity(n)
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def row_add(i, j, q):  # row i += q * row j
-        S[i] = [x + q * y for x, y in zip(S[i], S[j])]
-        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
-
-    def row_neg(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    Vinv = [list(r) for r in V]
 
     def col_swap(i, j):
         for M in (S, V):
@@ -141,17 +97,16 @@ def smith_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], li
         if best is None:
             break
         _, r, c = best
-        if r != t:
-            row_swap(t, r)
+        S[t], S[r] = S[r], S[t]
         if c != t:
             col_swap(t, c)
         if S[t][t] < 0:
-            row_neg(t)
+            S[t] = [-x for x in S[t]]
         dirty = False
         for r in range(t + 1, m):
             if S[r][t]:
                 q = S[r][t] // S[t][t]
-                row_add(r, t, -q)
+                S[r] = [x - q * y for x, y in zip(S[r], S[t])]
                 if S[r][t]:
                     dirty = True
         for c in range(t + 1, n):
@@ -173,10 +128,7 @@ def smith_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], li
             if culprit is not None:
                 break
         if culprit is not None:
-            row_add(t, culprit, 1)
+            S[t] = [x + y for x, y in zip(S[t], S[culprit])]
             continue
         t += 1
-    for i in range(size):
-        if S[i][i] < 0:
-            row_neg(i)
-    return S, U, V, Vinv
+    return S, V, Vinv

@@ -9,9 +9,12 @@ intersection, quotients) are exact, and each makes at most one elimination:
 a kernel, an intersection or an orthogonal is the cut Howell form of the
 rows (relation | image), a cross-section the cut form of the reordered
 lifted rows, and a projection onto a column prefix the truncated rows that
-lead inside the prefix, with no elimination at all.  A Howell form over
-Z_(kM) of rows that are multiples of k is k times the Howell form over Z_M
-of the rows divided by k, which is how a result is read in a smaller lcm.
+lead inside the prefix, with no elimination at all.  A quotient C/D
+reads the Hermite bases of the lattices L_C = {x in Z^n : x mod m in C}
+and L_D off the two Howell forms, so its one elimination is the Smith form
+of L_D in L_C's basis.  A Howell form over Z_(kM) of rows that are
+multiples of k is k times the Howell form over Z_M of the rows divided by
+k, which is how a result is read in a smaller lcm.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .alphabets import (
     Alphabet,
     Element,
     ProductSpace,
-    TRIVIAL,
 )
 from .errors import (
     AmbientMismatch,
@@ -34,7 +36,7 @@ from .errors import (
     NotASubgroup,
     TooLargeToEnumerate,
 )
-from .intmat import hermite_form, mat_mul, smith_form, solve_upper_triangular
+from .intmat import hermite_form, smith_form, solve_upper_triangular
 
 
 class CodeSubgroup:
@@ -254,44 +256,40 @@ class CodeSubgroup:
 
     def quotient_by(self, sub: "CodeSubgroup") -> "QuotientMap":
         """Structure of self/sub as an invariant-factor group with maps."""
-        self._check_same_ambient(sub)
-        if not self.contains_subgroup(sub):
-            raise NotASubgroup("quotient requires sub to be contained in self")
         return QuotientMap(self, sub)
 
 
 class QuotientMap:
     """Invariant-factor structure of C/D with natural map and a section.
 
-    The quotient alphabet keeps only the nontrivial invariant factors
-    f_i > 1 in divisibility order, which makes the alphabet of a quotient a
-    canonical first-class Alphabet.
+    C/D is L_C / L_D for the lattices L = {x in Z^n : x mod m in the
+    subgroup}, whose Hermite bases are read off the canonical Howell forms.
+    With D's basis in C's basis coordinates, Smith form S = U*Q*V gives the
+    invariant factors f_i on the diagonal: quotient coordinate i of
+    w * basis_C is (w*V)_i mod f_i, and row i of Vinv * basis_C is a coset
+    representative of the i-th unit.  The quotient alphabet keeps only the
+    nontrivial invariant factors f_i > 1 in divisibility order, which makes
+    the alphabet of a quotient a canonical first-class Alphabet.
     """
 
     def __init__(self, group: CodeSubgroup, sub: CodeSubgroup):
+        group._check_same_ambient(sub)
         self.group = group
         self.sub = sub
         amb = group.ambient
-        n = amb.width
-        if n == 0:
-            self.alphabet = TRIVIAL
-            self._kept: list[tuple[int, int]] = []
-            self._basis_c: list[list[int]] = []
-            self._v: list[list[int]] = []
-            self._bprime: list[list[int]] = []
-            return
-        mod_rows = [[amb.moduli[i] if j == i else 0 for j in range(n)]
-                    for i in range(n)]
-        basis_c = hermite_form([list(r) for r in group.rows] + mod_rows, n)
-        basis_d = hermite_form([list(r) for r in sub.rows] + mod_rows, n)
-        q = [solve_upper_triangular(row, basis_c) for row in basis_d]
-        s, _, v, vinv = smith_form(q)
+        basis_c = hermite_form(group._lifted, amb.moduli, amb.scales)
+        basis_d = hermite_form(sub._lifted, amb.moduli, amb.scales)
+        try:
+            q = [solve_upper_triangular(row, basis_c) for row in basis_d]
+        except ArithmeticError:
+            raise NotASubgroup(
+                "quotient requires sub to be contained in self") from None
+        s, v, vinv = smith_form(q)
+        kept = [i for i in range(len(s)) if s[i][i] > 1]
+        self.alphabet = Alphabet("group", tuple(s[i][i] for i in kept))
         self._basis_c = basis_c
-        self._v = v
-        self._bprime = mat_mul(vinv, basis_c)
-        factors = [s[i][i] for i in range(n)]
-        self._kept = [(i, f) for i, f in enumerate(factors) if f > 1]
-        self.alphabet = Alphabet("group", tuple(f for _, f in self._kept))
+        self._v = [[r[i] % s[i][i] for r in v] for i in kept]
+        self._vinv = [vinv[i] for i in kept]
 
     @property
     def order(self) -> int:
@@ -299,22 +297,17 @@ class QuotientMap:
 
     def project(self, x: Sequence[int]) -> Element:
         """Natural map C -> C/D in quotient coordinates."""
-        if not self._kept:
+        if not self._v:
             return ()
-        w = solve_upper_triangular(list(x), self._basis_c)
-        wp = [sum(w[i] * self._v[i][j] for i in range(len(w)))
-              for j in range(len(w))]
-        return tuple(wp[i] % f for i, f in self._kept)
+        w = solve_upper_triangular(x, self._basis_c)
+        return tuple(sum(map(mul, w, col)) % f
+                     for col, f in zip(self._v, self.alphabet.moduli))
 
     def lift(self, q: Sequence[int]) -> Element:
         """A coset representative for quotient coordinates q (a section)."""
-        amb = self.group.ambient
-        x = [0] * amb.width
-        for (i, _), c in zip(self._kept, q):
-            if c:
-                row = self._bprime[i]
-                x = [a + c * b for a, b in zip(x, row)]
-        return amb.reduce(x)
+        w = [sum(map(mul, col, q)) for col in zip(*self._vinv)]
+        x = [sum(map(mul, w, col)) for col in zip(*self._basis_c)]
+        return self.group.ambient.reduce(x)
 
 
 # -- module-level constructors and helpers ------------------------------------

@@ -7,11 +7,12 @@ import random
 
 import pytest
 
-from normgraph import zmod
+from normgraph import subgroups, zmod
 from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
-from normgraph.errors import NotASubgroup, RowOutOfAmbient
+from normgraph.errors import AmbientMismatch, NotASubgroup, RowOutOfAmbient
 from normgraph.subgroups import (
     CodeSubgroup,
+    QuotientMap,
     cylinder,
     ftsp_decompose,
     full_subgroup,
@@ -225,6 +226,46 @@ def test_quotient_map_structure():
             rep = q.lift(qq)
             assert c.contains(rep)
             assert q.project(rep) == qq
+
+
+def test_quotient_map_guards_its_precondition():
+    amb = space(vector_space(2, 2))
+    c, d = CodeSubgroup(amb, [(1, 0)]), CodeSubgroup(amb, [(1, 1)])
+    with pytest.raises(NotASubgroup):
+        QuotientMap(c, d)
+    other = space(vector_space(2, 3))
+    with pytest.raises(AmbientMismatch):
+        QuotientMap(CodeSubgroup(other, [(1, 0, 1)]), d)
+    with pytest.raises(AmbientMismatch):
+        c.quotient_by(zero_subgroup(space(Z4, Z4)))
+    z4 = space(Z4)
+    with pytest.raises(NotASubgroup):
+        QuotientMap(CodeSubgroup(z4, [(2,)]), CodeSubgroup(z4, [(1,)]))
+    assert QuotientMap(CodeSubgroup(z4, [(1,)]), CodeSubgroup(z4, [(2,)])).order == 2
+
+
+def test_quotient_reads_the_howell_forms(monkeypatch):
+    rng = random.Random(5)
+    amb = space(Z4, cyclic_group(6), vector_space(2, 2))
+    c = CodeSubgroup(amb, [(1, 2, 1, 0), (2, 3, 1, 1)])
+    d = CodeSubgroup(amb, [(2, 4, 0, 0)])
+    calls = {"howell": 0, "hermite": 0, "smith": 0}
+
+    def counted(name, fn):
+        def wrapper(*a):
+            calls[name] += 1
+            return fn(*a)
+        return wrapper
+
+    monkeypatch.setattr(zmod, "howell_form", counted("howell", zmod.howell_form))
+    monkeypatch.setattr(subgroups, "hermite_form",
+                        counted("hermite", subgroups.hermite_form))
+    monkeypatch.setattr(subgroups, "smith_form", counted("smith", subgroups.smith_form))
+    q = c.quotient_by(d)
+    assert calls == {"howell": 0, "hermite": 2, "smith": 1}
+    assert q.order == c.order // d.order
+    x = rng.choice(list(c.elements()))
+    assert d.contains(amb.add(x, amb.neg(q.lift(q.project(x)))))
 
 
 def test_lift_prefix():
