@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .decode import (
     Message,
-    brute_force_app,
     decode_exact,
     decode_iterative,
     message_expand,
@@ -26,7 +25,7 @@ from .decode import (
     sp_update,
     uniform_message,
 )
-from .duality import dual_fragment_check, dualize, verify_duality
+from .duality import dualize, verify_duality
 from .errors import NormgraphError
 from .graphcore import (
     cut_edges,
@@ -67,7 +66,7 @@ __all__ = [
     "full_subgroup", "product_subgroup", "zero_subgroup",
     "Homomorphism", "identity_map", "negation_map",
     "Realization", "Constraint", "StateVar", "GeneralSystem", "normalize",
-    "dualize", "verify_duality", "dual_fragment_check",
+    "dualize", "verify_duality",
     "trim_proper", "local_reduce", "canonical_decomposition", "obs_ctrl",
     "verify_controllability", "behavioral_ctrl_obs", "state_trim_status",
     "cut_edges", "cyclomatic_number", "is_cut_edge", "two_core",
@@ -75,7 +74,7 @@ __all__ = [
     "minimize_cycle_free", "verify_state_space_theorem",
     "recover_internal_states", "state_orders",
     "Message", "uniform_message", "sp_update", "decode_exact",
-    "decode_iterative", "brute_force_app", "message_reduce", "message_expand",
+    "decode_iterative", "message_reduce", "message_expand",
     "load_realization", "dump_realization",
     "NormgraphError",
 ]

@@ -534,33 +534,6 @@ def _points_coreward(adj: dict, core: set[str], toward: str, away: str) -> bool:
     return False
 
 
-def brute_force_app(r: Realization, priors: Mapping[str, Message] | None = None,
-                    exact: bool = True, cap: int = 2**20) -> DecodeResult:
-    """Exhaustive a-posteriori marginals over the full behavior (oracle)."""
-    pri = full_priors(r, priors, exact)
-    zero = Fraction(0) if exact else 0.0
-    syms = sorted(r.symbols, key=sort_key)
-    edges = sorted((j for j in r.internal_states() if len(r.slots[j]) == 2),
-                   key=sort_key)
-    acc_sym = {k: [zero] * r.symbols[k].order for k in syms}
-    acc_st = {j: [zero] * r.states[j].alphabet.order for j in edges}
-    for config in r.enumerate_behavior(cap):
-        w = Fraction(1) if exact else 1.0
-        for k in syms:
-            w *= pri[k].weights[r.symbols[k].index(config[k])]
-        if w == 0:
-            continue
-        for k in syms:
-            acc_sym[k][r.symbols[k].index(config[k])] += w
-        for j in edges:
-            acc_st[j][r.states[j].alphabet.index(config[j])] += w
-    sym = {k: Message(r.symbols[k], tuple(acc_sym[k])).normalized() for k in syms}
-    st = {j: Message(r.states[j].alphabet, tuple(acc_st[j])).normalized()
-          for j in edges}
-    contradiction = any(m.is_zero for m in sym.values())
-    return DecodeResult(sym, st, contradiction)
-
-
 # -- message trimming and merging ------------------------------------------------
 
 

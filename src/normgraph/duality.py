@@ -5,12 +5,13 @@ code by its orthogonal complement, and replaces each edge's validity map by
 the negative adjoint.  Sign inverters are folded into the edge maps, so
 dualizing twice returns the original realization bit-exactly.
 
-`verify_duality` computes C⊥ by three routes: the orthogonal of the code C,
-the dual realization's external behavior C°, and the cross-section of the
-check space U⊥ + V⊥ on the external block.  C and C° are joined constraint
-by constraint on cycle-free input and read from the universe bundle
-otherwise; the check space is written down in closed form
-(`Realization.check_rows`) and cut in one Howell form.
+`verify_duality` computes C⊥ by three routes, on realizations and fragments
+alike: the orthogonal of the (external) code C, the dual realization's
+external behavior C°, and the cross-section of the check space U⊥ + V⊥ on
+the external block.  C and C° are joined constraint by constraint on
+cycle-free input and read from the universe bundle otherwise; the check
+space is written down in closed form (`Realization.check_rows`) and cut in
+one Howell form.
 """
 
 from __future__ import annotations
@@ -82,18 +83,3 @@ def verify_duality(r: Realization) -> DualityReport:
         ext, zmod.howell_form(rows, M, space.width, space.width - f), M // ext.lcm_modulus)
     return DualityReport(code, dualize(r).external_behavior(), code.orthogonal(), route)
 
-
-@record
-class FragmentDualityReport:
-    external: CodeSubgroup
-    dual_external: CodeSubgroup
-
-    @property
-    def passed(self) -> bool:
-        return self.dual_external == self.external.orthogonal()
-
-
-def dual_fragment_check(f: Realization) -> FragmentDualityReport:
-    """F° realizes (C^F)^perp."""
-    return FragmentDualityReport(
-        f.external_behavior(), dualize(f).external_behavior())

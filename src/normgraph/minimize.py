@@ -11,7 +11,7 @@ subgroup messages, and each edge then takes one local quotient.
 from __future__ import annotations
 
 from ._records import record
-from .alphabets import ProductSpace, sort_key
+from .alphabets import sort_key
 from .analysis import _restrict_merge
 from .errors import (
     Disconnected,
@@ -21,7 +21,7 @@ from .errors import (
 )
 from .graphcore import cyclomatic_number
 from .realization import Configuration, Constraint, Realization, StateVar, _map_slot
-from .subgroups import CodeSubgroup, cylinder
+from .subgroups import CodeSubgroup, cylinder, ftsp_decompose
 
 
 def minimize_cycle_free(r: Realization) -> Realization:
@@ -138,48 +138,26 @@ class StateSpaceTheoremReport:
 def verify_state_space_theorem(r_min: Realization, edge: str) -> StateSpaceTheoremReport:
     """Check |S_j| against the code-level quotients on both sides of the cut.
 
-    Both side quotients are computed directly from the realized code (its
-    projection and cross-section on each side's symbol block), independent
-    of the state machinery; the subdirect reconstruction of the code through
-    the quotient isomorphism is checked as well.
+    Both side quotients come from the realized code's interface-node
+    decomposition on each side's symbol block, independent of the state
+    machinery; the subdirect reconstruction of the code through the
+    quotient isomorphism is checked as well.
     """
     if cyclomatic_number(r_min) != 0 or not r_min.is_connected:
         raise NotCycleFree("state space theorem applies to cycle-free realizations")
     sides = r_min.split([edge]).fragments
     if len(sides) != 2:
         raise NotCycleFree(f"edge {edge!r} does not split the realization")
-    code = r_min.code()
-    quots = []
-    blocks = []
-    for frag in sides:
-        syms = sorted(frag.symbols, key=sort_key)
-        blocks.append(syms)
-        proj = code.project(syms)
-        cross = code.cross_section(syms)
-        quots.append(proj.quotient_by(cross))
-    side_orders = tuple(q.order for q in quots)
-    # pairs of quotient classes traced out by the code
-    pair_amb = ProductSpace([(("q", 0), quots[0].alphabet),
-                             (("q", 1), quots[1].alphabet)])
-    rows = []
-    for row in code.rows:
-        parts = []
-        for syms, q in zip(blocks, quots):
-            cols = code.ambient.columns(syms)
-            parts.append(q.project(tuple(row[c] for c in cols)))
-        rows.append(parts[0] + parts[1])
-    pairs = CodeSubgroup(pair_amb, rows)
+    ftsp = ftsp_decompose(r_min.code(), *(sorted(f.symbols, key=sort_key) for f in sides))
+    pairs = ftsp.iso_pairs
     # the pair subgroup is the graph of an isomorphism iff trim+proper both sides
-    graph_ok = True
-    for lab, alpha in pair_amb.factors:
-        if pairs.project([lab]).order != alpha.order:
-            graph_ok = False
-        if not pairs.cross_section([lab]).is_trivial:
-            graph_ok = False
+    graph_ok = all(pairs.project([lab]).order == alpha.order
+                   and pairs.cross_section([lab]).is_trivial
+                   for lab, alpha in pairs.ambient.factors)
     return StateSpaceTheoremReport(
         edge=edge,
         state_order=r_min.states[edge].alphabet.order,
-        side_orders=side_orders,
+        side_orders=(ftsp.quot_a.order, ftsp.quot_b.order),
         iso_pairs=pairs if graph_ok else None,
     )
 

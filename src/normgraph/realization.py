@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Hashable, Iterable, Mapping, Sequence
 from operator import mul
 
 from . import zmod
@@ -24,7 +24,6 @@ from .alphabets import Alphabet, Element, ProductSpace, sort_key
 from .errors import (
     AlphabetMismatch,
     BadPartition,
-    TooLargeToEnumerate,
     UnknownEdge,
     UnknownLabel,
     ValidationFailed,
@@ -573,36 +572,6 @@ class Realization:
         for b in self.boundary:
             n *= self.states[b].alphabet.order
         return n
-
-    def enumerate_behavior(self, cap: int = 2**20) -> Iterator[Configuration]:
-        """Exhaustive valid configurations (oracle path, no linear algebra)."""
-        if self.configuration_space_order() > cap:
-            raise TooLargeToEnumerate("configuration space too large")
-        syms, bound, internal = self._blocks()
-        all_vars = syms + bound + internal
-        alphas = [self.alphabet_of(v) for v in all_vars]
-        codeword_sets = {
-            cl: set(con.code.elements()) for cl, con in self.constraints.items()
-        }
-        for combo in itertools.product(*(list(a.elements()) for a in alphas)):
-            config = dict(zip(all_vars, combo))
-            if self._config_valid(config, codeword_sets):
-                yield config
-
-    def _config_valid(self, config: Configuration, codeword_sets) -> bool:
-        bset = set(self.boundary)
-        for cl, con in self.constraints.items():
-            word: list[int] = []
-            for i, v in enumerate(con.vars):
-                val = config[v]
-                if v in self.states and v not in bset:
-                    if self.slots[v][1] == (cl, i):
-                        val = self.states[v].head_of(val)
-                word.extend(val)
-            if tuple(word) not in codeword_sets[cl]:
-                return False
-        return True
-
 
 def _is_identity(phi: Homomorphism) -> bool:
     return phi.matrix == identity_map(phi.source).matrix and phi.source == phi.target

@@ -48,6 +48,16 @@ def _list_of(kind: type, values: object, what: str) -> tuple:
     return tuple(values)
 
 
+def _new_id(entry: dict, kind: str, seen: dict) -> str:
+    """The entry's id, which must be a string not yet used for this kind."""
+    ident = entry["id"]
+    if not isinstance(ident, str):
+        raise ParseError(f"{kind} id must be a string, got {ident!r}")
+    if ident in seen:
+        raise ParseError(f"duplicate {kind} id {ident!r}")
+    return ident
+
+
 def _alphabet_from_json(name: str, obj: object) -> Alphabet:
     if not isinstance(obj, dict):
         raise ParseError(f"alphabet {name!r} must be an object, got {obj!r}")
@@ -114,21 +124,23 @@ def realization_from_json(doc: object) -> Realization:
                      for name, entry in doc.get("alphabets", {}).items()}
         symbols: dict[str, Alphabet] = {}
         for entry in doc.get("symbols", []):
-            symbols[entry["id"]] = alphabets[entry["alphabet"]]
+            symbols[_new_id(entry, "symbol", symbols)] = alphabets[entry["alphabet"]]
         states: dict[str, StateVar] = {}
         for entry in doc.get("states", []):
+            ident = _new_id(entry, "state", states)
             alpha = alphabets[entry["alphabet"]]
             iso = None
             if "iso" in entry:
                 iso = Homomorphism(alpha, alpha, tuple(
-                    _list_of(int, row, f"state {entry['id']!r} iso row")
+                    _list_of(int, row, f"state {ident!r} iso row")
                     for row in entry["iso"]))
-            states[entry["id"]] = StateVar(alpha, iso)
+            states[ident] = StateVar(alpha, iso)
         constraints: dict[str, Constraint] = {}
         spaces: dict[tuple, ProductSpace] = {}    # one per slot alphabet tuple
         codes: dict[tuple, CodeSubgroup] = {}     # one per (alphabets, rows)
         for entry in doc.get("constraints", []):
-            vars_ = _list_of(str, entry["vars"], f"constraint {entry['id']!r} vars")
+            ident = _new_id(entry, "constraint", constraints)
+            vars_ = _list_of(str, entry["vars"], f"constraint {ident!r} vars")
             alphas = []
             for v in vars_:
                 if v in symbols:
@@ -136,20 +148,20 @@ def realization_from_json(doc: object) -> Realization:
                 elif v in states:
                     alphas.append(states[v].alphabet)
                 else:
-                    raise UnknownLabel(f"constraint {entry['id']!r} references "
+                    raise UnknownLabel(f"constraint {ident!r} references "
                                        f"unknown variable {v!r}")
             alphas = tuple(alphas)
             amb = spaces.get(alphas)
             if amb is None:
                 amb = spaces[alphas] = ProductSpace(list(enumerate(alphas)))
             key = (alphas, tuple(
-                _list_of(int, row, f"constraint {entry['id']!r} generator")
+                _list_of(int, row, f"constraint {ident!r} generator")
                 for row in entry["generators"]))
             code = codes.get(key)
             if code is None:
                 code = codes[key] = CodeSubgroup(amb, key[1])
-            constraints[entry["id"]] = Constraint(vars_, code)
-        boundary = doc.get("boundary", [])
+            constraints[ident] = Constraint(vars_, code)
+        boundary = list(_list_of(str, doc.get("boundary", []), "boundary"))
         return Realization(symbols, states, constraints, boundary)
     except (AttributeError, KeyError, TypeError, ValueError,
             NormgraphError) as exc:

@@ -22,11 +22,7 @@ from normgraph.corpus import (
     GF2,
     GF3,
     Z4,
-    OracleHarness,
-    close_rows,
     equality_code,
-    random_fragment,
-    random_realization,
     ring_realization,
     tanner_realization,
     trellis_realization,
@@ -34,7 +30,6 @@ from normgraph.corpus import (
 )
 from normgraph.decode import (
     Message,
-    brute_force_app,
     decode_exact,
     decode_iterative,
     message_expand,
@@ -52,6 +47,13 @@ from normgraph.homs import Homomorphism
 from normgraph.minimize import minimize_cycle_free, state_orders
 from normgraph.realization import Constraint, Realization, StateVar
 from normgraph.subgroups import CodeSubgroup, ftsp_decompose
+from tests.oracles import (
+    OracleHarness,
+    brute_force_app,
+    close_rows,
+    random_fragment,
+    random_realization,
+)
 
 MIXED_POOL = (GF2, GF3, Z4, cyclic_group(2), cyclic_group(6), vector_space(2, 2))
 
@@ -364,7 +366,7 @@ def _nice_fragment(seed: int, alpha: Alphabet) -> Realization:
         code = zero_sum_code(alpha, 3)
     else:
         # graph of a random unit-diagonal automorphism padded by a symbol
-        from normgraph.corpus import random_automorphism
+        from tests.oracles import random_automorphism
         phi = random_automorphism(rng, alpha)
         rows = []
         for i in range(alpha.width):
@@ -532,7 +534,7 @@ def test_criterion_8_state_trimness():
         frag = sp.fragments[0]
         if frag.configuration_space_order() <= 2**14:
             oracle = OracleHarness.build(frag)
-            got = oracle.external_cross_section(list(sp.halves[j]))
+            got = oracle.cross_section(list(sp.halves[j]))
             assert set(rep.unobservable_transitions.elements()) == got
         checked += 1
     print(f"\nACCEPTANCE 8: state-trimness theorem on {checked} cyclic "

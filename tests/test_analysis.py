@@ -20,9 +20,7 @@ from normgraph.corpus import (
     GF2,
     GF3,
     Z4,
-    OracleHarness,
     equality_node,
-    random_realization,
     ring_realization,
     single_node,
     tail_biting_rep2,
@@ -34,6 +32,7 @@ from normgraph.duality import dualize
 from normgraph.errors import EdgeIsCutSet, FragmentsOverlap, NotAStateEdge
 from normgraph.realization import Constraint, Realization, StateVar
 from normgraph.subgroups import CodeSubgroup
+from tests.oracles import OracleHarness, random_realization
 
 
 def test_trim_proper_worked_examples():
@@ -341,7 +340,7 @@ def test_state_trim_randomized_theorems():
             # exhaustive classification of the transition space
             sp = r.split([j])
             oracle = OracleHarness.build(sp.fragments[0])
-            got = oracle.external_cross_section(list(sp.halves[j]))
+            got = oracle.cross_section(list(sp.halves[j]))
             assert set(rep.unobservable_transitions.elements()) == got
             done += 1
             break
@@ -382,7 +381,7 @@ def test_cycle_free_fragment_theorem():
     """Internally proper cycle-free fragments are proper and internally
     observable; internally trim ones are trim and internally controllable."""
     from normgraph.graphcore import constraint_trim_proper, cyclomatic_number
-    from normgraph.corpus import random_fragment
+    from tests.oracles import random_fragment
 
     proper_done = trim_done = 0
     pool = [proper_tree_fragment(s) for s in range(40)]

@@ -1,22 +1,40 @@
-"""Corpus builders and the exhaustive oracle harness."""
+"""Corpus builders, the seeded streams and the exhaustive oracle harness."""
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import random
+from pathlib import Path
 
+from normgraph import zmod
 from normgraph.corpus import (
     GF2,
     GF3,
     Z4,
-    OracleHarness,
     equality_node,
-    random_realization,
     tail_biting_rep2,
     tanner_realization,
     trellis_realization,
-    z4_sample_realizations,
     zero_sum_node,
 )
+from normgraph.serialize import load_realization, realization_to_json
+from normgraph.subgroups import CodeSubgroup
+from tests.oracles import (
+    TOPOLOGIES,
+    OracleHarness,
+    accumulator_ring,
+    bench_like_ring,
+    brute_force_app,
+    configurations,
+    instances,
+    random_fragment,
+    random_realization,
+    z4_sample_realizations,
+)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_equality_node_realizes_repetition():
@@ -93,9 +111,9 @@ def test_oracle_matches_algebra():
         if r.configuration_space_order() > 2**12:
             continue
         oracle = OracleHarness.build(r)
-        assert oracle.code_set() == set(r.code().elements())
+        assert oracle.projection(oracle.syms) == set(r.code().elements())
         bundle = r.behavior_bundle()
-        assert oracle.external_set() == set(bundle.external.elements())
+        assert oracle.projection(oracle.syms + oracle.bound) == set(bundle.external.elements())
         done += 1
     assert done >= 8
 
@@ -103,7 +121,7 @@ def test_oracle_matches_algebra():
 def test_oracle_tail_biting():
     r = tail_biting_rep2()
     oracle = OracleHarness.build(r)
-    assert oracle.code_set() == {(0, 0), (1, 1)}
+    assert oracle.projection(oracle.syms) == {(0, 0), (1, 1)}
     assert oracle.unobservable_states() == {(0, 0)}
     assert oracle.controllable_syndromes() == {(0, 0), (1, 1)}
 
@@ -113,3 +131,40 @@ def test_sign_inversion_code():
 
     code = sign_inversion_code(Z4)
     assert set(code.elements()) == {(v, (-v) % 4) for v in range(4)}
+
+
+def test_oracle_lists_no_code_from_a_howell_form(monkeypatch):
+    """The oracle answers the same with `zmod.span_columns` and
+    `CodeSubgroup.columns` disabled, so it never lists a code the way the
+    decode tables it checks are built."""
+    rs = [load_realization(str(p)) for p in sorted(CORPUS.glob("*.json"))
+          if not p.stem.endswith("_priors")]
+    rs += itertools.islice(instances(), 12)
+    rs += [random_realization(s, TOPOLOGIES[s % 4], iso_prob=0.5) for s in range(12)]
+    rs = [r for r in rs if r.configuration_space_order() <= 2**14]
+
+    def answers():
+        return [(OracleHarness.build(r).behavior, list(configurations(r)),
+                 brute_force_app(r), brute_force_app(r, exact=False)) for r in rs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle listed a code from its Howell form")
+
+    want = answers()
+    monkeypatch.setattr(zmod, "span_columns", refuse)
+    monkeypatch.setattr(CodeSubgroup, "columns", refuse)
+    assert answers() == want and len(want) >= 25
+
+
+def test_seeded_streams_are_unchanged():
+    """Every seeded generator draws the realizations it drew when it lived
+    in `normgraph.corpus` or in the test modules: the digest of their JSON
+    documents was recorded there."""
+    rs = [random_realization(seed, topology, iso_prob=p)
+          for seed in range(200) for topology in TOPOLOGIES for p in (0.0, 0.8)]
+    rs += [random_fragment(seed, (GF2, GF3, Z4)[seed % 3], cycle_free=seed % 2 == 0)
+           for seed in range(200)]
+    rs += [*z4_sample_realizations(), *instances(), bench_like_ring(8), accumulator_ring(8)]
+    docs = json.dumps([realization_to_json(r) for r in rs], sort_keys=True)
+    assert hashlib.sha256(docs.encode()).hexdigest() == (
+        "031faf70fdbaa681ba833cdadfcebc51e7be9dbfdfdef996559e82e0a9fbdd72")

@@ -12,19 +12,15 @@ from normgraph.alphabets import ProductSpace, cyclic_group
 from normgraph.corpus import (
     GF2,
     GF3,
-    OracleHarness,
     equality_code,
-    random_realization,
     tail_biting_rep2,
     trellis_realization,
     zero_sum_code,
 )
 from normgraph.decode import (
     Message,
-    brute_force_app,
     decode_exact,
     decode_iterative,
-    full_priors,
     indicator_message,
     message_expand,
     message_reduce,
@@ -34,6 +30,7 @@ from normgraph.decode import (
 from normgraph.errors import MissingIncoming, NotCycleFree, WeightOverflow
 from normgraph.serialize import realization_from_json
 from normgraph.subgroups import CodeSubgroup
+from tests.oracles import brute_force_app, random_realization
 
 
 def fr(*nums):
@@ -122,17 +119,13 @@ def test_exact_equals_brute_force_randomized():
         bf = brute_force_app(r, priors)
         assert res.symbol_marginals == bf.symbol_marginals
         assert res.state_marginals == bf.state_marginals
-        oracle = OracleHarness.build(r)
-        om = oracle.app_marginals(full_priors(r, priors))
-        for k in r.symbols:
-            assert tuple(om[k]) == res.symbol_marginals[k].weights
         done += 1
     assert done >= 20
 
 
 def test_exact_with_edge_isomorphism():
     Z4 = cyclic_group(4)
-    from normgraph.corpus import z4_sample_realizations
+    from tests.oracles import z4_sample_realizations
     r = z4_sample_realizations()[2]  # identity graphs joined by x -> 3x
     rng = random.Random(141)
     priors = {k: Message(Z4, tuple(Fraction(rng.randrange(1, 5), 5)

@@ -12,10 +12,8 @@ from normgraph.alphabets import cyclic_group, vector_space
 from normgraph.corpus import (
     GF2,
     GF3,
-    TOPOLOGIES,
     Z4,
     equality_code,
-    random_realization,
     ring_realization,
     tail_biting_rep2,
     tanner_realization,
@@ -34,6 +32,7 @@ from normgraph.graphcore import (
 from normgraph.realization import Constraint, Realization, StateVar
 from normgraph.subgroups import CodeSubgroup
 from normgraph.alphabets import ProductSpace
+from tests.oracles import TOPOLOGIES, random_realization
 
 
 def path3():

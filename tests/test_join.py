@@ -18,26 +18,19 @@ import random
 from pathlib import Path
 
 from normgraph import duality
-from normgraph.alphabets import ProductSpace, cyclic_group, sort_key
+from normgraph.alphabets import sort_key
 from normgraph.analysis import verify_controllability
-from normgraph.corpus import GF2, ring_realization, trellis_realization
+from normgraph.corpus import GF2, trellis_realization
 from normgraph.duality import dualize, verify_duality
 from normgraph.graphcore import cyclomatic_number
-from normgraph.homs import Homomorphism
-from normgraph.realization import StateVar, _is_identity
+from normgraph.realization import _is_identity
 from normgraph.serialize import load_realization
 from normgraph.subgroups import CodeSubgroup
+from tests.oracles import accumulator_ring, bench_like_ring, instances
 from tests.test_minimize import fixed_profile_rows
-from tests.test_syndrome import (
-    bench_like_ring,
-    count_wide,
-    instances,
-    validity,
-    wide_eliminations,
-)
+from tests.test_syndrome import count_wide, validity, wide_eliminations
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-Z12 = cyclic_group(12)
 
 
 def trellis(n: int):
@@ -122,22 +115,6 @@ def test_check_space_route_equals_the_universe_formula():
         assert rep.passed
         done += 1
     assert done >= 100
-
-
-def accumulator_ring(n: int, seed: int = 0):
-    """A tail-biting ring over Z_12: section t is {(s, a, s + w_t a)} for a
-    random weight w_t, and every odd edge carries a random unit scaling.
-    The code is the kernel of one linear form whose coefficients the isos
-    scale, so negating one iso changes it, unlike on `bench_like_ring`,
-    whose code does not see the sign of an edge."""
-    rng = random.Random(f"accumulator/{seed}/{n}")
-    space = ProductSpace(list(enumerate([Z12] * 3)))
-    r = ring_realization([CodeSubgroup(space, [(1, 0, 1), (0, 1, rng.randrange(1, 12))])
-                          for _ in range(n)])
-    units = (5, 7, 11)
-    return r.replaced(states={
-        j: StateVar(Z12, Homomorphism(Z12, Z12, ((rng.choice(units),),))
-                    if int(j[1:]) % 2 else None) for j in r.states})
 
 
 def mutation_targets():

@@ -12,8 +12,6 @@ from normgraph.corpus import (
     GF2,
     GF3,
     Z4,
-    random_fragment,
-    random_realization,
     tail_biting_rep2,
     tanner_realization,
     trellis_realization,
@@ -25,7 +23,7 @@ from normgraph.minimize import (
     state_orders,
     verify_state_space_theorem,
 )
-from tests.test_syndrome import POOL, with_isos
+from tests.oracles import POOL, configurations, random_fragment, random_realization, with_isos
 
 HAMMING_G = [
     (1, 0, 0, 0, 1, 1, 0),
@@ -131,7 +129,7 @@ def test_recover_round_trips_whole_behavior():
             continue
         r = minimize_cycle_free(r)  # trim+proper at states ensures properness
         syms = sorted(r.symbols)
-        for config in itertools.islice(r.enumerate_behavior(), 50):
+        for config in itertools.islice(configurations(r), 50):
             given = {k: config[k] for k in syms}
             got = recover_internal_states(r, given)
             for j in r.internal_states():
@@ -144,7 +142,7 @@ def test_recover_mixed_alphabets_path():
     r = minimize_cycle_free(
         trellis_realization([(1, 1, 2), (0, 2, 1)], [GF3] * 3))
     assert len(r.internal_states()) == 2
-    for config in r.enumerate_behavior():
+    for config in configurations(r):
         given = {k: config[k] for k in r.symbols}
         got = recover_internal_states(r, given)
         for j in r.internal_states():

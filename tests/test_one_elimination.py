@@ -13,10 +13,10 @@ import random
 
 from normgraph import zmod
 from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
-from normgraph.corpus import GF2, random_subgroup, trellis_realization
+from normgraph.corpus import GF2, trellis_realization
 from normgraph.subgroups import CodeSubgroup, cylinder
+from tests.oracles import POOL, bench_like_ring, random_subgroup
 from tests.test_minimize import fixed_profile_rows
-from tests.test_syndrome import POOL, bench_like_ring
 
 Z2, Z4 = cyclic_group(2), cyclic_group(4)
 

@@ -14,6 +14,7 @@ from normgraph.realization import (
     normalize,
 )
 from normgraph.subgroups import CodeSubgroup
+from tests.oracles import OracleHarness
 
 GF2 = vector_space(2, 1)
 GF3 = vector_space(3, 1)
@@ -114,12 +115,8 @@ def test_behavior_matches_exhaustive_oracle():
     for trial in range(25):
         r = _random_small_realization(rng)
         bundle = r.behavior_bundle()
-        syms = sorted(r.symbols)
-        oracle = set()
-        for config in r.enumerate_behavior():
-            word = tuple(v for k in syms for v in config[k])
-            oracle.add(word)
-        assert set(r.code().elements()) == oracle
+        oracle = OracleHarness.build(r)
+        assert set(r.code().elements()) == oracle.projection(oracle.syms)
         assert bundle.extended.order == bundle.behavior.order
 
 

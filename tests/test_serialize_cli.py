@@ -15,13 +15,11 @@ import pytest
 from normgraph.cli import main
 from normgraph.corpus import (
     GF2,
-    random_realization,
     tail_biting_rep2,
     tanner_realization,
     trellis_realization,
-    z4_sample_realizations,
 )
-from normgraph.decode import Message, brute_force_app
+from normgraph.decode import Message
 from normgraph.serialize import (
     ParseError,
     graph_to_dot,
@@ -30,6 +28,7 @@ from normgraph.serialize import (
     realization_from_json,
     realization_to_json,
 )
+from tests.oracles import brute_force_app, random_realization, z4_sample_realizations
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -312,6 +311,8 @@ def malformed_document(alphabet=None, vars_=None, generators=None, **top):
     return doc | top
 
 
+REP3 = json.loads((CORPUS / "rep3.json").read_text())
+
 MALFORMED_DOCUMENT = [
     # (case, document, expected exit code, text the error must name)
     ("field 2^61 - 1 is prime", malformed_document({"field": 2**61 - 1, "dim": 30}),
@@ -329,6 +330,22 @@ MALFORMED_DOCUMENT = [
     ("alphabets not an object", malformed_document(alphabets=[]), 4, None),
     ("a priors file", json.loads((CORPUS / "rep3_priors.json").read_text()), 4,
      "key 'a0'"),
+    ("duplicate symbol id", malformed_document(
+        symbols=[{"id": "a0", "alphabet": "F"}, {"id": "a1", "alphabet": "F"},
+                 {"id": "a1", "alphabet": "Z"}], alphabets={"F": {"field": 2},
+                                                        "Z": {"cyclic": [2]}}),
+     4, "duplicate symbol id 'a1'"),
+    ("duplicate state id", malformed_document(states=[{"id": "s", "alphabet": "F"}] * 2),
+     4, "duplicate state id 's'"),
+    ("duplicate constraint id", REP3 | {"constraints": REP3["constraints"] + [
+        {"id": "c1", "vars": ["s1", "a1", "s2"], "generators": [[0, 0, 0]]}]},
+     4, "duplicate constraint id 'c1'"),
+    ("symbol id an integer", malformed_document(symbols=[{"id": 0, "alphabet": "F"}]),
+     4, "symbol id must be a string"),
+    ("constraint id null", malformed_document(constraints=[
+        {"id": None, "vars": ["a0", "a1"], "generators": []}]),
+     4, "constraint id must be a string"),
+    ("boundary a string", REP3 | {"boundary": "s1"}, 4, "boundary must be a list"),
 ]
 
 

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from normgraph.alphabets import cyclic_group, vector_space
 from normgraph.analysis import canonical_decomposition, obs_ctrl, state_trim_status
-from normgraph.corpus import OracleHarness, random_realization
-from normgraph.decode import Message, brute_force_app, decode_exact
+from normgraph.decode import Message, decode_exact
 from normgraph.duality import dualize, verify_duality
 from normgraph.graphcore import (
     cyclomatic_number,
@@ -23,6 +22,7 @@ from normgraph.graphcore import (
     second_canonical_decomposition,
 )
 from normgraph.minimize import minimize_cycle_free, verify_state_space_theorem
+from tests.oracles import OracleHarness, brute_force_app, random_realization
 
 POOL = (vector_space(2, 1), vector_space(3, 1), vector_space(5, 1),
         cyclic_group(4), cyclic_group(8), cyclic_group(12),
@@ -53,7 +53,7 @@ def test_stress_duality_and_behavior_oracle():
         assert dualize(dualize(r)) == r
     for r in stream(25, 1_100_000, cap=2**12):
         oracle = OracleHarness.build(r)
-        assert oracle.code_set() == set(r.code().elements())
+        assert oracle.projection(oracle.syms) == set(r.code().elements())
         assert oracle.unobservable_states() == set(
             obs_ctrl(r).int_unobservable.elements())
 

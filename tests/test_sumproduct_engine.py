@@ -31,17 +31,9 @@ import pytest
 from normgraph.alphabets import ProductSpace, sort_key, vector_space
 from normgraph import decode
 from normgraph.cli import main
-from normgraph.corpus import (
-    GF2,
-    TOPOLOGIES,
-    random_realization,
-    tail_biting_rep2,
-    tanner_realization,
-    z4_sample_realizations,
-)
+from normgraph.corpus import GF2, tail_biting_rep2, tanner_realization
 from normgraph.decode import (
     Message,
-    brute_force_app,
     decode_exact,
     decode_iterative,
     full_priors,
@@ -51,9 +43,16 @@ from normgraph.errors import MissingIncoming, TooLargeToEnumerate
 from normgraph.graphcore import cyclomatic_number, two_core_constraints
 from normgraph.serialize import load_realization, realization_from_json
 from normgraph.subgroups import CodeSubgroup
+from tests.oracles import (
+    POOL,
+    TOPOLOGIES,
+    brute_force_app,
+    instances as syndrome_instances,
+    random_realization,
+    with_isos,
+    z4_sample_realizations,
+)
 from tests.test_bench_guard import bench_module
-from tests.test_syndrome import POOL, with_isos
-from tests.test_syndrome import instances as syndrome_instances
 from tests.test_zmod import span_elements
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"

@@ -18,54 +18,30 @@ from __future__ import annotations
 import io
 import random
 from contextlib import redirect_stdout
-from math import gcd
 
 from normgraph import zmod
-from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
+from normgraph.alphabets import ProductSpace
 from normgraph.analysis import (
     StateTrimReport,
     state_trim_status,
     verify_controllability,
 )
 from normgraph.cli import main
-from normgraph.corpus import (
-    GF3,
-    TOPOLOGIES,
-    Z4,
-    OracleHarness,
-    random_realization,
-    random_subgroup,
-    ring_realization,
-)
 from normgraph.duality import verify_duality
 from normgraph.graphcore import cut_edges
-from normgraph.homs import Homomorphism, identity_map
 from normgraph.realization import Constraint, Realization, StateVar, _map_slot
 from normgraph.serialize import dump_realization
 from normgraph.subgroups import CodeSubgroup
-
-POOL = (vector_space(2, 2), cyclic_group(2, 4), vector_space(3, 2),
-        cyclic_group(12), vector_space(2, 1), cyclic_group(4))
-
-
-def random_iso(rng: random.Random, alpha) -> Homomorphism | None:
-    """A random non-identity automorphism drawn from the whole group."""
-    for _ in range(20):
-        # entry (i, j) maps Z_c to Z_d: a multiple of d / gcd(c, d)
-        matrix = tuple(tuple(rng.randrange(gcd(c, d)) * (d // gcd(c, d))
-                             for d in alpha.moduli) for c in alpha.moduli)
-        phi = Homomorphism(alpha, alpha, matrix)
-        if phi.is_isomorphism and phi != identity_map(alpha):
-            return phi
-    return None
-
-
-def with_isos(r, rng: random.Random, prob: float):
-    states = {j: StateVar(sv.alphabet,
-                          random_iso(rng, sv.alphabet) if rng.random() < prob else None)
-              for j, sv in r.states.items()}
-    return r.replaced(states=states)
-
+from tests.oracles import (
+    POOL,
+    OracleHarness,
+    bench_like_ring,
+    instances,
+    random_iso,
+    random_realization,
+    random_subgroup,
+    with_isos,
+)
 
 def report(r, edge, utrans, pairs, state_trim) -> StateTrimReport:
     """The report fields from the fragment's unobservable transitions and
@@ -165,15 +141,6 @@ def validity(r: Realization) -> CodeSubgroup:
     return CodeSubgroup(space, vrows)
 
 
-def instances():
-    for seed in range(44):
-        base = random_realization(seed, topology=TOPOLOGIES[seed % len(TOPOLOGIES)],
-                                  pool=POOL, n_constraints=3 + seed % 2,
-                                  symbol_prob=0.6, max_gens=2)
-        if base.validate().is_valid:
-            yield with_isos(base, random.Random(f"iso/{seed}"), 0.7)
-
-
 def test_extended_behavior_is_the_syndrome_kernel():
     done = 0
     for r in instances():
@@ -196,7 +163,7 @@ def test_state_trim_status_matches_split_route_and_enumeration():
             iso_edges += r.states[j].iso is not None
             if frag.configuration_space_order() <= 2**14:
                 oracle = OracleHarness.build(frag)
-                got = oracle.external_cross_section(halves)
+                got = oracle.cross_section(halves)
                 assert set(rep.unobservable_transitions.elements()) == got
                 pairs = len(oracle.projection(halves))
                 assert rep.fragment_ext_controllable == (
@@ -266,34 +233,6 @@ def test_state_trim_status_on_fragments_with_a_boundary():
             if frag.boundary and frag.internal_states():
                 edges += len(list(checked_edges(frag)))
     assert edges >= 20
-
-
-def bench_like_ring(n: int, seed: int = 0) -> Realization:
-    """A tail-biting ring like the benchmark's: edge s_t over GF(3), Z_4 or
-    Z_12 by t mod 3, symbol a_t the next, two random generators per section
-    redrawn until |C_t| = |S_t| |A_t|, and a unit iso on every odd edge."""
-    rng = random.Random(f"ring/{seed}/{n}")
-    pool = (GF3, Z4, cyclic_group(12))
-    alpha = [pool[t % 3] for t in range(n)]
-    codes = []
-    for t in range(n):
-        space = ProductSpace(list(enumerate(
-            [alpha[t], pool[(t + 1) % 3], alpha[(t + 1) % n]])))
-        while True:
-            code = CodeSubgroup(space, [[rng.randrange(m) for m in space.moduli]
-                                        for _ in range(2)])
-            if code.order == alpha[t].order * pool[(t + 1) % 3].order:
-                break
-        codes.append(code)
-    r = ring_realization(codes)
-    states = {}
-    for j, sv in r.states.items():
-        m = sv.alphabet.moduli[0]
-        units = [u for u in range(2, m) if gcd(u, m) == 1]
-        iso = (Homomorphism(sv.alphabet, sv.alphabet, ((rng.choice(units),),))
-               if int(j[1:]) % 2 else None)
-        states[j] = StateVar(sv.alphabet, iso)
-    return r.replaced(states=states)
 
 
 def count_wide(monkeypatch, width: int, run) -> int:
