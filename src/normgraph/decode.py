@@ -2,8 +2,9 @@
 
 Exact two-pass decoding on cycle-free realizations (provably the
 a-posteriori marginals), iterative decoding with flooding or serial
-schedules on cyclic ones.  Cycle-free leaf fragments hanging off the 2-core
-are pre-solved once and their boundary messages held constant.  Two
+schedules on cyclic ones.  Both follow `Realization.peel`: the stripped
+forest's messages are sent once inward, leaf by leaf along the edge each
+hung by, and once outward in reverse; a 2-core iterates in between.  Two
 arithmetic modes: exact and floats with per-message normalization.  Exact
 tree decoding runs on integers and normalizes once into `Fraction`s; exact
 iterative decoding on cyclic graphs damps unnormalized `Fraction` messages.
@@ -45,7 +46,7 @@ from .errors import (
     TooLargeToEnumerate,
     WeightOverflow,
 )
-from .graphcore import cyclomatic_number, two_core_constraints
+from .graphcore import cyclomatic_number
 from .realization import Realization
 from .subgroups import CodeSubgroup, QuotientMap
 
@@ -390,22 +391,14 @@ class _Passer:
                 write[i], normed[i] = m, new
         return delta
 
-    def tree_message(self, cl: str, j: str) -> list:
-        """Exact message on a tree region (memoized): the messages it
-        depends on are sent first, from an explicit stack, so a long tree
-        needs no recursion."""
-        store, i = self.store, self.ids[(cl, j)]
-        stack = [i] if store[i] is None else []
-        while stack:
-            cl, slot = self.sender[stack[-1]]
-            step = self.step(cl, [slot])
-            missing = [k for k, _ in step[2] if k is not None and store[k] is None]
-            if missing:
-                stack += missing
-            else:
-                m, = self.outgoing(step, store)
-                store[stack.pop()] = m if self.exact else _normalized(m)
-        return store[i]
+    def tree_pass(self, messages: list[tuple[str, str]]) -> None:
+        """Sends each (cl, j) message in turn, from the messages already
+        stored; in float mode each is normalized."""
+        for key in messages:
+            i = self.ids[key]
+            cl, slot = self.sender[i]
+            m, = self.outgoing(self.step(cl, [slot]), self.store)
+            self.store[i] = m if self.exact else _normalized(m)
 
     def result(self) -> DecodeResult:
         r, store, ids, sym = self.r, self.store, self.ids, {}
@@ -440,11 +433,20 @@ def decode_exact(r: Realization, priors: Mapping[str, Message] | None = None,
         pri = {k: Message(m.alphabet, _integer_weights(m.weights))
                for k, m in pri.items()}
     passer = _Passer(r, pri, 1 if exact else 1.0)
-    for j in passer.edges:
-        (tc, _), (hc, _) = r.slots[j]
-        passer.tree_message(tc, j)
-        passer.tree_message(hc, j)
+    inward, outward, _ = _forest(r)
+    passer.tree_pass(inward + outward)
     return passer.result()
+
+
+def _forest(r: Realization) -> tuple[list, list, set[str]]:
+    """The stripped forest of `Realization.peel`: its messages inward, each
+    stripped constraint's along the edge it hung by, and outward, back
+    along those edges in reverse order; and the stripped constraints."""
+    peel = r.peel()
+    inward = [(c, j) for c, j in peel if j is not None]
+    outward = [(next(d for d, _ in r.slots[j] if d != c), j)
+               for c, j in reversed(inward)]
+    return inward, outward, {c for c, _ in peel}
 
 
 def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None,
@@ -466,18 +468,11 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
 
     passer = _Passer(r, full_priors(r, priors, exact),
                      Fraction(1) if exact else 1.0)
-    core = two_core_constraints(r)
+    # the stripped forest's messages toward the core are computed once, exactly
+    inward, outward, stripped = _forest(r)
+    passer.tree_pass(inward)
     core_edges = [j for j in passer.edges
-                  if all(cl in core for cl, _ in r.slots[j])]
-    # messages pointing toward the core through the stripped forest are
-    # computed once, exactly
-    adj = r.neighbors()
-    for j in passer.edges:
-        if j in core_edges:
-            continue
-        (tc, _), (hc, _) = r.slots[j]
-        # the message comes from the side away from the core
-        passer.tree_message(hc if _points_coreward(adj, core, tc, hc) else tc, j)
+                  if not any(cl in stripped for cl, _ in r.slots[j])]
     # iterate on the core
     directed = [passer.ids[key] for key in
                 sorted(((cl, j) for j in core_edges for cl, _ in r.slots[j]),
@@ -509,29 +504,11 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
         if deltas[-1] < tol:
             converged = True
             break
-    # fill outward messages into the stripped forest for final marginals
-    for j in passer.edges:
-        for cl, _ in r.slots[j]:
-            passer.tree_message(cl, j)
+    # and its messages away from the core once, for the final marginals
+    passer.tree_pass(outward)
     res = passer.result()
     return res, ConvergenceReport(len(deltas), deltas, converged,
                                   res.contradiction)
-
-
-def _points_coreward(adj: dict, core: set[str], toward: str, away: str) -> bool:
-    """True if `toward` is on the core side of the edge between these two."""
-    # walk from `toward` without using `away`: reachable core?
-    seen = {away, toward}
-    stack = [toward]
-    while stack:
-        c = stack.pop()
-        if c in core:
-            return True
-        for _, o in adj[c]:
-            if o not in seen:
-                seen.add(o)
-                stack.append(o)
-    return False
 
 
 # -- message trimming and merging ------------------------------------------------

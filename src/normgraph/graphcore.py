@@ -1,8 +1,9 @@
 """Graph-structure computations on normal graphs: cycles, cut edges, 2-cores.
 
 Degrees here count internal state edges only; symbol half-edges and
-boundary half-edges never contribute, which matches the leaf-stripping
-semantics of the 2-core.
+boundary half-edges never contribute.  The 2-core is what
+`Realization.peel`, the one leaf stripper, leaves: a worklist of leaves,
+each stripped once, in time linear in the graph.
 """
 
 from __future__ import annotations
@@ -56,16 +57,6 @@ def is_cut_edge(r: Realization, j: str) -> bool:
     return j in cut_edges(r)
 
 
-def constraint_degrees(r: Realization, alive: set[str]) -> dict[str, int]:
-    deg = {c: 0 for c in alive}
-    for j in r.internal_states():
-        ends = [cl for cl, _ in r.slots[j] if cl in alive]
-        if len(r.slots[j]) == 2 and all(cl in alive for cl, _ in r.slots[j]):
-            for cl in ends:
-                deg[cl] += 1
-    return deg
-
-
 @record
 class LeafAttachment:
     fragment: Realization
@@ -81,18 +72,8 @@ class TwoCoreDecomposition:
 
 
 def two_core_constraints(r: Realization, rng: random.Random | None = None) -> set[str]:
-    """Constraints surviving repeated leaf deletion (empty iff cycle-free)."""
-    alive = set(r.constraints)
-    while alive:
-        deg = constraint_degrees(r, alive)
-        leaves = sorted(c for c in alive if deg[c] <= 1)
-        if not leaves:
-            break
-        if rng is not None:
-            rng.shuffle(leaves)
-            leaves = leaves[:1]
-        alive -= set(leaves)
-    return alive
+    """Constraints `Realization.peel` never strips (empty iff cycle-free)."""
+    return set(r.constraints).difference(c for c, _ in r.peel(rng))
 
 
 def two_core(r: Realization, rng: random.Random | None = None) -> TwoCoreDecomposition:
@@ -104,21 +85,15 @@ def two_core(r: Realization, rng: random.Random | None = None) -> TwoCoreDecompo
     """
     if not r.is_connected:
         raise Disconnected("two_core requires a connected realization")
-    alive = two_core_constraints(r, rng)
+    peel = r.peel(rng)
+    alive = set(r.constraints).difference(c for c, _ in peel)
     if not alive:
         return TwoCoreDecomposition(None, {}, [LeafAttachment(r, None, None)])
-    if alive == set(r.constraints):
+    if not peel:
         return TwoCoreDecomposition(r, {}, [])
-    # attachment edges run between the core and the stripped forest
-    attachments = []
-    for j in r.internal_states():
-        ends = r.slots[j]
-        if len(ends) != 2:
-            continue
-        inside = [cl for cl, _ in ends if cl in alive]
-        if len(inside) == 1:
-            attachments.append(j)
-    sp = r.split(attachments)
+    # attachment edges: the stripped constraints hanging by an edge into the core
+    sp = r.split([j for _, j in peel
+                  if j is not None and any(c in alive for c, _ in r.slots[j])])
     edge_of = {lab: j for j, pair in sp.halves.items() for lab in pair}
     core = None
     core_boundary_of: dict[str, str] = {}

@@ -20,7 +20,7 @@ from .errors import (
     NotInternallyProper,
 )
 from .graphcore import cyclomatic_number
-from .realization import Configuration, Constraint, Realization, StateVar, _map_slot
+from .realization import Configuration, Constraint, Realization, StateVar
 from .subgroups import CodeSubgroup, cylinder, ftsp_decompose
 
 
@@ -43,28 +43,12 @@ def minimize_cycle_free(r: Realization) -> Realization:
         raise NotCycleFree(
             "realization has cycles; use two_core / iterative decoding instead")
     edges = r.internal_states()
-    codes = {cl: con.code for cl, con in r.constraints.items()}
-    for j in edges:
-        iso = r.states[j].iso
-        if iso is not None:
-            head, slot = r.slots[j][1]
-            codes[head] = _map_slot(codes[head], slot, iso.inverse())
-    # the far end of each edge seen from each of its ends, and a pre-order
-    # of the tree with the edge to each constraint's parent
+    codes = {cl: con.code for cl, con in r.fold_edge_iso(*edges).constraints.items()}
+    # the far end of each edge seen from each of its ends
     far = {}
     for j in edges:
         (c1, _), (c2, _) = r.slots[j]
         far[c1, j], far[c2, j] = c2, c1
-    root = next(iter(r.constraints))
-    order, up, stack = [], {root: None}, [root]
-    while stack:
-        c = stack.pop()
-        order.append(c)
-        for v in r.constraints[c].vars:
-            d = far.get((c, v))
-            if d is not None and d not in up:
-                up[d] = v
-                stack.append(d)
     msgs: dict[tuple[str, str], tuple[CodeSubgroup, CodeSubgroup]] = {}
 
     def send(c: str, j: str) -> None:
@@ -86,12 +70,10 @@ def minimize_cycle_free(r: Realization) -> Realization:
         msgs[c, j] = (p.project([out]).renamed({out: j}),
                       x.project([out]).renamed({out: j}))
 
-    for c in reversed(order[1:]):
-        send(c, up[c])
-    for c in order:
-        for v in r.constraints[c].vars:
-            if (c, v) in far and v != up[c]:
-                send(c, v)
+    # inward along the peel, each leaf along the edge it hung by, then back
+    inward = [(c, j) for c, j in r.peel() if j is not None]
+    for c, j in inward + [(far[c, j], j) for c, j in reversed(inward)]:
+        send(c, j)
     reduced = {}
     for j in edges:
         (p1, x1), (p2, x2) = (msgs[c, j] for c, _ in r.slots[j])
@@ -167,20 +149,17 @@ def recover_internal_states(f: Realization, assignment: Configuration) -> Config
 
     assignment maps every symbol and boundary variable to its value; the
     returned configuration adds every internal state (tail coordinates).
-    Peels leaf constraints: properness determines each external state of a
-    leaf from its other values.
+    Follows `Realization.peel`: properness determines the edge each leaf
+    hangs by from its other values.
     """
     f.require_valid()
     if cyclomatic_number(f) != 0 or not f.is_connected:
         raise NotCycleFree("state recovery requires a connected cycle-free fragment")
     internal = set(f.internal_states())
     for cl, con in f.constraints.items():
-        # properness is needed exactly at the slots being solved for
-        for i, v in enumerate(con.vars):
-            if v not in internal:
-                continue
-            lab = con.code.ambient.labels[i]
-            if not con.code.cross_section([lab]).is_trivial:
+        # internally proper: proper at every state slot, whichever end peels
+        for lab, v in zip(con.code.ambient.labels, con.vars):
+            if v in internal and not con.code.cross_section([lab]).is_trivial:
                 raise NotInternallyProper(
                     f"constraint {cl!r} is not proper at its state slot {lab!r}")
     ext = f.external_behavior()
@@ -192,37 +171,21 @@ def recover_internal_states(f: Realization, assignment: Configuration) -> Config
     if not ext.contains(word):
         raise NotInExternalBehavior("assignment is not a valid external configuration")
 
-    folded = f
-    for j in f.internal_states():
-        folded = folded.fold_edge_iso(j)
+    folded = f.fold_edge_iso(*f.internal_states())
     known: Configuration = {v: tuple(assignment[v]) for v in assignment}
-    remaining = dict(folded.constraints)
-    while remaining:
-        progressed = False
-        for cl in sorted(remaining, key=sort_key):
-            con = remaining[cl]
-            unknown = [v for v in dict.fromkeys(con.vars) if v not in known]
-            if len(unknown) > 1:
-                continue
-            if not unknown:
-                w = tuple(x for v in con.vars for x in known[v])
-                assert con.code.contains(w), "peeled values violate a constraint"
-                del remaining[cl]
-                progressed = True
-                break
-            v = unknown[0]
-            amb = con.code.ambient
-            fixed_labels = [amb.labels[i] for i, vv in enumerate(con.vars) if vv != v]
-            fixed_vals = [x for i, vv in enumerate(con.vars) if vv != v
-                          for x in known[vv]]
-            sol = con.code.lift_prefix(fixed_labels, fixed_vals)
-            assert sol is not None, "peeling failed on a valid configuration"
-            i = con.vars.index(v)
-            a, b = amb.span(amb.labels[i])
-            known[v] = tuple(sol[a:b])
-            del remaining[cl]
-            progressed = True
-            break
-        if not progressed:
-            raise NotCycleFree("peeling stalled; fragment is not a tree")
+    # each stripped constraint's one unknown is the edge it hung by; the last
+    # of the tree has none left, and is checked
+    for cl, j in folded.peel():
+        con = folded.constraints[cl]
+        if j is None:
+            w = tuple(x for v in con.vars for x in known[v])
+            assert con.code.contains(w), "peeled values violate a constraint"
+            continue
+        amb = con.code.ambient
+        fixed_labels = [amb.labels[i] for i, v in enumerate(con.vars) if v != j]
+        fixed_vals = [x for v in con.vars if v != j for x in known[v]]
+        sol = con.code.lift_prefix(fixed_labels, fixed_vals)
+        assert sol is not None, "peeling failed on a valid configuration"
+        a, b = amb.span(amb.labels[con.vars.index(j)])
+        known[j] = tuple(sol[a:b])
     return known

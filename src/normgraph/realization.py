@@ -14,7 +14,7 @@ slot in the first-listed incident constraint.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Collection, Hashable, Iterable, Mapping, Sequence
 from operator import mul
 
@@ -187,6 +187,32 @@ class Realization:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
+    def peel(self, rng: random.Random | None = None) -> list[tuple[str, str | None]]:
+        """Leaf constraints stripped one at a time until none is left: each
+        with the edge it hung by, None for the last of a tree component.
+        What is never stripped is the 2-core.
+
+        Leaves wait on a stack seeded in reverse listing order, so a chain
+        listed in order is stripped in listing order; an rng strips a random
+        waiting leaf instead (the 2-core does not depend on the order)."""
+        adj = self.neighbors()
+        degree = {c: len(nbrs) for c, nbrs in adj.items()}
+        stack = [c for c in reversed(self.constraints) if degree[c] <= 1]
+        stripped: dict[str, str | None] = {}
+        while stack:
+            if rng is not None:
+                k = rng.randrange(len(stack))
+                stack[k], stack[-1] = stack[-1], stack[k]
+            c = stack.pop()
+            stripped[c] = None
+            for j, other in adj[c]:
+                if other not in stripped:
+                    stripped[c] = j
+                    degree[other] -= 1
+                    if degree[other] == 1:
+                        stack.append(other)
+        return list(stripped.items())
+
     def validate(self) -> ValidationReport:
         degree_errors: list[str] = []
         alphabet_errors: list[str] = []
@@ -204,6 +230,9 @@ class Realization:
         for b in self.boundary:
             if b not in self.states:
                 degree_errors.append(f"boundary variable {b!r} is not a state")
+        for b, n in Counter(self.boundary).items():
+            if n > 1:
+                degree_errors.append(f"boundary variable {b!r} is listed {n} times")
         for cl, con in self.constraints.items():
             for i, v in enumerate(con.vars):
                 expected = self.alphabet_of(v)
@@ -333,24 +362,9 @@ class Realization:
                               else self._joined_external())
         return self._external
 
-    def _join_order(self) -> list[str]:
-        """The constraints leaves first: a depth-first preorder from the last
-        listed constraint of each component, reversed, so that every
-        constraint follows its subtrees.  On a chain it is section order."""
-        adj, seen, order = self.neighbors(), set(), []
-        for root in reversed(self.constraints):
-            stack = [] if root in seen else [root]
-            seen.add(root)
-            while stack:
-                order.append(stack.pop())
-                for _, other in adj[order[-1]]:
-                    if other not in seen:
-                        seen.add(other)
-                        stack.append(other)
-        return order[::-1]
-
     def _joined_external(self) -> CodeSubgroup:
-        """C^F without the universe: the constraints joined in `_join_order`.
+        """C^F without the universe: the constraints joined in `peel` order,
+        then the unstripped ones in listing order.
 
         The partial code lives on its open edge ends, then its external
         variables in final order.  Each join takes the product with one
@@ -361,7 +375,8 @@ class Realization:
         free = [("a", k) for k in syms] + [("x", j) for j in bound]
         final = {lab: t for t, lab in enumerate(free)}
         part, present = CodeSubgroup(ProductSpace([]), []), set()
-        for cl in self._join_order():
+        stripped = dict(self.peel())
+        for cl in [*stripped, *(c for c in self.constraints if c not in stripped)]:
             con, w = self.constraints[cl], part.ambient.width
             present.add(cl)
             new = [(self._slot_coordinate(cl, i), self.alphabet_of(v))
@@ -395,28 +410,28 @@ class Realization:
             boundary if boundary is not None else self.boundary,
         )
 
-    def fold_edge_iso(self, j: str) -> "Realization":
-        """Equivalent realization where edge j carries the identity.
+    def fold_edge_iso(self, *edges: str) -> "Realization":
+        """Equivalent realization where the listed edges carry the identity.
 
-        The isomorphism is absorbed into the head constraint by composing
-        its slot with the map; behavior is unchanged.
+        Each isomorphism is absorbed into its head constraint by composing
+        that slot with the map; behavior is unchanged.  Returns self when no
+        listed edge carries one.
         """
-        sv = self.states.get(j)
-        if sv is None:
-            raise UnknownEdge(f"no state variable {j!r}")
-        if sv.iso is None:
-            return self
-        ends = self.slots[j]
-        if len(ends) != 2:
-            raise UnknownEdge(f"state {j!r} is not an internal edge")
-        head_cl, head_slot = ends[1]
-        con = self.constraints[head_cl]
-        new_code = _map_slot(con.code, head_slot, sv.iso.inverse())
-        constraints = dict(self.constraints)
-        constraints[head_cl] = Constraint(con.vars, new_code)
-        states = dict(self.states)
-        states[j] = StateVar(sv.alphabet, None)
-        return self.replaced(states=states, constraints=constraints)
+        states, constraints, folded = dict(self.states), dict(self.constraints), False
+        for j in edges:
+            sv = states.get(j)
+            if sv is None:
+                raise UnknownEdge(f"no state variable {j!r}")
+            if sv.iso is None:
+                continue
+            if len(self.slots[j]) != 2:
+                raise UnknownEdge(f"state {j!r} is not an internal edge")
+            head_cl, head_slot = self.slots[j][1]
+            con = constraints[head_cl]
+            constraints[head_cl] = Constraint(
+                con.vars, _map_slot(con.code, head_slot, sv.iso.inverse()))
+            states[j], folded = StateVar(sv.alphabet, None), True
+        return self.replaced(states=states, constraints=constraints) if folded else self
 
     def split(self, edges: Iterable[str],
               parts: Sequence[Collection[str]] | None = None) -> Split:
@@ -437,9 +452,7 @@ class Realization:
         for j in cut:
             if j not in self.states or j in bset or len(self.slots[j]) != 2:
                 raise UnknownEdge(f"no internal state edge {j!r}")
-        folded = self
-        for j in cut:
-            folded = folded.fold_edge_iso(j)
+        folded = self.fold_edge_iso(*cut)
         taken = set(self.symbols) | set(self.states)
         halves: dict[str, tuple[str, str]] = {}
         rename: dict[tuple[str, int], str] = {}

@@ -162,6 +162,9 @@ def realization_from_json(doc: object) -> Realization:
                 code = codes[key] = CodeSubgroup(amb, key[1])
             constraints[ident] = Constraint(vars_, code)
         boundary = list(_list_of(str, doc.get("boundary", []), "boundary"))
+        if len(set(boundary)) < len(boundary):
+            twice = next(b for b in boundary if boundary.count(b) > 1)
+            raise ParseError(f"boundary variable {twice!r} is listed twice")
         return Realization(symbols, states, constraints, boundary)
     except (AttributeError, KeyError, TypeError, ValueError,
             NormgraphError) as exc:
@@ -176,10 +179,20 @@ def dump_realization(r: Realization, path: str) -> None:
         fh.write("\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key it repeats."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [k for k, _ in pairs]
+        twice = next(k for k in keys if keys.count(k) > 1)
+        raise ParseError(f"key {twice!r} is repeated in one JSON object")
+    return out
+
+
 def load_realization(path: str) -> Realization:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
     return realization_from_json(doc)
@@ -212,7 +225,7 @@ def load_priors(path: str, r: Realization, exact: bool) -> dict[str, Message]:
     """
     with open(path) as fh:
         try:
-            doc = json.load(fh, parse_float=str)
+            doc = json.load(fh, parse_float=str, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

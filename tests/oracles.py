@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
@@ -34,18 +35,13 @@ DEFAULT_POOL = (GF2, GF3, Z4, cyclic_group(2))
 
 def z4_sample_realizations() -> list[Realization]:
     """Small Z_4 group-code fixtures: chains through the subgroup {0, 2}."""
-    out = []
-    out.append(trellis_realization([(1, 1), (0, 2)], [Z4, Z4]))
-    out.append(trellis_realization([(2, 2, 0), (0, 2, 2)], [Z4, Z4, Z4]))
     doubler = Homomorphism(Z4, Z4, ((3,),))
     ident = CodeSubgroup(_slot_space([Z4, Z4]), [(1, 1)])
-    out.append(Realization(
-        symbols={"a0": Z4, "a1": Z4},
-        states={"s": StateVar(Z4, doubler)},
-        constraints={"c0": Constraint(("a0", "s"), ident),
-                     "c1": Constraint(("s", "a1"), ident)},
-    ))
-    return out
+    return [trellis_realization([(1, 1), (0, 2)], [Z4, Z4]),
+            trellis_realization([(2, 2, 0), (0, 2, 2)], [Z4, Z4, Z4]),
+            Realization({"a0": Z4, "a1": Z4}, {"s": StateVar(Z4, doubler)},
+                        {"c0": Constraint(("a0", "s"), ident),
+                         "c1": Constraint(("s", "a1"), ident)})]
 
 
 # -- randomized corpus -----------------------------------------------------------
@@ -63,19 +59,11 @@ def random_subgroup(rng: random.Random, space: ProductSpace,
 
 def random_automorphism(rng: random.Random, alpha: Alphabet) -> Homomorphism | None:
     """A diagonal unit automorphism, or None for the identity."""
-    diag = []
-    nontrivial = False
-    for m in alpha.moduli:
-        units = [u for u in range(1, m) if gcd(u, m) == 1]
-        u = rng.choice(units)
-        nontrivial = nontrivial or u != 1
-        diag.append(u)
-    if not nontrivial:
+    diag = [rng.choice([u for u in range(1, m) if gcd(u, m) == 1]) for m in alpha.moduli]
+    if all(u == 1 for u in diag):
         return None
-    mat = tuple(
-        tuple(diag[i] if i == j else 0 for j in range(alpha.width))
-        for i in range(alpha.width))
-    return Homomorphism(alpha, alpha, mat)
+    return Homomorphism(alpha, alpha, tuple(
+        tuple(u if i == j else 0 for j in range(alpha.width)) for i, u in enumerate(diag)))
 
 
 def random_realization(seed: int, topology: str = "cycle",
@@ -106,21 +94,15 @@ def random_realization(seed: int, topology: str = "cycle",
         alpha = rng.choice(pool)
         iso = random_automorphism(rng, alpha) if rng.random() < iso_prob else None
         states[j] = StateVar(alpha, iso)
-    incident: dict[str, list[str]] = {f"c{i}": [] for i in range(k)}
-    for ca, cb, j in edges:
-        incident[ca].append(j)
-        incident[cb].append(j)
-    symbols = {}
-    constraints = {}
+    symbols, constraints = {}, {}
     for i in range(k):
         cl = f"c{i}"
-        vars_ = list(incident[cl])
+        vars_ = [j for ca, cb, j in edges if cl in (ca, cb)]
         if rng.random() < symbol_prob:
-            lab = f"a{i}"
-            symbols[lab] = rng.choice(pool)
-            vars_.append(lab)
-        alphas = [states[v].alphabet if v in states else symbols[v] for v in vars_]
-        space = _slot_space(alphas)
+            symbols[f"a{i}"] = rng.choice(pool)
+            vars_.append(f"a{i}")
+        space = _slot_space([states[v].alphabet if v in states else symbols[v]
+                             for v in vars_])
         constraints[cl] = Constraint(tuple(vars_), random_subgroup(rng, space, max_gens))
     return Realization(symbols, states, constraints)
 
@@ -142,20 +124,14 @@ def random_fragment(seed: int, boundary_alpha: Alphabet,
         blab += "+"
     new_amb = ProductSpace(
         list(con.code.ambient.factors) + [(len(con.vars), boundary_alpha)])
-    rows = []
-    for row in con.code.rows:
-        rows.append(tuple(row) + tuple(rng.randrange(m)
-                                       for m in boundary_alpha.moduli))
-    for e in boundary_alpha.unit_rows():
-        if rng.random() < 0.7:
-            rows.append((0,) * con.code.ambient.width + e)
-    states = dict(r.states)
-    states[blab] = StateVar(boundary_alpha)
-    constraints = dict(r.constraints)
-    constraints[first] = Constraint(con.vars + (blab,),
-                                    CodeSubgroup(new_amb, rows))
-    return Realization(r.symbols, states, constraints,
-                       boundary=list(r.boundary) + [blab])
+    rows = [tuple(row) + tuple(rng.randrange(m) for m in boundary_alpha.moduli)
+            for row in con.code.rows]
+    rows += [(0,) * con.code.ambient.width + e for e in boundary_alpha.unit_rows()
+             if rng.random() < 0.7]
+    constraints = r.constraints | {
+        first: Constraint(con.vars + (blab,), CodeSubgroup(new_amb, rows))}
+    return Realization(r.symbols, r.states | {blab: StateVar(boundary_alpha)},
+                       constraints, boundary=list(r.boundary) + [blab])
 
 
 # -- the iso-rich pool -------------------------------------------------------------
@@ -193,6 +169,55 @@ def instances():
             yield with_isos(base, random.Random(f"iso/{seed}"), 0.7)
 
 
+def engine_instances(topologies, count):
+    """The sum-product engine's pool: `POOL` realizations with isos on most edges."""
+    for seed in range(count):
+        topology = topologies[seed % len(topologies)]
+        base = random_realization(1000 + seed, topology=topology, pool=POOL,
+                                  n_constraints=3 + seed % 2, symbol_prob=0.7,
+                                  max_gens=2)
+        if base.validate().is_valid:
+            yield with_isos(base, random.Random(f"engine/{seed}"), 0.8)
+
+
+def random_small_realization(rng: random.Random) -> Realization:
+    """Tiny path or ring with random constraint codes."""
+    alphas = [GF2, GF3, Z4, cyclic_group(2)]
+    n = rng.randrange(2, 4)
+    ring = rng.random() < 0.5
+    symbols, states, constraints = {}, {}, {}
+    for i in range(n):
+        if i < n - 1 or ring:
+            states[f"s{i}"] = StateVar(rng.choice(alphas))
+    for i in range(n):
+        symbols[f"a{i}"] = rng.choice(alphas)
+        vars_ = [f"a{i}"]
+        if (i > 0 or ring) and f"s{(i - 1) % n}" in states:
+            vars_.append(f"s{(i - 1) % n}")
+        if i < n - 1 or ring:
+            vars_.append(f"s{i}")
+        amb = _slot_space([symbols[v] if v in symbols else states[v].alphabet
+                           for v in vars_])
+        rows = [tuple(rng.randrange(m) for m in amb.moduli)
+                for _ in range(rng.randrange(1, 3))]
+        constraints[f"c{i}"] = Constraint(tuple(vars_), CodeSubgroup(amb, rows))
+    return Realization(symbols, states, constraints)
+
+
+def two_core_by_rounds(r: Realization, rng: random.Random | None = None) -> set[str]:
+    """The reference for `Realization.peel`: each round recounts every
+    degree and strips every leaf, or one random leaf with an rng."""
+    alive = set(r.constraints)
+    edges = [[c for c, _ in r.slots[j]] for j in r.internal_states()]
+    while True:
+        deg = Counter(c for ends in edges if len(ends) == 2 and set(ends) <= alive
+                      for c in ends)
+        leaves = sorted(c for c in alive if deg[c] <= 1)
+        if not leaves:
+            return alive
+        alive -= {rng.choice(leaves)} if rng is not None else set(leaves)
+
+
 def bench_like_ring(n: int, seed: int = 0) -> Realization:
     """A tail-biting ring like the benchmark's: edge s_t over GF(3), Z_4 or
     Z_12 by t mod 3, symbol a_t the next, two random generators per section
@@ -210,14 +235,12 @@ def bench_like_ring(n: int, seed: int = 0) -> Realization:
             if code.order == alpha[t].order * pool[(t + 1) % 3].order:
                 break
         codes.append(code)
-    r = ring_realization(codes)
-    states = {}
+    r, states = ring_realization(codes), {}
     for j, sv in r.states.items():
         m = sv.alphabet.moduli[0]
         units = [u for u in range(2, m) if gcd(u, m) == 1]
-        iso = (Homomorphism(sv.alphabet, sv.alphabet, ((rng.choice(units),),))
-               if int(j[1:]) % 2 else None)
-        states[j] = StateVar(sv.alphabet, iso)
+        states[j] = StateVar(sv.alphabet, Homomorphism(
+            sv.alphabet, sv.alphabet, ((rng.choice(units),),)) if int(j[1:]) % 2 else None)
     return r.replaced(states=states)
 
 

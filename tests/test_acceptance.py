@@ -66,19 +66,11 @@ def total_coordinates(r: Realization) -> int:
 def corpus_realizations(count: int, topologies, max_coords: int = 12,
                         iso_prob: float = 0.15, start_seed: int = 0):
     """Seeded stream of valid corpus realizations."""
-    out = []
-    seed = start_seed
-    while len(out) < count:
-        topo = topologies[seed % len(topologies)]
-        r = random_realization(seed, topology=topo, pool=MIXED_POOL,
-                               iso_prob=iso_prob)
-        seed += 1
-        if not r.validate().is_valid:
-            continue
-        if total_coordinates(r) > max_coords:
-            continue
-        out.append(r)
-    return out
+    rs = (random_realization(seed, topology=topologies[seed % len(topologies)],
+                             pool=MIXED_POOL, iso_prob=iso_prob)
+          for seed in itertools.count(start_seed))
+    return list(itertools.islice((r for r in rs if r.validate().is_valid
+                                  and total_coordinates(r) <= max_coords), count))
 
 
 def test_criterion_1_duality_suite():
@@ -172,9 +164,8 @@ def _reassemble_ftsp(code: CodeSubgroup, part_a, part_b):
     def sym_name(lab):
         return f"v{lab}"
 
-    symbols = {}
-    for lab in list(part_a) + list(part_b):
-        symbols[sym_name(lab)] = code.ambient.alphabet(lab)
+    symbols = {sym_name(lab): code.ambient.alphabet(lab)
+               for lab in list(part_a) + list(part_b)}
     states = {"q": StateVar(qa.alphabet,
                             None if iso.matrix == tuple(
                                 tuple(1 if i == j else 0

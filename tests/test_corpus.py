@@ -28,9 +28,11 @@ from tests.oracles import (
     bench_like_ring,
     brute_force_app,
     configurations,
+    engine_instances,
     instances,
     random_fragment,
     random_realization,
+    random_small_realization,
     z4_sample_realizations,
 )
 
@@ -168,3 +170,9 @@ def test_seeded_streams_are_unchanged():
     docs = json.dumps([realization_to_json(r) for r in rs], sort_keys=True)
     assert hashlib.sha256(docs.encode()).hexdigest() == (
         "031faf70fdbaa681ba833cdadfcebc51e7be9dbfdfdef996559e82e0a9fbdd72")
+    rng = random.Random(97)
+    rs = [*(random_small_realization(rng) for _ in range(40)),
+          *engine_instances(TOPOLOGIES, 40)]
+    docs = json.dumps([realization_to_json(r) for r in rs], sort_keys=True)
+    assert hashlib.sha256(docs.encode()).hexdigest() == (
+        "2e59e6cdf563462ff579a3fb75657690d32044c99923ec3b317b4b5e2d9576c6")

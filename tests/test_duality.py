@@ -8,13 +8,13 @@ from pathlib import Path
 from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
 from normgraph.duality import _dual_edge_map, dualize, verify_duality
 from normgraph.homs import Homomorphism, identity_map, negation_map
+from normgraph.corpus import equality_code
 from normgraph.realization import Constraint, Realization, StateVar, _is_identity
 from normgraph.serialize import load_realization
 from normgraph.subgroups import CodeSubgroup
 
-from tests.oracles import instances as pool_instances
+from tests.oracles import instances as pool_instances, random_small_realization
 from .test_realization import (
-    _random_small_realization,
     _rep_code_trellis,
     code_over,
     rep3_trellis,
@@ -27,17 +27,8 @@ Z4 = cyclic_group(4)
 
 
 def equality_node(alpha, n, syms):
-    rows = []
-    for i in range(alpha.width):
-        unit = [0] * alpha.width
-        unit[i] = 1
-        rows.append(tuple(unit) * n)
-    code = code_over([alpha] * n, rows)
-    return Realization(
-        symbols={s: alpha for s in syms},
-        states={},
-        constraints={"c": Constraint(tuple(syms), code)},
-    )
+    return Realization({s: alpha for s in syms}, {},
+                       {"c": Constraint(tuple(syms), equality_code(alpha, n))})
 
 
 def test_equality_dualizes_to_zero_sum():
@@ -89,7 +80,7 @@ def test_an_edge_without_an_iso_dualizes_by_negation():
 def test_dualize_involutive():
     rng = random.Random(109)
     for _ in range(20):
-        r = _random_small_realization(rng)
+        r = random_small_realization(rng)
         if not r.validate().is_valid:
             continue
         assert dualize(dualize(r)) == r
@@ -113,7 +104,7 @@ def test_duality_random_corpus():
     rng = random.Random(113)
     count = 0
     for _ in range(40):
-        r = _random_small_realization(rng)
+        r = random_small_realization(rng)
         if not r.validate().is_valid:
             continue
         rep = verify_duality(r)

@@ -30,9 +30,12 @@ from normgraph.graphcore import (
     two_core,
 )
 from normgraph.realization import Constraint, Realization, StateVar
+from normgraph.serialize import realization_from_json
 from normgraph.subgroups import CodeSubgroup
 from normgraph.alphabets import ProductSpace
-from tests.oracles import TOPOLOGIES, random_realization
+from tests.oracles import TOPOLOGIES, random_realization, two_core_by_rounds
+from tests.test_acceptance import _planted_ring, _relabeled, corpus_realizations
+from tests.test_bench_guard import bench_module
 
 
 def path3():
@@ -89,6 +92,16 @@ def test_cut_edges():
     assert len(bridges) == 1
 
 
+def self_loop_graph() -> Realization:
+    """A self-loop at c0, two parallel edges c0-c1 and a bridge c1-c2."""
+    space = ProductSpace([(i, GF2) for i in range(5)])
+    return Realization(
+        {}, {j: StateVar(GF2) for j in "stuv"},
+        {"c0": Constraint(("s", "s", "t", "u", "v"), CodeSubgroup(space, [])),
+         "c1": Constraint(("t", "u"), equality_code(GF2, 2)),
+         "c2": Constraint(("v",), CodeSubgroup(ProductSpace([(0, GF2)]), []))})
+
+
 def cut_edges_by_definition(r: Realization) -> set[str]:
     base = len(r.components())
     return {j for j in r.internal_states()
@@ -102,13 +115,7 @@ def test_cut_edges_match_the_component_definition():
     h = [[int((j - 2 * i) % 12 < 6) for j in range(12)] for i in range(6)]
     cases += [tanner_realization(h, GF2), tanner_realization(h[:2], GF2),
               trellis_realization([(1, 1, 0, 1, 1), (0, 1, 1, 1, 0)], [GF2] * 5)]
-    # a self-loop at c0, two parallel edges c0-c1 and a bridge c1-c2
-    space = ProductSpace([(i, GF2) for i in range(5)])
-    self_loop = Realization(
-        {}, {j: StateVar(GF2) for j in "stuv"},
-        {"c0": Constraint(("s", "s", "t", "u", "v"), CodeSubgroup(space, [])),
-         "c1": Constraint(("t", "u"), equality_code(GF2, 2)),
-         "c2": Constraint(("v",), CodeSubgroup(ProductSpace([(0, GF2)]), []))})
+    self_loop = self_loop_graph()
     assert cut_edges(self_loop) == {"v"}
     bridges = 0
     for r in cases + [self_loop]:
@@ -156,6 +163,50 @@ def test_two_core_order_independent():
             dec = two_core(r, rng)
             got = set(dec.core.constraints) if dec.core else set()
             assert got == base_core
+
+
+def peel_suite():
+    """This module's graphs and the acceptance graph suite, rings with
+    pendant trees, and a path beside a cyclic graph."""
+    h = [[int((j - 2 * i) % 12 < 6) for j in range(12)] for i in range(6)]
+    a, b = _relabeled(path3(), "x"), _relabeled(parallel_transition_ring(), "y")
+    yield from [tanner_realization(h, GF2), tanner_realization(h[:2], GF2),
+                self_loop_graph(), parallel_transition_ring(), path3(),
+                _planted_ring(GF3, 4, False, 2),
+                Realization(a.symbols | b.symbols, a.states | b.states,
+                            a.constraints | b.constraints)]
+    yield from (random_realization(seed, topology=topology, n_constraints=3 + seed % 4)
+                for seed in range(10) for topology in TOPOLOGIES)
+    yield from corpus_realizations(40, TOPOLOGIES, max_coords=14, start_seed=101_000)
+
+
+def test_peel_leaves_the_round_based_two_core():
+    """`peel`, with or without an rng, strips each constraint outside the
+    reference 2-core once.  Each edge of a stripped constraint leads to one
+    stripped earlier, except the edge it hung by; each tree component has
+    one None, and a component with a core none."""
+    for k, r in enumerate(peel_suite()):
+        core, adj = two_core_by_rounds(r), r.neighbors()
+        assert two_core_by_rounds(r, random.Random(k)) == core
+        for peel in (r.peel(), r.peel(random.Random(k)), r.peel(random.Random(-k))):
+            place = {c: t for t, (c, _) in enumerate(peel)}
+            assert len(place) == len(peel) and place.keys() == r.constraints.keys() - core
+            for t, (c, j) in enumerate(peel):
+                assert all((e == j) == (place.get(d, t + 1) > t) for e, d in adj[c])
+            for comp in r.components():
+                assert sum(j is None for c, j in peel if c in comp) == (not comp & core)
+    assert k == 86
+
+
+def test_a_trellis_peels_in_listing_order():
+    """So the cycle-free join closes the bench `trellis` section by section."""
+    workload = bench_module("workloads").trellis_workload(0)
+    for r in (realization_from_json(workload.realization), path3(),
+              trellis_realization([(1, 1, 0, 1, 1), (0, 1, 1, 1, 0)], [GF2] * 5)):
+        cons, peel = list(r.constraints), r.peel()
+        assert [c for c, _ in peel] == cons and peel[-1][1] is None
+        assert [tuple(c for c, _ in r.slots[j]) for _, j in peel[:-1]] \
+            == list(zip(cons, cons[1:]))
 
 
 def test_second_decomposition_requires_trim_proper():

@@ -40,14 +40,9 @@ def trellis(n: int):
 
 
 def corpus_realizations():
-    out = []
-    for path in sorted(CORPUS.glob("*.json")):
-        if path.name.endswith("_priors.json"):
-            continue
-        r = load_realization(str(path))
-        if r.validate().is_valid:
-            out.append(r)
-    return out
+    rs = [load_realization(str(path)) for path in sorted(CORPUS.glob("*.json"))
+          if not path.name.endswith("_priors.json")]
+    return [r for r in rs if r.validate().is_valid]
 
 
 def with_fragments(rs):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
+from normgraph.corpus import zero_sum_code as zero_sum
 from normgraph.homs import Homomorphism
 from normgraph.realization import (
     Constraint,
@@ -14,7 +16,7 @@ from normgraph.realization import (
     normalize,
 )
 from normgraph.subgroups import CodeSubgroup
-from tests.oracles import OracleHarness
+from tests.oracles import OracleHarness, instances, random_small_realization
 
 GF2 = vector_space(2, 1)
 GF3 = vector_space(3, 1)
@@ -23,17 +25,6 @@ Z4 = cyclic_group(4)
 
 def code_over(alphas, rows):
     return CodeSubgroup(ProductSpace(list(enumerate(alphas))), rows)
-
-
-def zero_sum(alpha, n):
-    rows = []
-    for i in range(n - 1):
-        for t in range(alpha.width):
-            row = [0] * (n * alpha.width)
-            row[i * alpha.width + t] = 1
-            row[(n - 1) * alpha.width + t] = alpha.moduli[t] - 1
-            rows.append(row)
-    return code_over([alpha] * n, rows)
 
 
 def rep3_trellis():
@@ -113,48 +104,11 @@ def test_edge_isomorphism_behavior():
 def test_behavior_matches_exhaustive_oracle():
     rng = random.Random(97)
     for trial in range(25):
-        r = _random_small_realization(rng)
+        r = random_small_realization(rng)
         bundle = r.behavior_bundle()
         oracle = OracleHarness.build(r)
         assert set(r.code().elements()) == oracle.projection(oracle.syms)
         assert bundle.extended.order == bundle.behavior.order
-
-
-def _random_small_realization(rng):
-    """Tiny path or ring with random constraint codes."""
-    alphas = [GF2, GF3, Z4, cyclic_group(2)]
-    n = rng.randrange(2, 4)
-    ring = rng.random() < 0.5
-    symbols = {}
-    states = {}
-    constraints = {}
-    edge_alpha = {}
-    for i in range(n):
-        j = f"s{i}"
-        if i < n - 1 or ring:
-            edge_alpha[j] = rng.choice(alphas)
-            states[j] = StateVar(edge_alpha[j])
-    for i in range(n):
-        vars_ = []
-        slot_alphas = []
-        a_lab = f"a{i}"
-        symbols[a_lab] = rng.choice(alphas)
-        vars_.append(a_lab)
-        slot_alphas.append(symbols[a_lab])
-        if i > 0 or ring:
-            j = f"s{(i - 1) % n}"
-            if j in states:
-                vars_.append(j)
-                slot_alphas.append(states[j].alphabet)
-        if i < n - 1 or ring:
-            j = f"s{i}"
-            vars_.append(j)
-            slot_alphas.append(states[j].alphabet)
-        amb = ProductSpace(list(enumerate(slot_alphas)))
-        rows = [tuple(rng.randrange(m) for m in amb.moduli)
-                for _ in range(rng.randrange(1, 3))]
-        constraints[f"c{i}"] = Constraint(tuple(vars_), CodeSubgroup(amb, rows))
-    return Realization(symbols, states, constraints)
 
 
 def test_disconnected_code_is_product():
@@ -370,6 +324,17 @@ def test_fold_edge_iso():
     folded = r.fold_edge_iso("s")
     assert folded.states["s"].iso is None
     assert folded.code() == r.code()
+
+
+def test_fold_edge_iso_folds_every_listed_edge_in_one_call():
+    folds = 0
+    for r in instances():
+        edges = [j for j in r.internal_states() if len(r.slots[j]) == 2]
+        one_by_one = functools.reduce(Realization.fold_edge_iso, edges, r)
+        assert r.fold_edge_iso(*edges) == one_by_one
+        assert one_by_one.fold_edge_iso(*edges) is one_by_one
+        folds += one_by_one is not r
+    assert folds >= 20
 
 
 def test_error_surfaces():

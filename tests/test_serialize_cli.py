@@ -346,6 +346,9 @@ MALFORMED_DOCUMENT = [
         {"id": None, "vars": ["a0", "a1"], "generators": []}]),
      4, "constraint id must be a string"),
     ("boundary a string", REP3 | {"boundary": "s1"}, 4, "boundary must be a list"),
+    ("boundary lists a state twice", malformed_document(
+        vars_=["a0", "a1", "x"], states=[{"id": "x", "alphabet": "F"}],
+        boundary=["x", "x"]), 4, "boundary variable 'x' is listed twice"),
 ]
 
 
@@ -365,6 +368,27 @@ def test_cli_malformed_documents_exit_cleanly(tmp_path, capsys):
             assert out == "", case
         else:
             assert out.startswith("ok"), case
+
+
+def test_a_repeated_json_key_is_a_parse_error(tmp_path, capsys):
+    """Raw text, since a dict cannot repeat a key: the last entry won."""
+    rep3, path = (CORPUS / "rep3.json").read_text(), tmp_path / "doc.json"
+    decode = ["decode", str(CORPUS / "rep3.json"), "--exact", "--priors"]
+    for key, argv, text in (
+            ("A0", ["validate"], rep3.replace('"A0": {', '"A0": {"cyclic": [2]}, "A0": {')),
+            ("id", ["validate"], rep3.replace('"id": "c0",', '"id": "c0", "id": "c9",')),
+            ("a0", decode, '{"a0": [0.9, 0.1], "a0": [0.1, 0.9]}')):
+        path.write_text(text)
+        assert main([*argv, str(path)]) == 4, key
+        assert capsys.readouterr() == (
+            "", f"error: key {key!r} is repeated in one JSON object\n")
+
+
+def test_validate_reports_a_repeated_boundary_entry():
+    r = realization_from_json(malformed_document(
+        vars_=["a0", "a1", "x"], states=[{"id": "x", "alphabet": "F"}], boundary=["x"]))
+    assert r.replaced(boundary=["x", "x"]).validate().degree_errors == [
+        "boundary variable 'x' is listed 2 times"]
 
 
 def test_equal_constraint_codes_share_one_object():

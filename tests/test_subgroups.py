@@ -19,6 +19,7 @@ from normgraph.subgroups import (
     product_subgroup,
     zero_subgroup,
 )
+from tests.oracles import close_rows as close
 
 GF2 = vector_space(2, 1)
 GF3 = vector_space(3, 1)
@@ -27,20 +28,6 @@ Z4 = cyclic_group(4)
 
 def space(*alphas):
     return ProductSpace([(i, a) for i, a in enumerate(alphas)])
-
-
-def close(ambient, rows):
-    """Brute-force subgroup closure (independent of the Howell engine)."""
-    seen = {ambient.zero}
-    frontier = [ambient.zero]
-    while frontier:
-        x = frontier.pop()
-        for r in rows:
-            y = ambient.add(x, r)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
 
 
 def random_subgroup(rng, ambient, max_gens=3):

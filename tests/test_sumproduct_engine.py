@@ -47,11 +47,14 @@ from tests.oracles import (
     POOL,
     TOPOLOGIES,
     brute_force_app,
+    engine_instances,
     instances as syndrome_instances,
+    random_fragment,
     random_realization,
     with_isos,
     z4_sample_realizations,
 )
+from tests.test_acceptance import _relabeled
 from tests.test_bench_guard import bench_module
 from tests.test_zmod import span_elements
 
@@ -359,16 +362,6 @@ def ref_decode(r, priors, max_iters, schedule, damping, exact):
 # -- instances -------------------------------------------------------------------
 
 
-def pool_instances(topologies, count):
-    for seed in range(count):
-        topology = topologies[seed % len(topologies)]
-        base = random_realization(1000 + seed, topology=topology, pool=POOL,
-                                  n_constraints=3 + seed % 2, symbol_prob=0.7,
-                                  max_gens=2)
-        if base.validate().is_valid:
-            yield with_isos(base, random.Random(f"engine/{seed}"), 0.8)
-
-
 def random_priors(r, rng, exact):
     """Random weights with some zeros, so the zero early exit is exercised."""
     def weight():
@@ -411,7 +404,7 @@ def assert_both_exact_routes(r, priors):
 
 def test_float_decode_equals_the_per_target_loop():
     runs = iso_instances = 0
-    for r in pool_instances(("cycle", "cycle_pendant", "theta"), 30):
+    for r in engine_instances(("cycle", "cycle_pendant", "theta"), 30):
         iso_instances += any(sv.iso is not None for sv in r.states.values())
         priors = random_priors(r, random.Random(runs), exact=False)
         for schedule in ("flooding", "serial"):
@@ -454,9 +447,33 @@ def test_bench_shaped_tanner_decode_equals_the_per_target_loop():
     assert report.deltas == deltas
 
 
+def pendant_cycle(k: int, n: int = 200):
+    """A cycle of k - 1 with one pendant constraint and an n-section chain
+    hanging off the cycle, random codes over `POOL`, isos on most edges."""
+    chain = random_fragment(n, GF2, n, POOL)
+    ring = _relabeled(random_fragment(k, GF2, k, POOL, cycle_free=False), "ring")
+    return with_isos(ring.connect(chain, "ring.b0", "b0"), random.Random(k), 0.8)
+
+
+def test_pendant_chains_decode_as_the_per_target_loop():
+    """The peeled forest of a cycle with a long pendant chain: sent once in
+    and once out around the core iterations, as the reference sends it
+    (whose search for the core side of each edge is quadratic in n)."""
+    for k in (4, 5):
+        r = pendant_cycle(k)
+        assert len(two_core_constraints(r)) == k - 1 and len(r.constraints) == k + 200
+        priors = random_priors(r, random.Random(k), exact=False)
+        schedule = ("flooding", "serial")[k % 2]
+        res, report = decode_iterative(r, priors, max_iters=4, schedule=schedule,
+                                       damping=0.25, tol=0)
+        (sym, st), deltas = ref_decode(r, priors, 4, schedule, 0.25, exact=False)
+        assert res.symbol_marginals == sym and res.state_marginals == st
+        assert report.deltas == deltas
+
+
 def test_exact_iterative_equals_the_per_target_loop():
     done = 0
-    for r in pool_instances(("cycle", "theta"), 12):
+    for r in engine_instances(("cycle", "theta"), 12):
         priors = random_priors(r, random.Random(done), exact=True)
         res, report = decode_iterative(r, priors, max_iters=3, damping=0.5,
                                        tol=0, exact=True)
@@ -472,7 +489,7 @@ def test_exact_decode_equals_brute_force():
     twentieths and mixed denominators, and every fourth instance has an
     all-zero prior, which no word survives."""
     done = iso_instances = contradictions = 0
-    for r in pool_instances(("path",), 40):
+    for r in engine_instances(("path",), 40):
         if r.configuration_space_order() > 2**16:
             continue            # beyond what enumeration reaches quickly
         rng = random.Random(done)
@@ -502,7 +519,7 @@ def test_decode_exact_on_a_fragment_uses_flat_boundary_evidence():
     base = random_realization(5, topology="path", n_constraints=3)
     cases = [(frag, random_priors(frag, random.Random(5), exact=True))
              for frag in base.split(["s0"]).fragments]
-    for r in pool_instances(("path",), 40):
+    for r in engine_instances(("path",), 40):
         edges = [j for j in r.internal_states() if len(r.slots[j]) == 2]
         if edges and r.configuration_space_order() <= 2**16:
             cases += [(frag, mixed_priors(frag, random.Random(len(cases))))
@@ -575,7 +592,7 @@ def table_realizations():
     topologies (the width-2 pool and the default one), the corpus, and the
     bench's trellis, ring and (3,6) Tanner documents."""
     yield from syndrome_instances()
-    yield from pool_instances(TOPOLOGIES, 24)
+    yield from engine_instances(TOPOLOGIES, 24)
     for seed in range(24):
         r = random_realization(seed, topology=TOPOLOGIES[seed % 4], iso_prob=0.8)
         if r.validate().is_valid:
