@@ -22,12 +22,7 @@ from .errors import (
 )
 from .graphcore import cut_edges
 from .realization import Constraint, Realization, StateVar, _map_slot
-from .subgroups import (
-    CodeSubgroup,
-    QuotientMap,
-    cylinder,
-    product_subgroup,
-)
+from .subgroups import CodeSubgroup, QuotientMap, product_subgroup, restrict_merge
 
 
 # -- trimness and properness ---------------------------------------------------
@@ -96,44 +91,22 @@ def far_side_fragment(r: Realization, constraint: str, edge: str
 def local_reduce(r: Realization, constraint: str, edge: str) -> Realization:
     """Reduce a state alphabet using the far-side fragment's external behavior.
 
-    Replaces the edge alphabet by the trimmed-modulo-nondynamical quotient
-    and restricts/merges the two incident constraint codes accordingly.
+    Replaces the edge alphabet by the far side's interface quotient at the
+    edge and restricts/merges the two incident constraint codes accordingly.
     Returns the input unchanged when the far side is already trim and proper
     at the edge.  The realized code is preserved exactly.
     """
     folded, frag, blabel = far_side_fragment(r, constraint, edge)
-    ext = frag.external_behavior()
-    trimmed = ext.project([blabel])
-    nondyn = ext.cross_section([blabel])
-    alpha = r.states[edge].alphabet
-    if trimmed.order == alpha.order and nondyn.is_trivial:
+    quot = frag.external_behavior().interface([blabel])
+    if quot.order == r.states[edge].alphabet.order:
         return r
-    quot = trimmed.quotient_by(nondyn)
     new_states = dict(folded.states)
     new_states[edge] = StateVar(quot.alphabet, None)
     new_constraints = dict(folded.constraints)
     for cl, slot in folded.slots[edge]:
         con = new_constraints[cl]
-        new_constraints[cl] = Constraint(
-            con.vars, _restrict_merge(con.code, {slot: (trimmed, quot)}))
+        new_constraints[cl] = Constraint(con.vars, restrict_merge(con.code, {slot: quot}))
     return folded.replaced(states=new_states, constraints=new_constraints)
-
-
-def _restrict_merge(code: CodeSubgroup,
-                    merges: dict[int, tuple[CodeSubgroup, QuotientMap]]) -> CodeSubgroup:
-    """Restrict each slot in `merges` to its allowed subgroup, in one
-    intersection, and merge that slot's values into its quotient classes."""
-    amb = code.ambient
-    restricted = code.intersect(cylinder(
-        amb, {amb.labels[slot]: allowed for slot, (allowed, _) in merges.items()}))
-    factors = list(amb.factors)
-    for slot, (_, quot) in merges.items():
-        factors[slot] = (amb.labels[slot], quot.alphabet)
-    spans = [amb.span(lab) for lab in amb.labels]
-    rows = [sum((merges[i][1].project(row[a:b]) if i in merges else row[a:b]
-                 for i, (a, b) in enumerate(spans)), ())
-            for row in restricted.rows]
-    return CodeSubgroup(ProductSpace(factors), rows)
 
 
 def reduce_to_fixpoint(r: Realization) -> Realization:
@@ -160,33 +133,22 @@ def reduce_to_fixpoint(r: Realization) -> Realization:
 
 
 @record
-class InterfaceNode:
-    """Inclusion/natural-map constraint between a symbol and its effective alphabet."""
-
-    symbol: str
-    code: CodeSubgroup          # over (symbol alphabet, effective alphabet)
-    quotient: QuotientMap
-    trimmed: CodeSubgroup
-    nondynamical: CodeSubgroup
-
-
-@record
 class CanonicalDecomposition:
     core: Realization
-    interfaces: dict[str, InterfaceNode]  # only symbols needing a nontrivial node
+    interfaces: dict[str, QuotientMap]  # C|k / C:k, only where nontrivial
 
     def compose(self) -> Realization:
         """Reassemble interface nodes with the core; realizes the original code."""
         symbols = dict(self.core.symbols)
         states = dict(self.core.states)
         constraints = dict(self.core.constraints)
-        for k, node in self.interfaces.items():
+        for k, quot in self.interfaces.items():
             eff_label = f"{k}~"
             while eff_label in symbols or eff_label in states:
                 eff_label += "~"
             # core currently exposes the effective alphabet as symbol k
             symbols.pop(k)
-            states[eff_label] = StateVar(node.quotient.alphabet, None)
+            states[eff_label] = StateVar(quot.alphabet, None)
             renamed: dict[str, Constraint] = {}
             for cl, con in constraints.items():
                 if k in con.vars:
@@ -195,14 +157,13 @@ class CanonicalDecomposition:
                 else:
                     renamed[cl] = con
             constraints = renamed
-            symbols[k] = self.interfaces[k].code.ambient.factors[0][1]
+            symbols[k] = quot.group.ambient.alphabet(k)
             iface_label = f"iface:{k}"
             while iface_label in constraints:
                 iface_label += "+"
-            constraints[iface_label] = Constraint(
-                (k, eff_label),
-                node.code.renamed({node.code.ambient.labels[0]: 0,
-                                   node.code.ambient.labels[1]: 1}))
+            # slots 0 and 1 of the node on (k, eff_label)
+            constraints[iface_label] = Constraint((k, eff_label),
+                                                  quot.node(1).renamed({k: 0}))
         return Realization(symbols, states, constraints)
 
 
@@ -210,31 +171,24 @@ def canonical_decomposition(r: Realization) -> CanonicalDecomposition:
     """Local reductions to a fixpoint, then per-symbol interface extraction.
 
     The core realization has every constraint trim and proper at all its
-    variables; symbols whose trimmed/nondynamical alphabets are nontrivial
-    get interface nodes onto effective alphabets.
+    variables; each symbol k whose interface quotient C|k / C:k is smaller
+    than its alphabet gets an interface node onto that quotient.
     """
     r.require_valid()
     reduced = reduce_to_fixpoint(r)
     code = reduced.code()
-    interfaces: dict[str, InterfaceNode] = {}
+    interfaces: dict[str, QuotientMap] = {}
     symbols = dict(reduced.symbols)
     constraints = dict(reduced.constraints)
     for k in sorted(reduced.symbols, key=sort_key):
-        alpha = reduced.symbols[k]
-        trimmed = code.project([k])
-        nondyn = code.cross_section([k])
-        if trimmed.order == alpha.order and nondyn.is_trivial:
+        quot = code.interface([k])
+        if quot.order == reduced.symbols[k].order:
             continue
-        quot = trimmed.quotient_by(nondyn)
-        iface_amb = ProductSpace([(("sym", k), alpha), (("eff", k), quot.alphabet)])
-        iface_rows = [tuple(row) + quot.project(row) for row in trimmed.rows]
-        iface_code = CodeSubgroup(iface_amb, iface_rows)
         (cl, slot), = reduced.slots[k]
         con = constraints[cl]
-        constraints[cl] = Constraint(
-            con.vars, _restrict_merge(con.code, {slot: (trimmed, quot)}))
+        constraints[cl] = Constraint(con.vars, restrict_merge(con.code, {slot: quot}))
         symbols[k] = quot.alphabet
-        interfaces[k] = InterfaceNode(k, iface_code, quot, trimmed, nondyn)
+        interfaces[k] = quot
     core = reduced.replaced(symbols=symbols, constraints=constraints)
     # restricting symbol slots to globally reachable values can shrink the
     # constraints' state-slot projections, so the state alphabets may admit

@@ -519,20 +519,17 @@ class ReducedMessage:
     """A message collapsed onto the cosets of a constraint's cross-section."""
 
     quotient: QuotientMap        # (C|V) / (C:V)
-    trimmed: CodeSubgroup        # C|V
     message: Message             # over the quotient alphabet
 
 
 def message_reduce(code: CodeSubgroup, variable, msg: Message) -> ReducedMessage:
     """Trim weights to C|V and merge them over cosets of C:V."""
-    trimmed = code.project([variable])
-    nondyn = code.cross_section([variable])
-    quot = trimmed.quotient_by(nondyn)
+    quot = code.interface([variable])
     zero = Fraction(0) if isinstance(msg.weights[0], Fraction) else 0.0
     acc = [zero] * quot.alphabet.order
-    for v in trimmed.elements():
+    for v in quot.group.elements():
         acc[quot.alphabet.index(quot.project(v))] += msg.weight_of(v)
-    return ReducedMessage(quot, trimmed, Message(quot.alphabet, tuple(acc)))
+    return ReducedMessage(quot, Message(quot.alphabet, tuple(acc)))
 
 
 def message_expand(reduced: ReducedMessage, alpha: Alphabet,
@@ -540,9 +537,7 @@ def message_expand(reduced: ReducedMessage, alpha: Alphabet,
     """Spread each coset weight evenly over its members; zero outside C|V."""
     zero = Fraction(0) if exact else 0.0
     w = [zero] * alpha.order
-    coset_size = reduced.trimmed.order // reduced.quotient.alphabet.order
-    for v in reduced.trimmed.elements():
-        q = reduced.quotient.project(v)
-        share = reduced.message.weight_of(q) / coset_size
-        w[alpha.index(v)] = share
+    quot = reduced.quotient
+    for v in quot.group.elements():
+        w[alpha.index(v)] = reduced.message.weight_of(quot.project(v)) / quot.sub.order
     return Message(alpha, tuple(w))

@@ -102,8 +102,8 @@ def two_core(r: Realization, rng: random.Random | None = None) -> TwoCoreDecompo
         if set(frag.constraints) & alive:
             core = frag
         else:
-            assert len(frag.boundary) == 1
-            bvar = frag.boundary[0]
+            # a leaf hangs by one half-edge; other boundary variables are the input's
+            bvar = next(b for b in frag.boundary if b in edge_of)
             leaves_out.append(LeafAttachment(frag, edge_of[bvar], bvar))
     assert core is not None
     for b in core.boundary:
@@ -144,9 +144,7 @@ class LeafSummary:
     fragment: Realization
     edge: str | None
     boundary_var: str | None
-    trimmed: CodeSubgroup | None       # symbol-block projection of C^F
-    nondynamical: CodeSubgroup | None  # symbol-block cross-section of C^F
-    quotient: QuotientMap | None       # effective symbol configuration space
+    quotient: QuotientMap | None  # effective symbol configuration space C^F|A / C^F:A
     state_order: int | None
 
     @property
@@ -185,21 +183,19 @@ def second_canonical_decomposition(r: Realization) -> SecondDecomposition:
         edges = sorted((j for j in r.internal_states() if len(r.slots[j]) == 2),
                        key=sort_key)
         if not edges:
-            return SecondDecomposition(None, [
-                LeafSummary(r, None, None, None, None, None, None)])
+            return SecondDecomposition(None, [LeafSummary(r, None, None, None, None)])
         j = edges[0]
-        leaves = [_leaf_summary(f, j, r) for f in r.split([j]).fragments]
-        return SecondDecomposition(None, leaves)
-    leaves = [_leaf_summary(la.fragment, la.edge, r) for la in dec.leaves]
-    return SecondDecomposition(dec.core, leaves)
+        sp = r.split([j])
+        return SecondDecomposition(None, [
+            _leaf_summary(f, j, next(h for h in sp.halves[j] if h in f.boundary), r)
+            for f in sp.fragments])
+    return SecondDecomposition(dec.core, [
+        _leaf_summary(la.fragment, la.edge, la.boundary_var, r) for la in dec.leaves])
 
 
-def _leaf_summary(frag: Realization, edge: str, r: Realization) -> LeafSummary:
-    bvar = frag.boundary[0]
+def _leaf_summary(frag: Realization, edge: str, bvar: str, r: Realization) -> LeafSummary:
+    """The leaf's interface quotient on every external variable but the
+    half-edge `bvar` of the cut edge: its symbols and the input's boundary."""
     ext = frag.external_behavior()
-    syms = [lab for lab in ext.ambient.labels if lab != bvar]
-    trimmed = ext.project(syms)
-    nondyn = ext.cross_section(syms)
-    quotient = trimmed.quotient_by(nondyn)
-    state_order = r.states[edge].alphabet.order
-    return LeafSummary(frag, edge, bvar, trimmed, nondyn, quotient, state_order)
+    quotient = ext.interface([lab for lab in ext.ambient.labels if lab != bvar])
+    return LeafSummary(frag, edge, bvar, quotient, r.states[edge].alphabet.order)

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 from ._records import record
 from .alphabets import sort_key
-from .analysis import _restrict_merge
 from .errors import (
     Disconnected,
     NotCycleFree,
     NotInExternalBehavior,
     NotInternallyProper,
 )
-from .graphcore import cyclomatic_number
+from .graphcore import constraint_trim_proper, cyclomatic_number
 from .realization import Configuration, Constraint, Realization, StateVar
-from .subgroups import CodeSubgroup, cylinder, ftsp_decompose
+from .subgroups import CodeSubgroup, cylinder, ftsp_decompose, restrict_merge
 
 
 def minimize_cycle_free(r: Realization) -> Realization:
@@ -80,18 +79,18 @@ def minimize_cycle_free(r: Realization) -> Realization:
         trimmed = p1.intersect(p2)
         nondyn = x1.intersect(trimmed).sum(x2.intersect(trimmed))
         if not (trimmed.is_full and nondyn.is_trivial):
-            reduced[j] = (trimmed, trimmed.quotient_by(nondyn))
+            reduced[j] = trimmed.quotient_by(nondyn)
     if not reduced:
         return r
     states = dict(r.states)
     merges: dict[str, dict] = {}
     for j in edges:
-        states[j] = StateVar(reduced[j][1].alphabet if j in reduced
+        states[j] = StateVar(reduced[j].alphabet if j in reduced
                              else r.states[j].alphabet)
-    for j, pair in reduced.items():
+    for j, quot in reduced.items():
         for c, slot in r.slots[j]:
-            merges.setdefault(c, {})[slot] = pair
-    constraints = {cl: Constraint(con.vars, _restrict_merge(codes[cl], merges[cl])
+            merges.setdefault(c, {})[slot] = quot
+    constraints = {cl: Constraint(con.vars, restrict_merge(codes[cl], merges[cl])
                                   if cl in merges else codes[cl])
                    for cl, con in r.constraints.items()}
     return r.replaced(states=states, constraints=constraints)
@@ -133,14 +132,11 @@ def verify_state_space_theorem(r_min: Realization, edge: str) -> StateSpaceTheor
     ftsp = ftsp_decompose(r_min.code(), *(sorted(f.symbols, key=sort_key) for f in sides))
     pairs = ftsp.iso_pairs
     # the pair subgroup is the graph of an isomorphism iff trim+proper both sides
-    graph_ok = all(pairs.project([lab]).order == alpha.order
-                   and pairs.cross_section([lab]).is_trivial
-                   for lab, alpha in pairs.ambient.factors)
     return StateSpaceTheoremReport(
         edge=edge,
         state_order=r_min.states[edge].alphabet.order,
         side_orders=(ftsp.quot_a.order, ftsp.quot_b.order),
-        iso_pairs=pairs if graph_ok else None,
+        iso_pairs=pairs if constraint_trim_proper(pairs) == (True, True) else None,
     )
 
 

@@ -15,6 +15,11 @@ and L_D off the two Howell forms, so its one elimination is the Smith form
 of L_D in L_C's basis.  A Howell form over Z_(kM) of rows that are
 multiples of k is k times the Howell form over Z_M of the rows divided by
 k, which is how a result is read in a smaller lcm.
+
+The reduction theory reads one quotient: C|J / C:J, the effective
+alphabet at a set J of factors (`interface`).  Its natural map's graph is
+the interface node (`QuotientMap.node`), and `restrict_merge` puts it in
+place of a slot's alphabet inside a local code.
 """
 
 from __future__ import annotations
@@ -258,6 +263,12 @@ class CodeSubgroup:
         """Structure of self/sub as an invariant-factor group with maps."""
         return QuotientMap(self, sub)
 
+    def interface(self, labels: Sequence[Hashable]) -> "QuotientMap":
+        """The effective alphabet C|J / C:J at the labeled factors J.  Its
+        order is that of the factors' joint alphabet iff C is trim and
+        proper at J, and its `node` is the interface node at J."""
+        return self.project(labels).quotient_by(self.cross_section(labels))
+
 
 class QuotientMap:
     """Invariant-factor structure of C/D with natural map and a section.
@@ -309,6 +320,12 @@ class QuotientMap:
         x = [sum(map(mul, w, col)) for col in zip(*self._basis_c)]
         return self.group.ambient.reduce(x)
 
+    def node(self, tag: Hashable) -> CodeSubgroup:
+        """The graph {(x, project(x)) : x in C} of the natural map, over C's
+        factors and (tag, alphabet)."""
+        amb = ProductSpace(list(self.group.ambient.factors) + [(tag, self.alphabet)])
+        return CodeSubgroup(amb, [tuple(r) + self.project(r) for r in self.group.rows])
+
 
 # -- module-level constructors and helpers ------------------------------------
 
@@ -355,6 +372,22 @@ def cylinder(ambient: ProductSpace, parts: dict[Hashable, CodeSubgroup]) -> Code
     return CodeSubgroup._from_howell(ambient, hf)
 
 
+def restrict_merge(code: CodeSubgroup, merges: dict[int, QuotientMap]) -> CodeSubgroup:
+    """Restrict each slot in `merges` to its quotient's group, in one
+    intersection, and merge that slot's values into its quotient classes."""
+    amb = code.ambient
+    restricted = code.intersect(cylinder(
+        amb, {amb.labels[slot]: quot.group for slot, quot in merges.items()}))
+    factors = list(amb.factors)
+    for slot, quot in merges.items():
+        factors[slot] = (amb.labels[slot], quot.alphabet)
+    spans = [amb.span(lab) for lab in amb.labels]
+    rows = [sum((merges[i].project(row[a:b]) if i in merges else row[a:b]
+                 for i, (a, b) in enumerate(spans)), ())
+            for row in restricted.rows]
+    return CodeSubgroup(ProductSpace(factors), rows)
+
+
 class FtspDecomposition:
     """Two interface nodes and the quotient isomorphism of a subdirect product."""
 
@@ -378,20 +411,8 @@ def ftsp_decompose(code: CodeSubgroup, part_a: Sequence[Hashable],
     labels = list(code.ambient.labels)
     if sorted(map(repr, list(part_a) + list(part_b))) != sorted(map(repr, labels)):
         raise BadPartition("part_a and part_b must partition the ambient factors")
-    proj_a = code.project(part_a)
-    cross_a = code.cross_section(part_a)
-    proj_b = code.project(part_b)
-    cross_b = code.cross_section(part_b)
-    quot_a = proj_a.quotient_by(cross_a)
-    quot_b = proj_b.quotient_by(cross_b)
-
-    def interface(proj: CodeSubgroup, quot: QuotientMap, tag: Hashable) -> CodeSubgroup:
-        amb = ProductSpace(list(proj.ambient.factors) + [(tag, quot.alphabet)])
-        rows = [tuple(r) + quot.project(r) for r in proj.rows]
-        return CodeSubgroup(amb, rows)
-
-    node_a = interface(proj_a, quot_a, ("quot", "a"))
-    node_b = interface(proj_b, quot_b, ("quot", "b"))
+    quot_a, quot_b = code.interface(part_a), code.interface(part_b)
+    node_a, node_b = quot_a.node(("quot", "a")), quot_b.node(("quot", "b"))
     pair_amb = ProductSpace([(("quot", "a"), quot_a.alphabet),
                              (("quot", "b"), quot_b.alphabet)])
     pair_rows = []

@@ -149,8 +149,8 @@ def test_canonical_decomposition_weight_one_symbol():
     dec = canonical_decomposition(r)
     assert "a1" in dec.interfaces
     node = dec.interfaces["a1"]
-    assert node.nondynamical.order == 2
-    assert node.quotient.order == 1
+    assert node.sub.order == 2
+    assert node.order == 1
     assert dec.compose().code() == r.code()
 
 
@@ -160,7 +160,7 @@ def test_canonical_decomposition_untrimmed_symbol():
     r = single_node(CodeSubgroup(amb, [(2, 1)]))
     dec = canonical_decomposition(r)
     assert "a0" in dec.interfaces
-    assert dec.interfaces["a0"].trimmed.order == 2
+    assert dec.interfaces["a0"].group.order == 2
     assert dec.compose().code() == r.code()
 
 

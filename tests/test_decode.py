@@ -216,7 +216,7 @@ def test_message_reduce_trim_and_merge():
     msg = Message(Z4, fr(1, 2, 3, 4))
     red = message_reduce(code, 1, msg)
     # C|1 = {0,2}, C:1 = {0}: trim drops weights at 1 and 3
-    assert red.trimmed.order == 2
+    assert red.quotient.group.order == 2
     assert red.quotient.order == 2
     expanded = message_expand(red, Z4)
     assert expanded.weights[1] == 0 and expanded.weights[3] == 0
@@ -345,12 +345,11 @@ def test_extrinsic_information_coset_constancy():
     # second symbol only sees the first coordinate of the first symbol
     r = single_node(CodeSubgroup(amb, [(1, 0, 1, 0), (0, 1, 0, 0)]))
     dec = canonical_decomposition(r)
-    node = dec.interfaces["a0"]
-    eff = node.quotient.alphabet
+    quot = dec.interfaces["a0"]
+    eff = quot.alphabet
     incoming = Message(eff, tuple(Fraction(i + 1) for i in range(eff.order)))
-    out = sp_update(node.code, {node.code.ambient.labels[1]: incoming},
-                    node.code.ambient.labels[0])
-    nondyn = node.nondynamical
+    out = sp_update(quot.node("eff"), {"eff": incoming}, "a0")
+    nondyn = quot.sub
     for v in big.elements():
         for d in nondyn.elements():
             assert out.weight_of(big.add(v, d)) == out.weight_of(v)

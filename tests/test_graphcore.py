@@ -263,8 +263,8 @@ def test_second_decomposition_parallel_transitions():
     ls = dec.leaves[0]
     assert ls.edge == "t"
     assert ls.state_order == 2
-    assert ls.trimmed.order == 4       # symbol pairs are unrestricted
-    assert ls.nondynamical.order == 2  # {00, 11} collapses
+    assert ls.quotient.group.order == 4  # symbol pairs are unrestricted
+    assert ls.quotient.sub.order == 2    # {00, 11} collapses
     assert ls.effective_order == 2
     assert dec.orders_match
     # reassembling the two-core cut reproduces the code

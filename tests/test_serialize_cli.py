@@ -125,6 +125,41 @@ def test_cli_dual_and_two_core(capsys, tmp_path):
     assert "cycle-free" in out
 
 
+def fragment_document(states, constraints, boundary):
+    """A GF(2) fragment with symbols a0.. and the GF(2)^2 alphabet F2."""
+    symbols = sorted({v for _, vars_, _ in constraints for v in vars_ if v[0] == "a"})
+    return {"alphabets": {"F": {"field": 2}, "F2": {"field": 2, "dim": 2}},
+            "symbols": [{"id": a, "alphabet": "F"} for a in symbols],
+            "states": [{"id": s, "alphabet": alpha} for s, alpha in states],
+            "constraints": [{"id": c, "vars": v, "generators": g} for c, v, g in constraints],
+            "boundary": boundary}
+
+
+def test_two_core_cuts_a_fragment_at_its_half_edge(tmp_path, capsys):
+    """A leaf of a fragment also holds the input's boundary variables; the
+    leaf is measured at the half-edge of its cut edge, whatever they are named."""
+    path = tmp_path / "frag.json"
+    for b in ("b", "z"):            # sorts before and after the cut edge s
+        path.write_text(json.dumps(fragment_document(
+            [("s", "F"), (b, "F2")],
+            [("c0", ["a0", "s"], [[1, 1]]),
+             ("c1", ["s", "a1", b], [[1, 0, 0, 1], [0, 1, 1, 1]])], [b])))
+        assert main(["two-core", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "cycle-free: no 2-core\n" + (
+            "leaf at s: state order 2, effective alphabet order 2\n" * 2), b
+        assert err == ""
+    path.write_text(json.dumps(fragment_document(
+        [(s, "F") for s in ("s", "t", "u", "b")],
+        [("c0", ["a0", "s", "t", "u"], [[1, 1, 0, 1], [0, 1, 1, 0]]),
+         ("c1", ["s", "t"], [[1, 1]]),
+         ("c2", ["u", "a2", "b"], [[1, 1, 0], [0, 1, 1]])], ["b"])))
+    assert main(["two-core", str(path)]) == 0
+    assert capsys.readouterr() == (
+        "2-core constraints: c0, c1\ncyclomatic number 1\n"
+        "leaf at u: state order 2, effective alphabet order 2\n", "")
+
+
 def test_cli_analyze(capsys):
     assert main(["analyze", str(CORPUS / "tanner_redundant.json")]) == 0
     out = capsys.readouterr().out

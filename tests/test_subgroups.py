@@ -10,6 +10,7 @@ import pytest
 from normgraph import subgroups, zmod
 from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
 from normgraph.errors import AmbientMismatch, NotASubgroup, RowOutOfAmbient
+from normgraph.graphcore import constraint_trim_proper
 from normgraph.subgroups import (
     CodeSubgroup,
     QuotientMap,
@@ -17,8 +18,10 @@ from normgraph.subgroups import (
     ftsp_decompose,
     full_subgroup,
     product_subgroup,
+    restrict_merge,
     zero_subgroup,
 )
+from tests import oracles
 from tests.oracles import close_rows as close
 
 GF2 = vector_space(2, 1)
@@ -253,6 +256,81 @@ def test_quotient_reads_the_howell_forms(monkeypatch):
     assert q.order == c.order // d.order
     x = rng.choice(list(c.elements()))
     assert d.contains(amb.add(x, amb.neg(q.lift(q.project(x)))))
+
+
+def interface_cases(seed, count):
+    """Codes over factors from the mixed-moduli pool, a width-0 factor
+    included, each with its elements and a nonempty set of its labels."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        amb = space(*(rng.choice(oracles.POOL + (vector_space(2, 0),))
+                      for _ in range(rng.randrange(1, 4))))
+        c = oracles.random_subgroup(rng, amb)
+        labels = rng.sample(amb.labels, rng.randrange(1, len(amb.labels) + 1))
+        yield c, close(amb, c.rows), labels
+
+
+def test_interface_is_the_projection_modulo_the_cross_section():
+    for c, elems, labels in interface_cases(61, 60):
+        q = c.interface(labels)
+        ref = c.project(labels).quotient_by(c.cross_section(labels))
+        assert (q.alphabet, q.group, q.sub) == (ref.alphabet, ref.group, ref.sub)
+        cols = c.ambient.columns(labels)
+        proj = {tuple(x[i] for i in cols) for x in elems}
+        cross = {tuple(x[i] for i in cols) for x in elems
+                 if not any(v for i, v in enumerate(x) if i not in cols)}
+        assert set(q.group.elements()) == proj and set(q.sub.elements()) == cross
+        assert q.order == len(proj) // len(cross)
+        amb = q.group.ambient
+        zero = q.project(amb.zero)
+        for x in proj:
+            assert q.project(x) == ref.project(x)
+            # the fibres of the natural map are the cosets of C:J
+            assert {q.project(amb.add(x, d)) for d in cross} == {q.project(x)}
+            assert (q.project(x) == zero) == (x in cross)
+        # trim and proper at J, read off the enumeration
+        full = amb.order
+        assert (q.order == full) == (len(proj) == full and len(cross) == 1)
+
+
+def test_interface_orders_match_trim_and_proper():
+    for c, _, _ in interface_cases(67, 60):
+        whole = all(c.interface([lab]).order == alpha.order
+                    for lab, alpha in c.ambient.factors)
+        assert whole == (constraint_trim_proper(c) == (True, True))
+    for alpha in oracles.POOL:      # the graph of the identity is trim and proper
+        diag = CodeSubgroup(space(alpha, alpha), [e + e for e in alpha.unit_rows()])
+        assert [diag.interface([lab]).order for lab in (0, 1)] == [alpha.order] * 2
+
+
+def test_interface_node_is_the_graph_of_the_natural_map():
+    for c, elems, labels in interface_cases(71, 60):
+        q = c.interface(labels)
+        node = q.node("tag")
+        assert node.ambient.factors == q.group.ambient.factors + (("tag", q.alphabet),)
+        cols = c.ambient.columns(labels)
+        proj = {tuple(x[i] for i in cols) for x in elems}
+        assert set(node.elements()) == {x + q.project(x) for x in proj}
+
+
+def test_restrict_merge_against_enumeration():
+    rng = random.Random(73)
+    for c, elems, _ in interface_cases(79, 60):
+        amb = c.ambient
+        # each merged slot takes the interface of another code in the ambient
+        slots = rng.sample(range(len(amb.labels)), rng.randrange(1, len(amb.labels) + 1))
+        merges = {i: oracles.random_subgroup(rng, amb).interface([amb.labels[i]])
+                  for i in slots}
+        got = restrict_merge(c, merges)
+        assert [alpha for _, alpha in got.ambient.factors] == [
+            merges[i].alphabet if i in merges else alpha
+            for i, (_, alpha) in enumerate(amb.factors)]
+        spans = [amb.span(lab) for lab in amb.labels]
+        want = {sum((merges[i].project(x[a:b]) if i in merges else x[a:b]
+                     for i, (a, b) in enumerate(spans)), ())
+                for x in elems
+                if all(q.group.contains(x[slice(*spans[i])]) for i, q in merges.items())}
+        assert set(got.elements()) == want
 
 
 def test_lift_prefix():

@@ -301,13 +301,13 @@ class RefPasser:
         return sym, st
 
 
-def ref_points_coreward(r, core, toward, away):
+def ref_points_coreward(adj, core, toward, away):
     seen, stack = {away, toward}, [toward]
     while stack:
         c = stack.pop()
         if c in core:
             return True
-        for _, o in r.neighbors()[c]:
+        for _, o in adj[c]:
             if o not in seen:
                 seen.add(o)
                 stack.append(o)
@@ -329,10 +329,11 @@ def ref_decode(r, priors, max_iters, schedule, damping, exact):
         return passer.result(), [0.0]
     core = two_core_constraints(r)
     core_edges = [j for j in passer.edges if all(c in core for c, _ in r.slots[j])]
+    adj = r.neighbors()
     for j in passer.edges:
         if j not in core_edges:
             (tc, _), (hc, _) = r.slots[j]
-            passer.tree_message(hc if ref_points_coreward(r, core, tc, hc) else tc, j)
+            passer.tree_message(hc if ref_points_coreward(adj, core, tc, hc) else tc, j)
     for j in core_edges:
         for cl, _ in r.slots[j]:
             passer.msgs[(cl, j)] = uniform_message(r.states[j].alphabet, exact)
