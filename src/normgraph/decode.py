@@ -13,17 +13,19 @@ A decode compiles each distinct local code once, after checking every
 code's order against the enumeration cap, into a table of each codeword's
 per-slot alphabet indices, folded from the span's coordinate columns
 without building a codeword; constraints with the same rows over the same
-slot moduli share it.  One pass over a table sends any set of a node's
+slot moduli share it.  Messages are weight lists in one flat store,
+numbered once per decode; an iso edge permutes them by index tables built
+once from the isomorphism.  One pass over a table sends any set of a node's
 messages: a flooding sweep sends all of them at once, a serial step or a
 tree message one.  The pass is a kernel generated once per node shape
-(degree, targets) with the row loop unrolled over the slots.  Each product
-is folded in slot order, exactly as a separate loop per target folds it, so
-float results do not depend on how many targets share the pass.  Messages
-are weight lists in one flat store, numbered once per decode; an iso edge
-permutes them by index tables built once from the isomorphism.  The
-iteration plan (kernel, table, input and output ids of each pass) is built
-once, and each sweep normalizes, damps, stores and takes the change of
-every message in one loop over each pass's outputs.
+(degree, targets) that reads its inputs from the store by id, permuting
+across iso edges, and runs the row loop unrolled over the slots.  Each
+product is folded in slot order, exactly as a separate loop per target
+folds it, so float results do not depend on how many targets share the
+pass.  Sweeps, tree passes and marginals run the same passes on the store.
+A sweep hands each message to an epilogue generated once per (alphabet
+order, exact, damped) that normalizes, damps, stores and takes the change
+of the message's entries as locals, with the loop's own arithmetic.
 
 Message weights are finite.  The kernels rely on it: a product that turns
 zero is added as a zero instead of skipped, and a float marginal that
@@ -36,7 +38,7 @@ import functools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import sub
+from operator import itemgetter
 
 from ._records import record
 from .alphabets import ENUMERATION_CAP, Alphabet, Element, sort_key
@@ -132,15 +134,27 @@ def _index_table(code: CodeSubgroup, alphabets, cap: int) -> list[tuple[int, ...
 
 # factors per generated expression, well under the compiler's nesting limit
 _FOLD = 32
-# above this degree a suffix product is a loop, so the source grows linearly
+# above this degree a suffix product is a loop, and above this alphabet order
+# an epilogue's entries are a list, so the source grows linearly
 _UNROLL = 64
 
 
 def _kernel_source(degree: int, targets: tuple[int, ...]) -> str:
     unrolled, row = degree <= _UNROLL, "".join(f"r{i}, " for i in range(degree))
-    lines = ["def kernel(table, incoming, outs, one):",
-             "    " + "".join(f"i{i}, " for i in range(degree)) + "= incoming",
-             "    " + "".join(f"o{t}, " for t in targets) + "= outs"]
+    sole = targets[0] if len(targets) == 1 else None
+    got = [s for s in range(degree) if s != sole]
+    ins = "".join(f"i{s}, " for s in got)
+    lines = ["def kernel(table, read, inputs, sizes, one):", "    ("
+             + "".join("_, " if s == sole else f"n{s}, " for s in range(degree))
+             + "), perms = inputs"]
+    if got:
+        lines += [f"    {ins}= " + "".join(f"read[n{s}], " for s in got), "    if perms:",
+                  f"        {ins}= " + "".join(f"perms[{s}](i{s}), " for s in got)]
+    if not unrolled:
+        lines += ["    incoming = [" + "".join("None, " if s == sole else f"i{s}, "
+                                         for s in range(degree)) + "]"]
+    lines += ["    zero = one - one"]
+    lines += [f"    o{t} = [zero] * sizes[{k}]" for k, t in enumerate(targets)]
     lines += ([f"    for {row}in table:"] if unrolled else
               ["    for row in table:", f"        {row}= row"])
     prefix, s = "one", 0
@@ -160,23 +174,26 @@ def _kernel_source(degree: int, targets: tuple[int, ...]) -> str:
             lines.append("        w = " + " * ".join(factors[:_FOLD]))
             factors[:_FOLD] = ["w"]
         lines.append(f"        o{t}[r{t}] += " + " * ".join(factors))
-    return "\n".join(lines)
+    return "\n".join(lines + ["    return (" + "".join(f"o{t}, " for t in targets) + ")"])
 
 
 @functools.lru_cache(maxsize=512)
 def _kernel(degree: int, targets: tuple[int, ...]):
     """The table pass of a degree-`degree` node to the ascending `targets`,
-    compiled: kernel(table, incoming, outs, one) adds into outs[k] the
-    message to slot targets[k].
+    compiled: kernel(table, read, inputs, sizes, one) returns the messages
+    to the targets, of orders `sizes`, from the messages in the store `read`.
 
-    Each row unpacks into locals r0..r{d-1}.  A running prefix starts at
-    `one` and is extended slot by slot up to each target; the row is left as
-    soon as the prefix is zero.  Target t adds prefix * i{t+1}[r{t+1}] * ...
-    * i{d-1}[r{d-1}], folded left, so every product and sum is the one the
-    loop over slots makes; above degree `_UNROLL` that suffix is such a
-    loop.  A product that turns zero in the suffix is added as a zero
-    instead of skipped, which changes nothing for finite weights.  The
-    source (`_kernel_source`) holds only slot indices.
+    With inputs = (ids, perms), slot s reads read[ids[s]], or
+    perms[s](read[ids[s]]) when perms is not None: each perms[s] carries a
+    message across an iso edge, or copies it; a sole target's own input is
+    never read.  Each row unpacks into locals r0..r{d-1}.  A running prefix
+    starts at `one` and is extended slot by slot up to each target; the row
+    is left as soon as the prefix is zero.  Target t adds prefix *
+    i{t+1}[r{t+1}] * ... * i{d-1}[r{d-1}], folded left, so every product and
+    sum is the one the loop over slots makes; above degree `_UNROLL` that
+    suffix is such a loop.  A product that turns zero in the suffix is added
+    as a zero instead of skipped, which changes nothing for finite weights.
+    The source (`_kernel_source`) holds only slot indices.
     """
     namespace: dict = {}
     exec(compile(_kernel_source(degree, targets), f"<kernel {degree} {targets}>",
@@ -184,13 +201,59 @@ def _kernel(degree: int, targets: tuple[int, ...]):
     return namespace["kernel"]
 
 
+def _epilogue_source(order: int, exact: bool, damped: bool) -> str:
+    unrolled = order <= _UNROLL
+
+    def names(v: str) -> str:           # the entries as locals, or one starred list
+        return "".join(f"{v}{k}, " for k in range(order)) if unrolled else f"*{v}, "
+
+    def each(indent: str, *statements: str) -> list[str]:
+        """The statements on entry {0}: a copy per entry, or one loop."""
+        if unrolled:
+            return [indent + line.format(k) for k in range(order) for line in statements]
+        return [f"{indent}for k in range({order}):",
+                *(f"{indent}    " + line.format("[k]") for line in statements)]
+    lines = ["def epilogue(m, i, read, write, normed, keep, damp, delta):",
+             f"    {names('x')}= m"]
+    if not exact:
+        lines += ["    t = sum(m)", "    if t != 0 and t != 1:",
+                  *each("        ", "x{0} = x{0} / t"), f"        m = [{names('x')}]"]
+    if damped:
+        lines += [f"    {names('r')}= read[i]", *each("    ", "x{0} = keep * x{0} + damp * r{0}"),
+                  f"    m = [{names('x')}]"]
+    lines += ["    write[i] = m", "    t = sum(m)", "    if not (t == 0 or t == 1):",
+              *each("        ", "x{0} = x{0} / t")]
+    if exact:
+        lines += each("    ", "x{0} = float(x{0})")
+    lines += [f"    {names('o')}= normed[i]", f"    normed[i] = [{names('x')}]",
+              *each("    ", "d = abs(o{0} - x{0})", "if d > delta: delta = d")]
+    return "\n".join(lines + ["    return delta"])
+
+
+@functools.lru_cache(maxsize=64)
+def _epilogue(order: int, exact: bool, damped: bool):
+    """What a sweep does with each message it sends, compiled per alphabet
+    order: epilogue(m, i, read, write, normed, keep, damp, delta)
+    normalizes the kernel's list `m` in float mode, damps it toward read[i]
+    (keep = 1 - damp) and stores it in write[i]; normalizes that again, in
+    floats, into normed[i]; and returns the largest of `delta` and the
+    changes from the old normed[i].  Entries are locals x0..x{order-1}
+    (above order `_UNROLL`, list entries in one loop); every product,
+    quotient and comparison is the loop's, and totals are builtin `sum`s of
+    the list.
+    """
+    namespace: dict = {}
+    exec(compile(_epilogue_source(order, exact, damped),
+                 f"<epilogue {order} {exact} {damped}>", "exec"), namespace)
+    return namespace["epilogue"]
+
+
 def _sweep(table, incoming, targets, sizes, one) -> list[list]:
     """One pass over a compiled constraint: the outgoing weights at each of
     the ascending target slots, whose alphabet orders are `sizes`.  A sole
     target's own incoming entry is never read."""
-    outs = [[one - one] * n for n in sizes]
-    _kernel(len(incoming), tuple(targets))(table, incoming, outs, one)
-    return outs
+    kernel = _kernel(len(incoming), tuple(targets))
+    return list(kernel(table, incoming, (range(len(incoming)), None), sizes, one))
 
 
 def sp_update(code: CodeSubgroup, incoming: Mapping, target, exact: bool = True,
@@ -270,20 +333,21 @@ class _Passer:
     the evidence on v, ids[(cl, j)] what constraint cl sends along edge j,
     in cl's own coordinates.  store[id] is that message's weight list, None
     until it is sent; sender[id] = (cl, slot) is where it comes from.
-    inputs[cl][i] = (id, perm) names the message slot i of cl reads; perm
-    carries it across an iso edge whose other end is on the other side.
+    inputs[cl] = (ids, perms): ids[i] names the message slot i of cl reads,
+    and perms[i] carries it across an iso edge whose other end is on the
+    other side, or copies it (perms is None when no slot of cl needs one).
 
     A step (kernel, table, inputs, sizes, ids) is one pass over a table,
-    resolved once: `step` builds it, `outgoing` runs it, and `send` runs a
-    list of them, normalizing, damping, storing and taking the largest
-    change of each message in one loop over each pass's outputs.
+    resolved once by `step`; its kernel reads the store itself.  `send`,
+    `tree_pass` and `result` run steps on the store and differ only in
+    what they do with the messages.
     """
 
     def __init__(self, r: Realization, priors: PriorSet, one):
         r.require_valid()
         self.r = r
         # the weight unit: 1.0 normalizes every message, 1 or Fraction(1) none
-        self.one, self.zero = one, one - one
+        self.one = one
         self.exact = not isinstance(one, float)
         self.edges = [j for j in r.internal_states() if len(r.slots[j]) == 2]
         for j in self.edges:
@@ -306,17 +370,22 @@ class _Passer:
                 self.ids[(key[0], j)] = len(self.store)
                 self.store.append(None)
                 self.sender.append(key)
-        # forward[i] = index of iso(element i); inverse inverts that list
+        # forward[j] carries the head's message on iso edge j to the tail:
+        # its entry i is the entry at the index of iso(element i); inverse[j]
+        # carries the tail's to the head.  An identity permutes nothing, so
+        # it gets none (an order-1 table would make `itemgetter` return an
+        # entry, not a tuple).
         self.forward, inverse = {}, {}
         for j in self.edges:
             alpha, iso = r.states[j].alphabet, r.states[j].iso
             if iso is not None:
                 fwd = [alpha.index(iso.apply(alpha.element_at(i)))
                        for i in range(alpha.order)]
-                inverse[j] = [0] * alpha.order
-                for i, k in enumerate(fwd):
-                    inverse[j][k] = i
-                self.forward[j] = fwd
+                if fwd != list(range(alpha.order)):
+                    inv = [0] * alpha.order
+                    for i, k in enumerate(fwd):
+                        inv[k] = i
+                    self.forward[j], inverse[j] = itemgetter(*fwd), itemgetter(*inv)
         self.tables, self.alphabets, self.orders = {}, {}, {}
         self.inputs = {}
         # one table per distinct code: the table depends only on the rows
@@ -339,56 +408,25 @@ class _Passer:
                     inputs.append((self.ids[(hc, v)], self.forward.get(v))
                                   if cl == tc else
                                   (self.ids[(tc, v)], inverse.get(v)))
-            self.inputs[cl] = inputs
+            self.inputs[cl] = ([i for i, _ in inputs], [p or list for _, p in inputs]
+                               if any(p for _, p in inputs) else None)
 
     def step(self, cl: str, slots: list[int]) -> tuple:
-        """The pass of cl to the ascending slots.  A sole target's own
-        input is never read, so it is left out."""
-        sole = slots[0] if len(slots) == 1 else None
-        inputs = [(None, None) if i == sole else x
-                  for i, x in enumerate(self.inputs[cl])]
+        """The pass of cl to the ascending slots."""
         vars_ = self.r.constraints[cl].vars
-        return (_kernel(len(inputs), tuple(slots)), self.tables[cl], inputs,
+        return (_kernel(len(vars_), tuple(slots)), self.tables[cl], self.inputs[cl],
                 [self.orders[cl][i] for i in slots],
                 [self.ids.get((cl, vars_[i])) for i in slots])
 
-    def outgoing(self, step: tuple, read: list) -> list[list]:
-        """The step's unnormalized messages, from the messages in `read`."""
-        kernel, table, inputs, sizes, _ = step
-        outs = [[self.zero] * n for n in sizes]
-        kernel(table, [None if i is None else read[i] if perm is None else
-                       [read[i][k] for k in perm] for i, perm in inputs],
-               outs, self.one)
-        return outs
-
     def send(self, steps: list, read: list, write: list, normed: list,
              damp) -> float:
-        """Each step's messages from `read` into `write`: normalized in
-        float mode, damped toward their value in `read` and stored, with
-        their normalized forms in floats kept in `normed`.  Returns the
-        largest entry change of any normalized message."""
-        one, zero, exact, delta = self.one, self.zero, self.exact, 0.0
-        for kernel, table, inputs, sizes, ids in steps:
-            # `outgoing`, inlined: a call per pass costs 7% of a sweep
-            outs = [[zero] * n for n in sizes]
-            kernel(table, [None if i is None else read[i] if perm is None else
-                           [read[i][k] for k in perm] for i, perm in inputs],
-                   outs, one)
-            for i, m in zip(ids, outs):
-                if not exact:
-                    t = sum(m)
-                    if t != 0 and t != 1:
-                        m = [w / t for w in m]
-                if damp:
-                    m = [(1 - damp) * a + damp * b for a, b in zip(m, read[i])]
-                t = sum(m)
-                new = m if t == 0 or t == 1 else [w / t for w in m]
-                if exact:
-                    new = [float(w) for w in new]
-                d = max(map(abs, map(sub, normed[i], new)))
-                if d > delta:
-                    delta = d
-                write[i], normed[i] = m, new
+        """Each step's messages from `read` into `write`, through the
+        epilogue paired with each message's id (see `_epilogue`).  Returns
+        the largest entry change of any normalized message."""
+        one, keep, delta = self.one, 1 - damp, 0.0
+        for kernel, table, inputs, sizes, posts in steps:
+            for m, (i, post) in zip(kernel(table, read, inputs, sizes, one), posts):
+                delta = post(m, i, read, write, normed, keep, damp, delta)
         return delta
 
     def tree_pass(self, messages: list[tuple[str, str]]) -> None:
@@ -397,7 +435,8 @@ class _Passer:
         for key in messages:
             i = self.ids[key]
             cl, slot = self.sender[i]
-            m, = self.outgoing(self.step(cl, [slot]), self.store)
+            kernel, table, inputs, sizes, _ = self.step(cl, [slot])
+            m, = kernel(table, self.store, inputs, sizes, self.one)
             self.store[i] = m if self.exact else _normalized(m)
 
     def result(self) -> DecodeResult:
@@ -405,7 +444,8 @@ class _Passer:
         for cl, con in r.constraints.items():
             slots = [i for i, v in enumerate(con.vars) if v in r.symbols]
             if slots:
-                for i, w in zip(slots, self.outgoing(self.step(cl, slots), store)):
+                kernel, table, inputs, sizes, _ = self.step(cl, slots)
+                for i, w in zip(slots, kernel(table, store, inputs, sizes, self.one)):
                     v = con.vars[i]
                     sym[v] = _marginal(v, self.alphabets[cl][i], w,
                                        store[ids[(None, v)]])
@@ -414,7 +454,7 @@ class _Passer:
             (tc, ts), (hc, _) = r.slots[j]
             head = store[ids[(hc, j)]]
             if j in self.forward:
-                head = [head[k] for k in self.forward[j]]
+                head = self.forward[j](head)
             st[j] = _marginal(j, self.alphabets[tc][ts], store[ids[(tc, j)]], head)
         sym = {k: sym[k] for k in sorted(r.symbols, key=sort_key)}
         contradiction = any(m.is_zero for m in sym.values())
@@ -492,6 +532,10 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
              [passer.step(cl, [s]) for cl, s in map(passer.sender.__getitem__,
                                                     directed)])
     damp = Fraction(str(damping)) if exact else damping
+    # a sweep sends each message through the epilogue of its order
+    steps = [(kernel, table, inputs, sizes, [(i, _epilogue(n, exact, bool(damp)))
+                                             for i, n in zip(ids, sizes)])
+             for kernel, table, inputs, sizes, ids in steps]
     deltas: list[float] = []
     converged = False
     for _ in range(max_iters):

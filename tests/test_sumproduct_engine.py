@@ -2,14 +2,17 @@
 
 `decode.py` compiles each constraint into a table of per-slot alphabet
 indices and sends all of a node's messages from one pass over it, through a
-kernel generated per node shape.  Two references are kept here.  The first
-is the interpreted table pass, `ref_sweep`, which the generated kernels
-replaced.  The second is the per-target engine before the tables, kept
-whole: one enumeration of the code per target, `Message` objects
-throughout, and messages carried across an iso edge through `iso.apply` and
-`iso.inverse()`.  Float marginals and convergence deltas must be equal, not
-close: every kernel folds each product in the same order, so the rounding
-is the same.
+kernel generated per node shape, and a sweep hands each message to an
+epilogue generated per alphabet order.  Three references are kept here.
+The first is the interpreted table pass, `ref_sweep`, which the generated
+kernels replaced; the second, `ref_epilogue`, the interpreted loop over a
+pass's messages that the epilogues replaced.  The third is the per-target
+engine before the tables, kept whole: one enumeration of the code per
+target, `Message` objects throughout, and messages carried across an iso
+edge through `iso.apply` and `iso.inverse()`.  Float marginals and
+convergence deltas must be equal, not close: every kernel folds each
+product in the same order, and every epilogue makes the loop's quotients,
+so the rounding is the same.
 
 The realizations come from the width-2 and composite pool of
 `tests/test_syndrome.py`, with random automorphisms on most edges, and
@@ -24,6 +27,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -46,6 +50,8 @@ from normgraph.subgroups import CodeSubgroup
 from tests.oracles import (
     POOL,
     TOPOLOGIES,
+    accumulator_ring,
+    bench_like_ring,
     brute_force_app,
     engine_instances,
     instances as syndrome_instances,
@@ -86,6 +92,26 @@ def ref_sweep(table, incoming, targets, sizes, one):
             else:
                 out[row[t]] += w
     return outs
+
+
+def ref_epilogue(m, i, read, write, normed, damp, exact):
+    """What a sweep does with message `m` to id i, as the interpreted loop
+    did it: normalized in float mode, damped toward read[i] and stored in
+    write[i], normalized again into floats in normed[i]; returns the
+    largest entry change from the old normed[i]."""
+    if not exact:
+        t = sum(m)
+        if t != 0 and t != 1:
+            m = [w / t for w in m]
+    if damp:
+        m = [(1 - damp) * a + damp * b for a, b in zip(m, read[i])]
+    t = sum(m)
+    new = m if t == 0 or t == 1 else [w / t for w in m]
+    if exact:
+        new = [float(w) for w in new]
+    d = max(map(abs, map(sub, normed[i], new)))
+    write[i], normed[i] = m, new
+    return d
 
 
 def bits(outs):
@@ -159,6 +185,54 @@ def test_kernels_leave_a_row_at_its_first_zero_prefix():
                     zero = next((s for s, w in enumerate(prefix) if w == 0), t)
                     poisoned += math.inf in prefix[zero:]
     assert poisoned >= 100
+
+
+def random_message(rng, order, exact, total=None):
+    """Weights, a fifth of them zero (float zeros half -0.0) and floats over
+    a wide range of scales; with `total` 0 or 1, of exactly that total
+    (dyadic floats add up exactly)."""
+    counts = [0 if total == 0 or rng.random() < 0.2 else rng.randrange(1, 50)
+              for _ in range(order)]
+    scale = rng.randrange(1, 50)
+    if total == 1:
+        scale = 1 << max(sum(counts), 1).bit_length()
+        counts[rng.randrange(order)] += scale - sum(counts)
+    if exact:
+        return [Fraction(c, scale) for c in counts]
+    unit = 1.0 if total is not None else rng.random() * 2.0 ** rng.randrange(-60, 60)
+    return [c * unit / scale if c else rng.choice((0.0, -0.0)) for c in counts]
+
+
+def test_epilogues_equal_the_interpreted_loop():
+    """The stored message, its normalized copy and the returned change, by
+    type and repr: totals of exactly 0 and 1, zeros and -0.0, damping 0,
+    0.25 and 0.5, float and `Fraction` weights; order 65 is above
+    `_UNROLL`, where the entries are a list."""
+    rng = random.Random("epilogues")
+    cases = 0
+    for order in (1, 2, 3, 4, 12, 64, decode._UNROLL + 1):
+        for exact in (False, True):
+            for damping in (0.0, 0.25, 0.5):
+                damp = Fraction(str(damping)) if exact else damping
+                post = decode._epilogue(order, exact, bool(damp))
+                for total in (0, 1, None, None, None):
+                    m = random_message(rng, order, exact, total)
+                    assert total is None or sum(m) == total
+                    old = random_message(rng, order, exact, rng.choice((0, 1, None)))
+                    before = [rng.random() for _ in range(order)]
+                    delta = rng.choice((0.0, 0.0, rng.random()))
+                    write, normed = [None, None], [None, list(before)]
+                    got = post(list(m), 1, [None, old], write, normed, 1 - damp, damp,
+                               delta)
+                    want_write, want_normed = [None, None], [None, list(before)]
+                    d = ref_epilogue(list(m), 1, [None, old], want_write, want_normed,
+                                     damp, exact)
+                    want = d if d > delta else delta
+                    assert bits([write[1], normed[1], [got]]) == \
+                        bits([want_write[1], want_normed[1], [want]]), \
+                        (order, exact, damping, total)
+                    cases += 1
+    assert cases == 7 * 2 * 3 * 5
 
 
 def test_kernel_source_grows_linearly_in_the_degree():
@@ -446,6 +520,40 @@ def test_bench_shaped_tanner_decode_equals_the_per_target_loop():
     (sym, st), deltas = ref_decode(r, priors, 3, "flooding", 0.0, exact=True)
     assert (res.symbol_marginals, res.state_marginals) == (sym, st)
     assert report.deltas == deltas
+
+
+def test_iso_sign_shows_in_the_decode():
+    """`accumulator_ring` is a Z_12 ring whose code changes when an edge iso
+    is negated, so a message read across an iso edge without its
+    permutation changes the marginals."""
+    r = accumulator_ring(8)
+    assert sum(sv.iso is not None for sv in r.states.values()) == 4
+    priors = random_priors(r, random.Random("accumulator"), exact=False)
+    for schedule in ("flooding", "serial"):
+        for damping in (0.0, 0.5):
+            res, report = decode_iterative(r, priors, max_iters=6, schedule=schedule,
+                                           damping=damping, tol=0)
+            (sym, st), deltas = ref_decode(r, priors, 6, schedule, damping, exact=False)
+            assert res.symbol_marginals == sym, (schedule, damping)
+            assert res.state_marginals == st, (schedule, damping)
+            assert report.deltas == deltas, (schedule, damping)
+
+
+def test_a_decode_compiles_one_epilogue_per_alphabet_order():
+    """From cleared caches, a 20-sweep flooding decode compiles one kernel
+    per node shape (3 on a (3,6)-regular Tanner graph, 2 on a ring shaped
+    like the bench's) and one epilogue per distinct alphabet order of its
+    messages (2 on the graph; 3, 4 and 12 on the ring)."""
+    for r, kernels, epilogues in (
+            (regular_tanner(random.Random("compiles"), 48, 3, 6), 3, 1),
+            (bench_like_ring(16), 2, 3)):
+        decode._kernel.cache_clear()
+        decode._epilogue.cache_clear()
+        decode_iterative(r, random_priors(r, random.Random(0), exact=False),
+                         max_iters=20, tol=0)
+        assert len({sv.alphabet.order for sv in r.states.values()}) == epilogues
+        assert decode._kernel.cache_info().misses == kernels
+        assert decode._epilogue.cache_info().misses == epilogues
 
 
 def pendant_cycle(k: int, n: int = 200):
