@@ -6,10 +6,12 @@ Exit codes: 0 ok, 1 validation failure, 2 property-check failure,
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
+from ._records import record
 from .alphabets import sort_key
 from .analysis import obs_ctrl, state_trim_status, trim_proper
 from .decode import decode_exact, decode_iterative
@@ -255,75 +257,190 @@ def cmd_decode(args) -> int:
     return E_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error on one line, as a parse error (exit 4)."""
+@record(frozen=True)
+class Option:
+    """A subcommand option: a flag (no converter, default False) or one value."""
+    strings: tuple
+    convert: object = str
+    default: object = None
+    choices: tuple = ()
+    required: bool = False
+    help: str = ""
 
-    def error(self, message):
-        self.exit(E_IO, f"error: {message}\n")
+    @property
+    def dest(self) -> str:
+        return self.strings[-1][2:].replace("-", "_")
+
+    def read(self, value: str | None):
+        """The option's value from its string (None for a flag)."""
+        if self.convert is None:
+            return True
+        try:
+            result = self.convert(value)
+        except (TypeError, ValueError):
+            _usage_error(f"invalid {self.convert.__name__} value: {value!r}", self)
+        if self.choices and result not in self.choices:
+            _usage_error(f"invalid choice: {result!r} (choose from "
+                         f"{', '.join(map(repr, self.choices))})", self)
+        return result
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="normgraph",
-        description="normal graph realizations of linear and group codes")
-    sub = p.add_subparsers(dest="command", required=True)
+_HELP = Option(("-h", "--help"), None, help="show this help and exit")
+_OUTPUT = Option(("-o", "--output"))
 
-    q = sub.add_parser("validate", help="check normal degree and alphabet rules")
-    q.add_argument("file")
-    q.set_defaults(func=cmd_validate)
+# The command line: subcommand -> (function, help, options).  Each subcommand
+# also reads one positional `file`.  `parse_args` reads argv against it.
+COMMANDS = {
+    "validate": (cmd_validate, "check normal degree and alphabet rules", ()),
+    "behavior": (cmd_behavior, "print the behavior generator matrix", (
+        Option(("--external-only",), None, False,
+               help="print the realized code instead of the behavior"),)),
+    "dual": (cmd_dual, "write the dual realization",
+             (Option(("-o", "--output"), required=True),)),
+    "check-duality": (cmd_check_duality, "verify C° = C⊥ both ways", ()),
+    "analyze": (cmd_analyze, "trim/proper and obs/ctrl reports", (
+        Option(("--fragment",), help="comma-separated edges to cut first (their "
+                                     "isos are folded into the head constraints)"),
+        Option(("--json",), None, False))),
+    "minimize": (cmd_minimize, "minimize a cycle-free realization", (_OUTPUT,)),
+    "two-core": (cmd_two_core, "second canonical decomposition", (_OUTPUT, Option(
+        ("--emit-graph",), help="write a DOT description of the graph"))),
+    "decode": (cmd_decode, "sum-product decoding", (
+        Option(("--priors",), help="JSON file of per-symbol weights"),
+        Option(("--exact",), None, False,
+               help="exact rational two-pass decoding (cycle-free only)"),
+        Option(("--iters",), int, 100),
+        Option(("--schedule",), default="flooding", choices=("flooding", "serial")),
+        Option(("--damping",), float, 0.0),
+        Option(("--tol",), float, 1e-8),
+        _OUTPUT)),
+}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")   # a value, not an option
 
-    q = sub.add_parser("behavior", help="print the behavior generator matrix")
-    q.add_argument("file")
-    q.add_argument("--external-only", action="store_true",
-                   help="print the realized code instead of the behavior")
-    q.set_defaults(func=cmd_behavior)
 
-    q = sub.add_parser("dual", help="write the dual realization")
-    q.add_argument("file")
-    q.add_argument("-o", "--output", required=True)
-    q.set_defaults(func=cmd_dual)
+def _usage_error(message: str, option: Option | None = None):
+    if option is not None:
+        message = f"argument {'/'.join(option.strings)}: {message}"
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(E_IO)
 
-    q = sub.add_parser("check-duality", help="verify C° = C⊥ both ways")
-    q.add_argument("file")
-    q.set_defaults(func=cmd_check_duality)
 
-    q = sub.add_parser("analyze", help="trim/proper and obs/ctrl reports")
-    q.add_argument("file")
-    q.add_argument("--fragment",
-                   help="comma-separated edges to cut first (their isos are "
-                        "folded into the head constraints)")
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(func=cmd_analyze)
+def _classify(arg: str, table: dict):
+    """None if `arg` is a value; else (its option, None if unknown; the
+    option string; the value attached to it, or None)."""
+    if not arg.startswith("-"):
+        return None
+    if arg in table:
+        return table[arg], arg, None
+    if len(arg) == 1:
+        return None
+    name, eq, value = arg.partition("=")
+    if eq and name in table:
+        return table[name], name, value
+    if arg[1] == "-":                     # a unique prefix of a long option
+        found = [(table[s], s, value if eq else None)
+                 for s in table if s.startswith(name)]
+        if len(found) > 1:
+            _usage_error(f"ambiguous option: {arg} could match "
+                         f"{', '.join(s for _, s, _ in found)}")
+        if found:
+            return found[0]
+    elif arg[:2] in table:                # a short option with its value attached
+        return table[arg[:2]], arg[:2], arg[2:]
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, arg, None
 
-    q = sub.add_parser("minimize", help="minimize a cycle-free realization")
-    q.add_argument("file")
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_minimize)
 
-    q = sub.add_parser("two-core", help="second canonical decomposition")
-    q.add_argument("file")
-    q.add_argument("-o", "--output")
-    q.add_argument("--emit-graph", help="write a DOT description of the graph")
-    q.set_defaults(func=cmd_two_core)
+def _scan(args: list, command: str | None) -> tuple[dict, list]:
+    """Reads `args` as argparse read them: the options and `file` of a
+    subcommand, or (command None) the top level, whose `file` is the
+    subcommand and its arguments.  Returns the values read, defaults
+    included, and the strings that fit nowhere; a malformed option or `-h`
+    exits."""
+    options = COMMANDS[command][2] if command else ()
+    table = {s: option for option in (_HELP, *options) for s in option.strings}
+    values = {option.dest: option.default for option in options}
+    sep = args.index("--") if "--" in args else len(args)   # values only after it
+    kinds = [_classify(arg, table) for arg in args[:sep]] + [None] * (len(args) - sep)
+    extras, i = [], 0
+    while i < len(args):
+        if not kinds[i]:
+            if "file" in values or i == sep == len(args) - 1:   # or a bare last `--`
+                extras.append(args[i])
+                i += 1
+            elif command:                 # the file, and a `--` beside it
+                values["file"] = args[i + (i == sep)]
+                i += 1 + (sep in (i, i + 1))
+            else:
+                values["file"], i = args[i:], len(args)
+            continue
+        option, string, value = kinds[i]
+        i, taken = i + 1, []
+        if option is None:
+            extras.append(args[i - 1])
+            continue
+        while value is not None and option.convert is None:   # `-hh`: two flags
+            if string[1] == "-" or not value or "-" + value[0] not in table:
+                _usage_error(f"ignored explicit argument {value!r}", option)
+            taken.append((option, None))
+            string = "-" + value[0]
+            option, value = table[string], value[1:] or None
+        if value is None and option.convert is not None:
+            if i in (sep, len(args)) or kinds[i]:
+                _usage_error("expected one argument", option)
+            value, i = args[i], i + 1
+        for option, value in taken + [(option, value)]:
+            if option is _HELP:
+                print(_help(command))
+                raise SystemExit(E_OK)
+            values[option.dest] = option.read(value)
+    return values, extras
 
-    q = sub.add_parser("decode", help="sum-product decoding")
-    q.add_argument("file")
-    q.add_argument("--priors", help="JSON file of per-symbol weights")
-    q.add_argument("--exact", action="store_true",
-                   help="exact rational two-pass decoding (cycle-free only)")
-    q.add_argument("--iters", type=int, default=100)
-    q.add_argument("--schedule", choices=("flooding", "serial"),
-                   default="flooding")
-    q.add_argument("--damping", type=float, default=0.0)
-    q.add_argument("--tol", type=float, default=1e-8)
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_decode)
-    return p
+
+def _help(command: str | None) -> str:
+    if command is None:
+        return "\n".join([f"usage: normgraph [-h] {{{','.join(COMMANDS)}}} ...",
+                          "normal graph realizations of linear and group codes", *(
+            f"  {name:<14} {text}" for name, (_, text, _) in COMMANDS.items())])
+    usage, lines = [], [COMMANDS[command][1]]
+    for option in (_HELP, *COMMANDS[command][2]):
+        metavar = "" if option.convert is None else " " + (
+            "{" + ",".join(option.choices) + "}" if option.choices
+            else option.dest.upper())
+        usage.append(f"{option.strings[0]}{metavar}" if option.required
+                     else f"[{option.strings[0]}{metavar}]")
+        note = option.help if not metavar or option.default is None \
+            else f"{option.help} (default: {option.default})".lstrip()
+        lines.append(f"  {', '.join(option.strings) + metavar:<30} {note}".rstrip())
+    return "\n".join([f"usage: normgraph {command} {' '.join(usage)} file", *lines])
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The subcommand, its function (`func`) and its option values, read from
+    argv as argparse read them; a usage error exits 4 after one `error:` line
+    and `-h` exits 0 after the help."""
+    top, extras = _scan(list(argv), None)
+    if "file" not in top:
+        _usage_error("the following arguments are required: command")
+    command, *args = top["file"]
+    if command not in COMMANDS:
+        _usage_error(f"argument command: invalid choice: {command!r} "
+                     f"(choose from {', '.join(map(repr, COMMANDS))})")
+    values, unread = _scan(args, command)
+    missing = ["file"] * ("file" not in values) + [
+        "/".join(option.strings) for option in COMMANDS[command][2]
+        if option.required and values[option.dest] is None]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras + unread:
+        _usage_error(f"unrecognized arguments: {' '.join(extras + unread)}")
+    return SimpleNamespace(**values, command=command, func=COMMANDS[command][0])
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -189,13 +189,20 @@ def _unique_keys(pairs: list) -> dict:
     return out
 
 
-def load_realization(path: str) -> Realization:
-    with open(path) as fh:
+def _read_json(path: str, parse_float=None) -> object:
+    """The JSON document at `path`.  Text that is not UTF-8, nesting deeper
+    than the recursion limit and an integer literal beyond the int-to-str
+    limit are parse errors, as is any other malformed JSON."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, parse_float=parse_float,
+                             object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
-    return realization_from_json(doc)
+
+
+def load_realization(path: str) -> Realization:
+    return realization_from_json(_read_json(path))
 
 
 def _weight(value: object, exact: bool):
@@ -223,11 +230,7 @@ def load_priors(path: str, r: Realization, exact: bool) -> dict[str, Message]:
     Decimal literals are read exactly (0.9 means 9/10) so that exact-mode
     decoding stays exact.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh, parse_float=str, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = _read_json(path, parse_float=str)
     if not isinstance(doc, dict):
         raise ParseError("priors document must map symbol ids to weight lists")
     out: dict[str, Message] = {}

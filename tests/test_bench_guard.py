@@ -70,3 +70,26 @@ def test_cli_imports_only_the_stdlib_and_every_trace_target_resolves():
         outside[name] = origin
     assert outside == {}
     assert report["installed"] == report["targets"]
+
+
+RUN_SCRIPT = """
+import json, sys
+from normgraph.cli import main
+code = main(["validate", "corpus/rep3.json"])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_a_cli_run_loads_no_argparse_gettext_or_shutil():
+    """The command table is the parser: a run builds no argparse parser, so
+    it imports neither argparse nor what argparse pulls in for its messages
+    (gettext) and its help layout (shutil, for the terminal width)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", RUN_SCRIPT],
+                          capture_output=True, text=True, env=env, cwd=ROOT,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    assert {"argparse", "gettext", "shutil"} & set(report["modules"]) == set()

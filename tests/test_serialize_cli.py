@@ -196,6 +196,11 @@ MALFORMED_DECODE = [
     ("boolean prior weight", [], {"a0": [True, False]}, 4),
     ("prior weight beyond the float range", [], {"a0": ["1e400", "1"]}, 4),
     ("iterations not an integer", ["--iters", "abc"], None, 4),
+    # raw bytes: json.dumps cannot write these three
+    ("priors nested 100,000 deep", [], b'{"a0": ' + b"[" * 10**5 + b"]" * 10**5 + b"}",
+     4),
+    ("a prior weight of 5,001 digits", [], b'{"a0": [1' + b"0" * 5000 + b", 1]}", 4),
+    ("priors not UTF-8", [], bytes.fromhex("fffe7b7d"), 4),
 ]
 
 
@@ -206,7 +211,8 @@ def test_cli_malformed_decode_inputs_exit_cleanly(tmp_path):
         argv = ["decode", str(CORPUS / "tail_biting_rep2.json"), *extra]
         if priors is not None:
             path = tmp_path / "priors.json"
-            path.write_text(json.dumps(priors))
+            path.write_bytes(priors if isinstance(priors, bytes)
+                             else json.dumps(priors).encode())
             argv += ["--priors", str(path)]
         proc = subprocess.run([sys.executable, "-m", "normgraph.cli", *argv],
                               capture_output=True, text=True, env=env)
@@ -384,13 +390,19 @@ MALFORMED_DOCUMENT = [
     ("boundary lists a state twice", malformed_document(
         vars_=["a0", "a1", "x"], states=[{"id": "x", "alphabet": "F"}],
         boundary=["x", "x"]), 4, "boundary variable 'x' is listed twice"),
+    # raw bytes: json.dumps cannot write these three
+    ("nested 100,000 deep", b'{"alphabets": ' + b"[" * 10**5 + b"]" * 10**5 + b"}",
+     4, "invalid JSON: maximum recursion depth"),
+    ("a field of 5,001 digits", b'{"alphabets": {"F": {"field": 1' + b"0" * 5000
+     + b"}}}", 4, "invalid JSON: Exceeds the limit"),
+    ("not UTF-8", bytes.fromhex("fffe7b7d"), 4, "invalid JSON: 'utf-8' codec"),
 ]
 
 
 def test_cli_malformed_documents_exit_cleanly(tmp_path, capsys):
     path = tmp_path / "doc.json"
     for case, doc, code, names in MALFORMED_DOCUMENT:
-        path.write_text(json.dumps(doc))
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         start = time.perf_counter()
         got = main(["validate", str(path)])
         elapsed = time.perf_counter() - start
