@@ -17,7 +17,7 @@ from functools import reduce
 from operator import mul
 
 from ._records import record
-from .errors import BadPartition, RowOutOfAmbient, TooLargeToEnumerate, UnknownLabel
+from .errors import RowOutOfAmbient, TooLargeToEnumerate, UnknownLabel
 
 ENUMERATION_CAP = 2**20
 
@@ -73,11 +73,6 @@ class _Moduli:
         """The generators e_0, ..., e_(width-1), one per coordinate."""
         w = self.width
         return [(0,) * i + (1,) + (0,) * (w - 1 - i) for i in range(w)]
-
-    def contains(self, x: Sequence[int]) -> bool:
-        return len(x) == self.width and all(
-            0 <= v < m for v, m in zip(x, self.moduli)
-        )
 
     def reduce(self, x: Sequence[int]) -> Element:
         """Reduce an integer tuple to canonical residues."""
@@ -155,9 +150,6 @@ def cyclic_group(*moduli: int) -> Alphabet:
     return Alphabet("group", tuple(moduli))
 
 
-TRIVIAL = Alphabet("group", ())
-
-
 class ProductSpace(_Moduli):
     """Ordered labeled direct product of alphabets; the ambient of a subgroup.
 
@@ -222,17 +214,6 @@ class ProductSpace(_Moduli):
             if lab not in self._ranges:
                 raise UnknownLabel(f"no factor labeled {lab!r}")
         return ProductSpace([(l, a) for l, a in self.factors if l in wanted])
-
-    def split(self, part: Sequence[Hashable]) -> tuple["ProductSpace", "ProductSpace"]:
-        """Bipartition into (part, complement); errors if part is not a subset."""
-        wanted = set(part)
-        if len(wanted) != len(list(part)):
-            raise BadPartition("repeated labels in partition")
-        inside = self.subspace(part)
-        outside = ProductSpace(
-            [(l, a) for l, a in self.factors if l not in wanted]
-        )
-        return inside, outside
 
     def check_row(self, x: Sequence[int]) -> Element:
         if len(x) != self.width:

@@ -7,7 +7,6 @@ Exit codes: 0 ok, 1 validation failure, 2 property-check failure,
 from __future__ import annotations
 
 import json
-import re
 import sys
 from types import SimpleNamespace
 
@@ -16,19 +15,13 @@ from .alphabets import sort_key
 from .analysis import obs_ctrl, state_trim_status, trim_proper
 from .decode import decode_exact, decode_iterative
 from .duality import dualize, verify_duality
-from .errors import (
-    Disconnected,
-    NormgraphError,
-    NotCycleFree,
-    NotTrimProper,
-)
+from .errors import Disconnected, NormgraphError, NotCycleFree
 from .graphcore import (
     cut_edges,
     cyclomatic_number,
     second_canonical_decomposition,
 )
 from .minimize import minimize_cycle_free, state_orders
-from .realization import Realization
 from .serialize import (
     ParseError,
     dump_realization,
@@ -41,16 +34,8 @@ from .serialize import (
 E_OK, E_VALIDATION, E_PROPERTY, E_PRECONDITION, E_IO = 0, 1, 2, 3, 4
 
 
-def _load(path: str) -> Realization:
-    try:
-        return load_realization(path)
-    except (OSError, ParseError, NormgraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(E_IO)
-
-
 def cmd_validate(args) -> int:
-    r = _load(args.file)
+    r = load_realization(args.file)
     report = r.validate()
     for line in report.lines():
         print(line)
@@ -61,7 +46,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_behavior(args) -> int:
-    r = _load(args.file)
+    r = load_realization(args.file)
     sub = r.code() if args.external_only else r.behavior_bundle().behavior
     labels = " ".join(str(lab) for lab in sub.ambient.labels)
     print(f"# columns: {labels}")
@@ -72,21 +57,21 @@ def cmd_behavior(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    r = _load(args.file)
+    r = load_realization(args.file)
     dump_realization(dualize(r), args.output)
     print(f"wrote dual realization to {args.output}")
     return E_OK
 
 
 def cmd_check_duality(args) -> int:
-    r = _load(args.file)
+    r = load_realization(args.file)
     rep = verify_duality(r)
     print(rep.summary())
     return E_OK if rep.passed else E_PROPERTY
 
 
 def cmd_analyze(args) -> int:
-    r = _load(args.file)
+    r = load_realization(args.file)
     targets = [r]
     if args.fragment:
         edges = [e.strip() for e in args.fragment.split(",") if e.strip()]
@@ -159,7 +144,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    r = _load(args.file)
+    r = load_realization(args.file)
     try:
         m = minimize_cycle_free(r)
     except (NotCycleFree, Disconnected) as exc:
@@ -176,15 +161,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_two_core(args) -> int:
-    r = _load(args.file)
-    try:
-        dec = second_canonical_decomposition(r)
-    except NotTrimProper as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return E_PRECONDITION
-    except (Disconnected,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return E_PRECONDITION
+    r = load_realization(args.file)
+    dec = second_canonical_decomposition(r)
     if dec.core is None:
         print("cycle-free: no 2-core")
     else:
@@ -222,21 +200,13 @@ def cmd_decode(args) -> int:
         print(f"error: --tol must be a non-negative number, got {args.tol}",
               file=sys.stderr)
         return E_IO
-    r = _load(args.file)
+    r = load_realization(args.file)
     exact = args.exact
-    try:
-        priors = load_priors(args.priors, r, exact) if args.priors else None
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return E_IO
+    priors = load_priors(args.priors, r, exact) if args.priors else None
     # printed after the marginals, so that a failed write reports only its error
     notes = []
     if exact:
-        try:
-            res = decode_exact(r, priors, exact=True)
-        except NotCycleFree as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return E_PRECONDITION
+        res = decode_exact(r, priors, exact=True)
         payload = marginals_to_json(res.symbol_marginals, exact=True)
     else:
         res, report = decode_iterative(
@@ -271,21 +241,18 @@ class Option:
     def dest(self) -> str:
         return self.strings[-1][2:].replace("-", "_")
 
-    def read(self, value: str | None):
-        """The option's value from its string (None for a flag)."""
-        if self.convert is None:
-            return True
+    def read(self, value: str):
+        """The option's value from its string; a ValueError says why it has none."""
         try:
             result = self.convert(value)
         except (TypeError, ValueError):
-            _usage_error(f"invalid {self.convert.__name__} value: {value!r}", self)
+            raise ValueError(f"invalid {self.convert.__name__} value: {value!r}") from None
         if self.choices and result not in self.choices:
-            _usage_error(f"invalid choice: {result!r} (choose from "
-                         f"{', '.join(map(repr, self.choices))})", self)
+            raise ValueError(f"invalid choice: {result!r} (choose from "
+                             f"{', '.join(map(repr, self.choices))})")
         return result
 
 
-_HELP = Option(("-h", "--help"), None, help="show this help and exit")
 _OUTPUT = Option(("-o", "--output"))
 
 # The command line: subcommand -> (function, help, options).  Each subcommand
@@ -315,127 +282,84 @@ COMMANDS = {
         Option(("--tol",), float, 1e-8),
         _OUTPUT)),
 }
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")   # a value, not an option
 
 
-def _usage_error(message: str, option: Option | None = None):
-    if option is not None:
-        message = f"argument {'/'.join(option.strings)}: {message}"
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(E_IO)
-
-
-def _classify(arg: str, table: dict):
-    """None if `arg` is a value; else (its option, None if unknown; the
-    option string; the value attached to it, or None)."""
-    if not arg.startswith("-"):
+def _read_plain(argv: list[str]) -> dict | None:
+    """The values of a plain line: `COMMAND FILE` and whole option strings,
+    each valued option followed by a value not starting with `-`.  None for
+    any other line, and for a plain one with a bad value or a required
+    option left out, which argparse then reads and refuses."""
+    if not argv or argv[0] not in COMMANDS:
         return None
-    if arg in table:
-        return table[arg], arg, None
-    if len(arg) == 1:
-        return None
-    name, eq, value = arg.partition("=")
-    if eq and name in table:
-        return table[name], name, value
-    if arg[1] == "-":                     # a unique prefix of a long option
-        found = [(table[s], s, value if eq else None)
-                 for s in table if s.startswith(name)]
-        if len(found) > 1:
-            _usage_error(f"ambiguous option: {arg} could match "
-                         f"{', '.join(s for _, s, _ in found)}")
-        if found:
-            return found[0]
-    elif arg[:2] in table:                # a short option with its value attached
-        return table[arg[:2]], arg[:2], arg[2:]
-    if _NEGATIVE.match(arg) or " " in arg:
-        return None
-    return None, arg, None
-
-
-def _scan(args: list, command: str | None) -> tuple[dict, list]:
-    """Reads `args` as argparse read them: the options and `file` of a
-    subcommand, or (command None) the top level, whose `file` is the
-    subcommand and its arguments.  Returns the values read, defaults
-    included, and the strings that fit nowhere; a malformed option or `-h`
-    exits."""
-    options = COMMANDS[command][2] if command else ()
-    table = {s: option for option in (_HELP, *options) for s in option.strings}
-    values = {option.dest: option.default for option in options}
-    sep = args.index("--") if "--" in args else len(args)   # values only after it
-    kinds = [_classify(arg, table) for arg in args[:sep]] + [None] * (len(args) - sep)
-    extras, i = [], 0
-    while i < len(args):
-        if not kinds[i]:
-            if "file" in values or i == sep == len(args) - 1:   # or a bare last `--`
-                extras.append(args[i])
-                i += 1
-            elif command:                 # the file, and a `--` beside it
-                values["file"] = args[i + (i == sep)]
-                i += 1 + (sep in (i, i + 1))
-            else:
-                values["file"], i = args[i:], len(args)
-            continue
-        option, string, value = kinds[i]
-        i, taken = i + 1, []
+    options = COMMANDS[argv[0]][2]
+    table = {s: option for option in options for s in option.strings}
+    values = {"command": argv[0]} | {option.dest: option.default for option in options}
+    args = iter(argv[1:])
+    for arg in args:
+        option = table.get(arg)
         if option is None:
-            extras.append(args[i - 1])
-            continue
-        while value is not None and option.convert is None:   # `-hh`: two flags
-            if string[1] == "-" or not value or "-" + value[0] not in table:
-                _usage_error(f"ignored explicit argument {value!r}", option)
-            taken.append((option, None))
-            string = "-" + value[0]
-            option, value = table[string], value[1:] or None
-        if value is None and option.convert is not None:
-            if i in (sep, len(args)) or kinds[i]:
-                _usage_error("expected one argument", option)
-            value, i = args[i], i + 1
-        for option, value in taken + [(option, value)]:
-            if option is _HELP:
-                print(_help(command))
-                raise SystemExit(E_OK)
-            values[option.dest] = option.read(value)
-    return values, extras
+            if arg.startswith("-") or "file" in values:
+                return None
+            values["file"] = arg
+        elif option.convert is None:
+            values[option.dest] = True
+        else:
+            value = next(args, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                values[option.dest] = option.read(value)
+            except ValueError:
+                return None
+    if "file" not in values or any(option.required and values[option.dest] is None
+                                   for option in options):
+        return None
+    return values
 
 
-def _help(command: str | None) -> str:
-    if command is None:
-        return "\n".join([f"usage: normgraph [-h] {{{','.join(COMMANDS)}}} ...",
-                          "normal graph realizations of linear and group codes", *(
-            f"  {name:<14} {text}" for name, (_, text, _) in COMMANDS.items())])
-    usage, lines = [], [COMMANDS[command][1]]
-    for option in (_HELP, *COMMANDS[command][2]):
-        metavar = "" if option.convert is None else " " + (
-            "{" + ",".join(option.choices) + "}" if option.choices
-            else option.dest.upper())
-        usage.append(f"{option.strings[0]}{metavar}" if option.required
-                     else f"[{option.strings[0]}{metavar}]")
-        note = option.help if not metavar or option.default is None \
-            else f"{option.help} (default: {option.default})".lstrip()
-        lines.append(f"  {', '.join(option.strings) + metavar:<30} {note}".rstrip())
-    return "\n".join([f"usage: normgraph {command} {' '.join(usage)} file", *lines])
+def _read_with_argparse(argv: list[str]) -> dict:
+    """argv as an argparse parser built from `COMMANDS` reads it: a usage
+    error exits 4 after one `error:` line, `-h` exits 0 after the help."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.exit(E_IO, f"error: {message}\n")
+
+    parser = Parser(prog="normgraph",
+                    description="normal graph realizations of linear and group codes")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text, options) in COMMANDS.items():
+        sub = commands.add_parser(name, help=text)
+        sub.add_argument("file")
+        for option in options:
+            if option.convert is None:
+                sub.add_argument(*option.strings, action="store_true",
+                                 help=option.help)
+            else:
+                sub.add_argument(*option.strings, type=option.convert,
+                                 default=option.default, required=option.required,
+                                 choices=option.choices or None, help=option.help)
+    values = vars(parser.parse_args(argv))
+    # argparse stores an attached `--` (`-o--`, `--iters=--`) as [], on which
+    # the commands crash; it is read as the value `--`
+    if values["file"] == []:
+        values["file"] = "--"
+    for option in COMMANDS[values["command"]][2]:
+        if values[option.dest] == []:
+            try:
+                values[option.dest] = option.read("--")
+            except ValueError as exc:
+                parser.error(f"argument {'/'.join(option.strings)}: {exc}")
+    return values
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
-    """The subcommand, its function (`func`) and its option values, read from
-    argv as argparse read them; a usage error exits 4 after one `error:` line
-    and `-h` exits 0 after the help."""
-    top, extras = _scan(list(argv), None)
-    if "file" not in top:
-        _usage_error("the following arguments are required: command")
-    command, *args = top["file"]
-    if command not in COMMANDS:
-        _usage_error(f"argument command: invalid choice: {command!r} "
-                     f"(choose from {', '.join(map(repr, COMMANDS))})")
-    values, unread = _scan(args, command)
-    missing = ["file"] * ("file" not in values) + [
-        "/".join(option.strings) for option in COMMANDS[command][2]
-        if option.required and values[option.dest] is None]
-    if missing:
-        _usage_error(f"the following arguments are required: {', '.join(missing)}")
-    if extras + unread:
-        _usage_error(f"unrecognized arguments: {' '.join(extras + unread)}")
-    return SimpleNamespace(**values, command=command, func=COMMANDS[command][0])
+    """The subcommand, its function (`func`) and its option values.  argparse
+    reads every line but the plain ones, and so owns the corner cases, the
+    usage errors and `-h`; the plain reader keeps its import off the rest."""
+    values = _read_plain(list(argv)) or _read_with_argparse(list(argv))
+    return SimpleNamespace(**values, func=COMMANDS[values["command"]][0])
 
 
 def main(argv=None) -> int:
@@ -444,13 +368,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except (OSError, ParseError) as exc:   # a bad input file, an unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return E_IO
     except NormgraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return E_PRECONDITION
-    except OSError as exc:
-        # an output file that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return E_IO
 
 
 if __name__ == "__main__":

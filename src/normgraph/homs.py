@@ -109,7 +109,3 @@ def identity_map(alpha: Alphabet) -> Homomorphism:
 
 def negation_map(alpha: Alphabet) -> Homomorphism:
     return identity_map(alpha).negated()
-
-
-def adjoint(phi: Homomorphism) -> Homomorphism:
-    return phi.adjoint()

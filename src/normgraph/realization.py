@@ -502,7 +502,7 @@ class Realization:
         """
         if other is None:
             merged_symbols = dict(self.symbols)
-            merged_states = dict(self.states)
+            merged_states = {j: sv for j, sv in self.states.items() if j != head}
             merged_constraints = dict(self.constraints)
             merged_boundary = [b for b in self.boundary if b not in (tail, head)]
             if tail not in set(self.boundary) or head not in set(self.boundary):
@@ -512,20 +512,22 @@ class Realization:
                 raise UnknownEdge(f"{tail!r} is not a boundary variable")
             if head not in set(other.boundary):
                 raise UnknownEdge(f"{head!r} is not a boundary variable")
-            overlap = ((set(self.symbols) | set(self.states))
-                       & (set(other.symbols) | set(other.states)))
-            if overlap - {tail, head}:
+            # the two ends may share their label, which the new edge keeps
+            shared = ((set(self.symbols) | set(self.states))
+                      & (set(other.symbols) | set(other.states))) - ({tail} & {head})
+            if shared:
                 raise ValidationFailed(
-                    f"variable labels overlap between fragments: {overlap}")
+                    f"variable labels overlap between fragments: {sorted(shared)}")
             if set(self.constraints) & set(other.constraints):
                 raise ValidationFailed("constraint labels overlap between fragments")
             merged_symbols = dict(self.symbols) | dict(other.symbols)
-            merged_states = dict(self.states) | dict(other.states)
+            merged_states = dict(self.states) | {
+                j: sv for j, sv in other.states.items() if j != head}
             merged_constraints = dict(self.constraints) | dict(other.constraints)
             merged_boundary = [b for b in self.boundary if b != tail]
             merged_boundary += [b for b in other.boundary if b != head]
-        ta = merged_states[tail].alphabet
-        ha = merged_states[head].alphabet
+        src = self if other is None else other
+        ta, ha = self.states[tail].alphabet, src.states[head].alphabet
         if iso is None:
             if ta.moduli != ha.moduli:
                 raise AlphabetMismatch(
@@ -534,13 +536,11 @@ class Realization:
             if iso.source != ta or iso.target != ha or not iso.is_isomorphism:
                 raise AlphabetMismatch("pairing isomorphism has wrong alphabets")
         # rename the head slot to the tail label
-        src = self if other is None else other
         hc, hi = src.slots[head][0]
         con = merged_constraints[hc]
         new_vars = list(con.vars)
         new_vars[hi] = tail
         merged_constraints[hc] = Constraint(tuple(new_vars), con.code)
-        del merged_states[head]
         merged = Realization(merged_symbols, merged_states, merged_constraints,
                              merged_boundary)
         # orientation: the stated map sends the tail-label end to the head end;
@@ -643,6 +643,18 @@ def normalize(system: GeneralSystem) -> Realization:
         taken.add(lab)
         return lab
 
+    def replicate(v: str, alpha: Alphabet, lead: tuple) -> None:
+        """One replica edge per occurrence of v, tied by an equality node
+        over `lead` and the replicas."""
+        replicas = []
+        for t, slot in enumerate(occurrences[v]):
+            lab = fresh(f"{v}:r{t}")
+            replicas.append(lab)
+            states[lab] = StateVar(alpha)
+            renames[slot] = lab
+        extra[fresh(f"eq:{v}")] = Constraint(
+            (*lead, *replicas), equality_code(alpha, len(lead) + len(replicas)))
+
     for v, (alpha, kind) in system.variables.items():
         occ = occurrences[v]
         d = len(occ)
@@ -653,15 +665,7 @@ def normalize(system: GeneralSystem) -> Realization:
                 extra[free] = Constraint(
                     (v,), full_subgroup(ProductSpace([(0, alpha)])))
             elif d >= 2:
-                replicas = []
-                for t, slot in enumerate(occ):
-                    lab = fresh(f"{v}:r{t}")
-                    replicas.append(lab)
-                    states[lab] = StateVar(alpha)
-                    renames[slot] = lab
-                eq = fresh(f"eq:{v}")
-                extra[eq] = Constraint(
-                    (v, *replicas), equality_code(alpha, d + 1))
+                replicate(v, alpha, (v,))
         else:
             if d == 0:
                 continue
@@ -670,14 +674,7 @@ def normalize(system: GeneralSystem) -> Realization:
             elif d == 2:
                 states[v] = StateVar(alpha)
             else:
-                replicas = []
-                for t, slot in enumerate(occ):
-                    lab = fresh(f"{v}:r{t}")
-                    replicas.append(lab)
-                    states[lab] = StateVar(alpha)
-                    renames[slot] = lab
-                eq = fresh(f"eq:{v}")
-                extra[eq] = Constraint(tuple(replicas), equality_code(alpha, d))
+                replicate(v, alpha, ())
 
     constraints: dict[str, Constraint] = {}
     for cl, (vars_, code) in system.constraints.items():

@@ -93,3 +93,40 @@ def test_a_cli_run_loads_no_argparse_gettext_or_shutil():
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["code"] == 0
     assert {"argparse", "gettext", "shutil"} & set(report["modules"]) == set()
+
+
+PARSE_SCRIPT = """
+import json, sys
+from normgraph.cli import parse_args
+read = []
+for argv in json.loads(sys.argv[1]):
+    read.append([parse_args(argv).command,
+                 sorted({"argparse", "gettext", "shutil"} & set(sys.modules))])
+print(json.dumps(read))
+"""
+
+# every argv shape of `bench/run.py::commands_for`, over all three workloads
+BENCH_LINES = [
+    ["validate", "F"],
+    ["behavior", "F", "--external-only"],
+    ["check-duality", "F"],
+    ["minimize", "F", "-o", "O"],
+    ["analyze", "F", "--json"],
+    ["decode", "F", "--exact", "--priors", "P"],
+    ["decode", "F", "--iters", "20", "--tol", "0", "--priors", "P"],
+    ["two-core", "F"],
+]
+
+
+def test_every_bench_command_line_is_read_without_argparse():
+    """The plain reader takes every line the bench runs, so none of them
+    imports argparse or builds its parser: `parse_args` reads each one with
+    no argparse, gettext or shutil in `sys.modules`."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", PARSE_SCRIPT,
+                           json.dumps(BENCH_LINES)],
+                          capture_output=True, text=True, env=env, cwd=ROOT,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[argv[0], []] for argv in BENCH_LINES]

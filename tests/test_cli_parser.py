@@ -9,6 +9,8 @@ exit 4 after the same one `error:` line where both refuse, and the help
 (exit 0, `usage: normgraph` first) where both print it.  The reference is
 the argparse of Python 3.10 to 3.12; 3.13's prints the help for `-hx`,
 which these refuse.
+`parse_args` itself hands every line but the plain ones to the installed
+argparse, so under any version it agrees with the reference on those.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 
 from normgraph.cli import parse_args
+from normgraph.cli import _read_plain
 from tests.argparse_reference import build_parser
 
 REFERENCE = build_parser()
@@ -106,7 +109,9 @@ def command_lines(n: int = 600, seed: int = 20131) -> list[list[str]]:
 
 def test_the_command_table_reads_argv_as_argparse_did():
     tally = {"accepted": 0, "refused": 0, "help": 0, "attached --": 0}
+    plain = 0                 # the lines the plain reader takes, not argparse
     for argv in command_lines():
+        plain += _read_plain(list(argv)) is not None
         want, want_out, want_err = outcome(REFERENCE.parse_args, argv)
         got, got_out, got_err = outcome(parse_args, argv)
         if isinstance(want, dict) and [] in want.values():
@@ -133,6 +138,8 @@ def test_the_command_table_reads_argv_as_argparse_did():
     assert tally["accepted"] > 200 and tally["refused"] > 100 and tally["help"] > 5, \
         tally
     assert tally["attached --"] > 0, tally
+    # both readers are reached: the plain one took 110 of these 600 lines
+    assert 50 < plain < 550, plain
 
 
 def test_each_accepted_form_gives_the_reference_value():

@@ -6,7 +6,7 @@ import functools
 import random
 
 from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
-from normgraph.corpus import zero_sum_code as zero_sum
+from normgraph.corpus import trellis_realization, zero_sum_code as zero_sum
 from normgraph.homs import Homomorphism
 from normgraph.realization import (
     Constraint,
@@ -221,6 +221,39 @@ def test_connect_two_leaf_identity_graphs():
                      {"c2": Constraint(("v", "a2"), ident)}, boundary=["v"])
     joined = f1.connect(f2, "u", "v")
     assert set(joined.code().elements()) == {(0, 0), (1, 1)}
+
+
+def _trellis_halves_at_s3(head: str):
+    """The two halves of a GF(2) trellis cut at s3, the head half's end
+    renamed from s3' to `head`: (trellis, tail half, head half)."""
+    t = trellis_realization([[1, 1, 0, 1, 0], [0, 1, 1, 1, 1]], [GF2] * 5)
+    f1, f2 = t.split(["s3"]).fragments
+    if "s3" not in f1.boundary:
+        f1, f2 = f2, f1
+    name = lambda v: head if v == "s3'" else v
+    f2 = Realization(dict(f2.symbols),
+                     {name(j): sv for j, sv in f2.states.items()},
+                     {cl: Constraint(tuple(map(name, con.vars)), con.code)
+                      for cl, con in f2.constraints.items()},
+                     [name(b) for b in f2.boundary])
+    return t, f1, f2
+
+
+def test_connect_fragments_whose_ends_share_their_label():
+    t, f1, f2 = _trellis_halves_at_s3("s3")
+    joined = f1.connect(f2, "s3", "s3")
+    assert joined.validate().is_valid
+    assert sorted(joined.states) == sorted(t.states)
+    assert joined.code() == t.code()
+
+
+def test_connect_refuses_any_other_shared_label():
+    import pytest
+    from normgraph.errors import ValidationFailed
+
+    _, f1, f2 = _trellis_halves_at_s3("s1")     # s1 is an internal edge of f1
+    with pytest.raises(ValidationFailed, match="'s1'"):
+        f1.connect(f2, "s3", "s1")
 
 
 def test_normalize_already_normal_is_fixed_point():
