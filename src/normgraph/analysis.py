@@ -21,7 +21,7 @@ from .errors import (
     UnknownVariable,
 )
 from .graphcore import cut_edges
-from .realization import Constraint, Realization, StateVar, _map_slot
+from .realization import Constraint, Realization, StateVar, _map_slot, fresh_label
 from .subgroups import CodeSubgroup, QuotientMap, product_subgroup, restrict_merge
 
 
@@ -83,9 +83,9 @@ def far_side_fragment(r: Realization, constraint: str, edge: str
     incident = [j for j in r.internal_states()
                 if any(cl == constraint for cl, _ in r.slots[j])]
     sp = r.split(incident)
-    frag = next(f for f in sp.fragments if others[0] in f.constraints)
-    tail, head = sp.halves[edge]
-    return sp.folded, frag, tail if tail in frag.boundary else head
+    frag, ends = next((f, e) for f, e in zip(sp.fragments, sp.ends)
+                      if others[0] in f.constraints)
+    return sp.folded, frag, next(b for b, j in ends.items() if j == edge)
 
 
 def local_reduce(r: Realization, constraint: str, edge: str) -> Realization:
@@ -142,28 +142,18 @@ class CanonicalDecomposition:
         symbols = dict(self.core.symbols)
         states = dict(self.core.states)
         constraints = dict(self.core.constraints)
+        taken, nodes = set(symbols) | set(states), set(constraints)
         for k, quot in self.interfaces.items():
-            eff_label = f"{k}~"
-            while eff_label in symbols or eff_label in states:
-                eff_label += "~"
-            # core currently exposes the effective alphabet as symbol k
+            # the core exposes the effective alphabet as symbol k, which
+            # becomes the edge to an interface node on (k, eff_label)
+            eff_label = fresh_label(f"{k}~", taken, "~")
             symbols.pop(k)
             states[eff_label] = StateVar(quot.alphabet, None)
-            renamed: dict[str, Constraint] = {}
-            for cl, con in constraints.items():
-                if k in con.vars:
-                    new_vars = tuple(eff_label if v == k else v for v in con.vars)
-                    renamed[cl] = Constraint(new_vars, con.code)
-                else:
-                    renamed[cl] = con
-            constraints = renamed
+            (cl, i), = self.core.slots[k]
+            constraints[cl] = constraints[cl].renamed({i: eff_label})
             symbols[k] = quot.group.ambient.alphabet(k)
-            iface_label = f"iface:{k}"
-            while iface_label in constraints:
-                iface_label += "+"
-            # slots 0 and 1 of the node on (k, eff_label)
-            constraints[iface_label] = Constraint((k, eff_label),
-                                                  quot.node(1).renamed({k: 0}))
+            constraints[fresh_label(f"iface:{k}", nodes, "+")] = Constraint(
+                (k, eff_label), quot.node(1).renamed({k: 0}))
         return Realization(symbols, states, constraints)
 
 
@@ -305,13 +295,8 @@ def behavioral_ctrl_obs(r: Realization, part_f: Sequence[str],
                 and len({cl for cl, _ in r.slots[j]} & rest) >= 1]
     sp = r.split(crossing, parts=[set_f, set_f2, rest])
     frag_f, frag_f2, frag_mid = sp.fragments
-
-    def label_of(frag: Realization) -> dict[str, str]:
-        """Each cut edge's half-edge label inside the fragment."""
-        return {j: lab for j, pair in sp.halves.items() for lab in pair
-                if lab in frag.boundary}
-
-    lab_f, lab_f2, lab_mid = map(label_of, sp.fragments)
+    # each cut edge's half-edge label inside each fragment
+    lab_f, lab_f2, lab_mid = ({j: b for b, j in ends.items()} for ends in sp.ends)
 
     def boundary_block(frag: Realization, label_of_edge: dict[str, str],
                        edges: list[str]) -> tuple[CodeSubgroup, CodeSubgroup]:

@@ -256,8 +256,7 @@ def _sweep(table, incoming, targets, sizes, one) -> list[list]:
     return list(kernel(table, incoming, (range(len(incoming)), None), sizes, one))
 
 
-def sp_update(code: CodeSubgroup, incoming: Mapping, target, exact: bool = True,
-              cap: int = ENUMERATION_CAP) -> Message:
+def sp_update(code: CodeSubgroup, incoming: Mapping, target, exact: bool = True) -> Message:
     """Sum-product update: out(v) = sum over codewords matching v of the
     product of incoming weights at the other coordinates."""
     amb = code.ambient
@@ -265,12 +264,12 @@ def sp_update(code: CodeSubgroup, incoming: Mapping, target, exact: bool = True,
     for lab in amb.labels:
         if lab != target and lab not in incoming:
             raise MissingIncoming(f"no incoming message for {lab!r}")
-    if code.order > cap:
+    if code.order > ENUMERATION_CAP:
         raise TooLargeToEnumerate("constraint code too large for sum-product")
     t = amb.labels.index(target)
     msgs = [None if lab == target else incoming[lab] for lab in amb.labels]
     alphas = [target_alpha if m is None else m.alphabet for m in msgs]
-    out, = _sweep(_index_table(code, alphas, cap),
+    out, = _sweep(_index_table(code, alphas, ENUMERATION_CAP),
                   [None if m is None else m.weights for m in msgs], [t],
                   [target_alpha.order], Fraction(1) if exact else 1.0)
     return Message(target_alpha, tuple(out))

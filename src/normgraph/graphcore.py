@@ -62,6 +62,14 @@ class LeafAttachment:
     fragment: Realization
     edge: str | None          # attachment edge label in the original realization
     boundary_var: str | None  # that edge's half-edge label inside the fragment
+    # from `second_canonical_decomposition` only: the effective symbol
+    # configuration space C^F|A / C^F:A and the attachment edge's state order
+    quotient: QuotientMap | None = None
+    state_order: int | None = None
+
+    @property
+    def effective_order(self) -> int | None:
+        return self.quotient.order if self.quotient else None
 
 
 @record
@@ -70,18 +78,24 @@ class TwoCoreDecomposition:
     core_boundary_of: dict[str, str]  # attachment edge -> core-side half-edge label
     leaves: list[LeafAttachment]
 
+    @property
+    def orders_match(self) -> bool:
+        return all(la.state_order is None or la.state_order == la.effective_order
+                   for la in self.leaves)
 
-def two_core_constraints(r: Realization, rng: random.Random | None = None) -> set[str]:
+
+def two_core_constraints(r: Realization, rng: object | None = None) -> set[str]:
     """Constraints `Realization.peel` never strips (empty iff cycle-free)."""
     return set(r.constraints).difference(c for c, _ in r.peel(rng))
 
 
-def two_core(r: Realization, rng: random.Random | None = None) -> TwoCoreDecomposition:
+def two_core(r: Realization, rng: object | None = None) -> TwoCoreDecomposition:
     """Strip leaf constraints repeatedly; returns the core and leaf fragments.
 
-    The optional rng shuffles the stripping order (the result is invariant;
-    tests rely on that).  The core is None iff the realization is cycle-free,
-    in which case the whole realization is reported as one leaf fragment.
+    The optional rng (see `Realization.peel`) shuffles the stripping order
+    (the result is invariant; tests rely on that).  The core is None iff the
+    realization is cycle-free, in which case the whole realization is
+    reported as one leaf fragment.
     """
     if not r.is_connected:
         raise Disconnected("two_core requires a connected realization")
@@ -94,23 +108,16 @@ def two_core(r: Realization, rng: random.Random | None = None) -> TwoCoreDecompo
     # attachment edges: the stripped constraints hanging by an edge into the core
     sp = r.split([j for _, j in peel
                   if j is not None and any(c in alive for c, _ in r.slots[j])])
-    edge_of = {lab: j for j, pair in sp.halves.items() for lab in pair}
-    core = None
-    core_boundary_of: dict[str, str] = {}
-    leaves_out = []
-    for frag in sp.fragments:
-        if set(frag.constraints) & alive:
-            core = frag
-        else:
+    core, core_boundary_of, leaves = None, {}, []
+    for frag, ends in zip(sp.fragments, sp.ends):
+        if alive.isdisjoint(frag.constraints):
             # a leaf hangs by one half-edge; other boundary variables are the input's
-            bvar = next(b for b in frag.boundary if b in edge_of)
-            leaves_out.append(LeafAttachment(frag, edge_of[bvar], bvar))
-    assert core is not None
-    for b in core.boundary:
-        if b in edge_of:
-            core_boundary_of[edge_of[b]] = b
-    leaves_out.sort(key=lambda la: sort_key(la.edge))
-    return TwoCoreDecomposition(core, core_boundary_of, leaves_out)
+            (bvar, j), = ends.items()
+            leaves.append(LeafAttachment(frag, j, bvar))
+        else:
+            core, core_boundary_of = frag, {j: b for b, j in ends.items()}
+    leaves.sort(key=lambda la: sort_key(la.edge))
+    return TwoCoreDecomposition(core, core_boundary_of, leaves)
 
 
 def constraint_trim_proper(code: CodeSubgroup) -> tuple[bool, bool]:
@@ -139,33 +146,7 @@ def internally_trim_proper(r: Realization) -> bool:
     return True
 
 
-@record
-class LeafSummary:
-    fragment: Realization
-    edge: str | None
-    boundary_var: str | None
-    quotient: QuotientMap | None  # effective symbol configuration space C^F|A / C^F:A
-    state_order: int | None
-
-    @property
-    def effective_order(self) -> int | None:
-        return self.quotient.order if self.quotient else None
-
-
-@record
-class SecondDecomposition:
-    core: Realization | None
-    leaves: list[LeafSummary]
-
-    @property
-    def orders_match(self) -> bool:
-        return all(
-            ls.state_order is None or ls.state_order == ls.effective_order
-            for ls in self.leaves
-        )
-
-
-def second_canonical_decomposition(r: Realization) -> SecondDecomposition:
+def second_canonical_decomposition(r: Realization) -> TwoCoreDecomposition:
     """Split an internally trim and proper realization into 2-core + leaf nodes.
 
     Each cycle-free leaf fragment acts as an interface node: its external
@@ -179,23 +160,23 @@ def second_canonical_decomposition(r: Realization) -> SecondDecomposition:
             "realization is not internally trim and proper; "
             "apply canonical_decomposition first")
     dec = two_core(r)
+    leaves = dec.leaves
     if dec.core is None:
         edges = sorted((j for j in r.internal_states() if len(r.slots[j]) == 2),
                        key=sort_key)
         if not edges:
-            return SecondDecomposition(None, [LeafSummary(r, None, None, None, None)])
-        j = edges[0]
-        sp = r.split([j])
-        return SecondDecomposition(None, [
-            _leaf_summary(f, j, next(h for h in sp.halves[j] if h in f.boundary), r)
-            for f in sp.fragments])
-    return SecondDecomposition(dec.core, [
-        _leaf_summary(la.fragment, la.edge, la.boundary_var, r) for la in dec.leaves])
+            return dec
+        sp = r.split(edges[:1])
+        leaves = [LeafAttachment(f, j, b)
+                  for f, ends in zip(sp.fragments, sp.ends) for b, j in ends.items()]
+    return TwoCoreDecomposition(dec.core, dec.core_boundary_of,
+                                [_with_quotient(la, r) for la in leaves])
 
 
-def _leaf_summary(frag: Realization, edge: str, bvar: str, r: Realization) -> LeafSummary:
-    """The leaf's interface quotient on every external variable but the
-    half-edge `bvar` of the cut edge: its symbols and the input's boundary."""
-    ext = frag.external_behavior()
-    quotient = ext.interface([lab for lab in ext.ambient.labels if lab != bvar])
-    return LeafSummary(frag, edge, bvar, quotient, r.states[edge].alphabet.order)
+def _with_quotient(la: LeafAttachment, r: Realization) -> LeafAttachment:
+    """The leaf with its interface quotient on every external variable but
+    its half-edge of the cut edge: its symbols and the input's boundary."""
+    ext = la.fragment.external_behavior()
+    quotient = ext.interface([lab for lab in ext.ambient.labels if lab != la.boundary_var])
+    return LeafAttachment(la.fragment, la.edge, la.boundary_var, quotient,
+                          r.states[la.edge].alphabet.order)

@@ -64,6 +64,11 @@ class Constraint:
         if len(self.code.ambient.factors) != len(self.vars):
             raise ValidationFailed("constraint code width differs from slot count")
 
+    def renamed(self, mapping: Mapping[int, str]) -> "Constraint":
+        """The same code with slot i's variable replaced by mapping[i]."""
+        return Constraint(tuple(mapping.get(i, v) for i, v in enumerate(self.vars)),
+                          self.code)
+
 
 @record
 class ValidationReport:
@@ -97,8 +102,18 @@ class BehaviorBundle:
 
 
 # Result of `Realization.split`: the folded realization, a list of
-# fragments and, per cut edge, its (tail, head) half-edge labels.
-Split = namedtuple("Split", ["folded", "fragments", "halves"])
+# fragments, per cut edge its (tail, head) half-edge labels, and per
+# fragment its `ends`: {half-edge label: cut edge} for the halves it holds.
+Split = namedtuple("Split", ["folded", "fragments", "halves", "ends"])
+
+
+def fresh_label(base: str, taken: set[str], mark: str) -> str:
+    """`base` with `mark` appended until it is not in `taken`; taken then holds it."""
+    lab = base
+    while lab in taken:
+        lab += mark
+    taken.add(lab)
+    return lab
 
 
 class Realization:
@@ -187,14 +202,15 @@ class Realization:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def peel(self, rng: random.Random | None = None) -> list[tuple[str, str | None]]:
+    def peel(self, rng: object | None = None) -> list[tuple[str, str | None]]:
         """Leaf constraints stripped one at a time until none is left: each
         with the edge it hung by, None for the last of a tree component.
         What is never stripped is the 2-core.
 
         Leaves wait on a stack seeded in reverse listing order, so a chain
-        listed in order is stripped in listing order; an rng strips a random
-        waiting leaf instead (the 2-core does not depend on the order)."""
+        listed in order is stripped in listing order; an rng (anything with
+        `randrange`, such as a `random.Random`) strips a random waiting leaf
+        instead (the 2-core does not depend on the order)."""
         adj = self.neighbors()
         degree = {c: len(nbrs) for c, nbrs in adj.items()}
         stack = [c for c in reversed(self.constraints) if degree[c] <= 1]
@@ -442,10 +458,12 @@ class Realization:
         constraint (`folded`), so joining each pair back with `connect`
         and no isomorphism realizes the same code.  The tail half keeps the
         edge label and the head half gets a primed label;
-        `halves[j] = (tail_label, head_label)`.  `parts` lists disjoint
-        constraint sets covering every constraint, one fragment each, and
-        every edge between two parts must be cut; by default the parts are
-        the connected pieces left after the cut.
+        `halves[j] = (tail_label, head_label)`, and `ends[k]` maps each half
+        in fragment k to its cut edge (both halves of j when they stay
+        together).  `parts` lists disjoint constraint sets covering every
+        constraint, one fragment each, and every edge between two parts must
+        be cut; by default the parts are the connected pieces left after the
+        cut.
         """
         cut = sorted(set(edges), key=sort_key)
         bset = set(self.boundary)
@@ -455,15 +473,11 @@ class Realization:
         folded = self.fold_edge_iso(*cut)
         taken = set(self.symbols) | set(self.states)
         halves: dict[str, tuple[str, str]] = {}
-        rename: dict[tuple[str, int], str] = {}
+        rename: dict[str, dict[int, str]] = {}  # constraint -> {slot: half-edge}
         for j in cut:
-            lab = j + "'"
-            while lab in taken:
-                lab += "'"
-            taken.add(lab)
-            halves[j] = (j, lab)
-            tail_end, head_end = self.slots[j]
-            rename[tail_end], rename[head_end] = halves[j]
+            halves[j] = (j, fresh_label(j + "'", taken, "'"))
+            for (cl, i), lab in zip(self.slots[j], halves[j]):
+                rename.setdefault(cl, {})[i] = lab
         if parts is None:
             parts = sorted(self.components(set(cut)),
                            key=lambda c: min(map(sort_key, c)))
@@ -472,46 +486,42 @@ class Realization:
                 or part_of.keys() != self.constraints.keys()):
             raise BadPartition("parts must partition the constraints")
         pieces = [({}, {}, {}, []) for _ in parts]
+        ends: list[dict[str, str]] = [{} for _ in parts]
         for cl, con in folded.constraints.items():
             symbols, _, constraints, _ = pieces[part_of[cl]]
-            constraints[cl] = Constraint(
-                tuple(rename.get((cl, i), v) for i, v in enumerate(con.vars)),
-                con.code)
+            constraints[cl] = con.renamed(rename.get(cl, {}))
             symbols.update((v, self.symbols[v]) for v in con.vars
                            if v in self.symbols)
         for j, sv in folded.states.items():
-            ends = self.slots[j]
-            if j not in halves and len({part_of[cl] for cl, _ in ends}) > 1:
+            slots = self.slots[j]
+            if j not in halves and len({part_of[cl] for cl, _ in slots}) > 1:
                 raise BadPartition(f"edge {j!r} joins two parts but is not cut")
-            for end in ends:
-                _, states, _, boundary = pieces[part_of[end[0]]]
-                lab = rename.get(end, j)
+            for (cl, _), lab in zip(slots, halves.get(j, (j, j))):
+                k = part_of[cl]
+                _, states, _, boundary = pieces[k]
                 states[lab] = sv
+                if j in halves:
+                    ends[k][lab] = j
                 if j in halves or j in bset:
                     boundary.append(lab)
         fragments = [Realization(*piece) for piece in pieces]
-        return Split(folded, fragments, halves)
+        return Split(folded, fragments, halves, ends)
 
     def connect(self, other: "Realization | None", tail: str, head: str,
                 iso: Homomorphism | None = None) -> "Realization":
         """Join boundary variables into one edge; other=None joins within self.
 
-        tail must be a boundary variable of self, head one of other (or of
-        self when other is None).  The new edge keeps the tail label and
-        validity head_value = iso(tail_value).
+        tail must be a boundary variable of self, head one of other (or
+        another one of self when other is None).  The new edge keeps the
+        tail label and validity head_value = iso(tail_value).
         """
-        if other is None:
-            merged_symbols = dict(self.symbols)
-            merged_states = {j: sv for j, sv in self.states.items() if j != head}
-            merged_constraints = dict(self.constraints)
-            merged_boundary = [b for b in self.boundary if b not in (tail, head)]
-            if tail not in set(self.boundary) or head not in set(self.boundary):
-                raise UnknownEdge("connect needs boundary variables")
-        else:
-            if tail not in set(self.boundary):
-                raise UnknownEdge(f"{tail!r} is not a boundary variable")
-            if head not in set(other.boundary):
-                raise UnknownEdge(f"{head!r} is not a boundary variable")
+        src = self if other is None else other
+        if tail not in self.boundary or head not in src.boundary or (
+                other is None and tail == head):
+            raise UnknownEdge(
+                f"connect needs two boundary variables, not {tail!r} and {head!r}")
+        fragments = [self] if other is None else [self, other]
+        if other is not None:
             # the two ends may share their label, which the new edge keeps
             shared = ((set(self.symbols) | set(self.states))
                       & (set(other.symbols) | set(other.states))) - ({tail} & {head})
@@ -520,13 +530,6 @@ class Realization:
                     f"variable labels overlap between fragments: {sorted(shared)}")
             if set(self.constraints) & set(other.constraints):
                 raise ValidationFailed("constraint labels overlap between fragments")
-            merged_symbols = dict(self.symbols) | dict(other.symbols)
-            merged_states = dict(self.states) | {
-                j: sv for j, sv in other.states.items() if j != head}
-            merged_constraints = dict(self.constraints) | dict(other.constraints)
-            merged_boundary = [b for b in self.boundary if b != tail]
-            merged_boundary += [b for b in other.boundary if b != head]
-        src = self if other is None else other
         ta, ha = self.states[tail].alphabet, src.states[head].alphabet
         if iso is None:
             if ta.moduli != ha.moduli:
@@ -535,26 +538,22 @@ class Realization:
         else:
             if iso.source != ta or iso.target != ha or not iso.is_isomorphism:
                 raise AlphabetMismatch("pairing isomorphism has wrong alphabets")
-        # rename the head slot to the tail label
+        # the head slot takes the tail label
         hc, hi = src.slots[head][0]
-        con = merged_constraints[hc]
-        new_vars = list(con.vars)
-        new_vars[hi] = tail
-        merged_constraints[hc] = Constraint(tuple(new_vars), con.code)
-        merged = Realization(merged_symbols, merged_states, merged_constraints,
-                             merged_boundary)
+        constraints = {cl: con for f in fragments for cl, con in f.constraints.items()}
+        constraints[hc] = constraints[hc].renamed({hi: tail})
+        merged = Realization(
+            {a: alpha for f in fragments for a, alpha in f.symbols.items()},
+            {j: sv for f in fragments for j, sv in f.states.items()
+             if f is not src or j != head},
+            constraints,
+            [b for f in fragments for b in f.boundary if b not in (tail, head)])
         # orientation: the stated map sends the tail-label end to the head end;
         # if the head slot is listed first, store the inverse instead
-        ends = merged.slots[tail]
-        the_iso = iso
-        if the_iso is not None:
-            tc, ti = self.slots[tail][0]
-            if ends[0] != (tc, ti):
-                the_iso = the_iso.inverse()
-        if the_iso is not None and not _is_identity(the_iso):
-            st = dict(merged.states)
-            st[tail] = StateVar(ta, the_iso)
-            merged = merged.replaced(states=st)
+        if iso is not None and merged.slots[tail][0] != self.slots[tail][0]:
+            iso = iso.inverse()
+        if iso is not None and not _is_identity(iso):
+            merged = merged.replaced(states=merged.states | {tail: StateVar(ta, iso)})
         return merged
 
     # -- equality & enumeration ------------------------------------------------
@@ -636,23 +635,16 @@ def normalize(system: GeneralSystem) -> Realization:
     drop_slots: set[tuple[str, int]] = set()
     taken = set(system.variables)
 
-    def fresh(base: str) -> str:
-        lab = base
-        while lab in taken:
-            lab += "+"
-        taken.add(lab)
-        return lab
-
     def replicate(v: str, alpha: Alphabet, lead: tuple) -> None:
         """One replica edge per occurrence of v, tied by an equality node
         over `lead` and the replicas."""
         replicas = []
         for t, slot in enumerate(occurrences[v]):
-            lab = fresh(f"{v}:r{t}")
+            lab = fresh_label(f"{v}:r{t}", taken, "+")
             replicas.append(lab)
             states[lab] = StateVar(alpha)
             renames[slot] = lab
-        extra[fresh(f"eq:{v}")] = Constraint(
+        extra[fresh_label(f"eq:{v}", taken, "+")] = Constraint(
             (*lead, *replicas), equality_code(alpha, len(lead) + len(replicas)))
 
     for v, (alpha, kind) in system.variables.items():
@@ -661,8 +653,7 @@ def normalize(system: GeneralSystem) -> Realization:
         if kind == "symbol":
             symbols[v] = alpha
             if d == 0:
-                free = fresh(f"free:{v}")
-                extra[free] = Constraint(
+                extra[fresh_label(f"free:{v}", taken, "+")] = Constraint(
                     (v,), full_subgroup(ProductSpace([(0, alpha)])))
             elif d >= 2:
                 replicate(v, alpha, (v,))

@@ -29,6 +29,7 @@ from collections.abc import Hashable, Iterator, Sequence
 from operator import floordiv, mul
 
 from . import zmod
+from ._records import record
 from .alphabets import (
     ENUMERATION_CAP,
     Alphabet,
@@ -388,16 +389,15 @@ def restrict_merge(code: CodeSubgroup, merges: dict[int, QuotientMap]) -> CodeSu
     return CodeSubgroup(ProductSpace(factors), rows)
 
 
+@record
 class FtspDecomposition:
     """Two interface nodes and the quotient isomorphism of a subdirect product."""
 
-    def __init__(self, node_a: CodeSubgroup, iso_pairs: CodeSubgroup,
-                 node_b: CodeSubgroup, quot_a: QuotientMap, quot_b: QuotientMap):
-        self.node_a = node_a
-        self.iso_pairs = iso_pairs
-        self.node_b = node_b
-        self.quot_a = quot_a
-        self.quot_b = quot_b
+    node_a: CodeSubgroup
+    iso_pairs: CodeSubgroup
+    node_b: CodeSubgroup
+    quot_a: QuotientMap
+    quot_b: QuotientMap
 
 
 def ftsp_decompose(code: CodeSubgroup, part_a: Sequence[Hashable],

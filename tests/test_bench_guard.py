@@ -81,9 +81,11 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 
 
 def test_a_cli_run_loads_no_argparse_gettext_or_shutil():
-    """The command table is the parser: a run builds no argparse parser, so
-    it imports neither argparse nor what argparse pulls in for its messages
-    (gettext) and its help layout (shutil, for the terminal width)."""
+    """A plain line (`COMMAND FILE` and whole option strings, as the bench
+    runs them) is read from the command table alone: the run builds no
+    argparse parser, so it imports neither argparse nor what argparse pulls
+    in for its messages (gettext) and its help layout (shutil, for the
+    terminal width).  Every other line is argparse's to read."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run([sys.executable, "-S", "-c", RUN_SCRIPT],

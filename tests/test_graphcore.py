@@ -8,6 +8,7 @@ import random
 import pytest
 
 from normgraph import graphcore
+from normgraph.analysis import canonical_decomposition
 from normgraph.alphabets import cyclic_group, vector_space
 from normgraph.corpus import (
     GF2,
@@ -33,7 +34,13 @@ from normgraph.realization import Constraint, Realization, StateVar
 from normgraph.serialize import realization_from_json
 from normgraph.subgroups import CodeSubgroup
 from normgraph.alphabets import ProductSpace
-from tests.oracles import TOPOLOGIES, random_realization, two_core_by_rounds
+from tests.oracles import (
+    TOPOLOGIES,
+    bench_like_ring,
+    random_realization,
+    two_core_by_rounds,
+    with_isos,
+)
 from tests.test_acceptance import _planted_ring, _relabeled, corpus_realizations
 from tests.test_bench_guard import bench_module
 
@@ -275,6 +282,43 @@ def test_second_decomposition_parallel_transitions():
     else:
         joined = leaf.fragment.connect(core, leaf.edge, tc.core_boundary_of[leaf.edge])
     assert joined.code() == r.code()
+
+
+def with_pendant_leaves(r: Realization, count: int) -> Realization:
+    """r with each of its first `count` symbols moved onto a pendant
+    equality node, hung by a new edge from the symbol's old slot."""
+    symbols, states, constraints = dict(r.symbols), dict(r.states), dict(r.constraints)
+    for a in sorted(r.symbols)[:count]:
+        (cl, i), = r.slots[a]
+        states[f"p.{a}"] = StateVar(symbols[a])
+        constraints[cl] = constraints[cl].renamed({i: f"p.{a}"})
+        constraints[f"leaf.{a}"] = Constraint((f"p.{a}", a), equality_code(symbols[a], 2))
+    return Realization(symbols, states, constraints)
+
+
+def test_second_decomposition_leaves_are_the_two_core_leaves():
+    """`second_canonical_decomposition` keeps the 2-core, its boundary map
+    and each leaf's fragment, edge and half-edge from `two_core`, and only
+    adds each leaf's quotient and state order."""
+    cases = [parallel_transition_ring(), _planted_ring(GF3, 4, False, 2),
+             _planted_ring(Z4, 3, True, 1)]
+    cases += [with_isos(with_pendant_leaves(canonical_decomposition(
+                  bench_like_ring(n, seed)).core, k), random.Random(n), 0.7)
+              for n, seed, k in ((4, 0, 2), (6, 1, 3), (5, 2, 5))]
+    cases += [canonical_decomposition(r).core
+              for r in corpus_realizations(8, ("cycle_pendant",), start_seed=102_000)]
+    leaves = 0
+    for r in cases:
+        dec, tc = second_canonical_decomposition(r), two_core(r)
+        assert dec.core is not None and dec.core == tc.core
+        assert dec.core_boundary_of == tc.core_boundary_of
+        assert [(la.fragment, la.edge, la.boundary_var) for la in dec.leaves] \
+            == [(la.fragment, la.edge, la.boundary_var) for la in tc.leaves]
+        assert all(la.quotient is None and la.state_order is None for la in tc.leaves)
+        assert all(la.state_order == r.states[la.edge].alphabet.order for la in dec.leaves)
+        assert dec.orders_match
+        leaves += len(dec.leaves)
+    assert leaves >= 25
 
 
 def trim_proper_per_constraint(r: Realization) -> bool:

@@ -256,6 +256,22 @@ def test_connect_refuses_any_other_shared_label():
         f1.connect(f2, "s3", "s1")
 
 
+def test_connect_refuses_a_boundary_variable_joined_to_itself():
+    import pytest
+    from normgraph.errors import UnknownEdge
+
+    t, f1, f2 = _trellis_halves_at_s3("s3")
+    for f in (f1, f2):
+        with pytest.raises(UnknownEdge, match="'s3'"):
+            f.connect(None, "s3", "s3")
+    with pytest.raises(UnknownEdge, match="'s1'"):
+        f1.connect(None, "s3", "s1")             # s1 is internal to f1
+    with pytest.raises(UnknownEdge, match="'s1'"):
+        f1.connect(f2, "s1", "s3")
+    with pytest.raises(UnknownEdge, match="'s3'"):
+        t.connect(None, "s3", "s3")               # t has no boundary
+
+
 def test_normalize_already_normal_is_fixed_point():
     r = rep3_trellis()
     sys = GeneralSystem(

@@ -113,3 +113,15 @@ def test_cli_import_loads_no_dataclasses_or_typing():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_rng_annotations_resolve():
+    """The `rng` parameters name no module that their own modules leave
+    unimported, so `typing.get_type_hints` resolves them."""
+    import typing
+
+    from normgraph import graphcore
+    from normgraph.realization import Realization
+
+    for f in (Realization.peel, graphcore.two_core, graphcore.two_core_constraints):
+        assert typing.get_type_hints(f)["rng"] == (object | None)

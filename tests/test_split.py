@@ -3,14 +3,23 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from normgraph.analysis import behavioral_ctrl_obs
 from normgraph.alphabets import cyclic_group
-from normgraph.corpus import GF3, tail_biting_rep2
+from normgraph.corpus import GF2, GF3, tail_biting_rep2, trellis_realization
 from normgraph.errors import BadPartition, UnknownEdge
-from tests.oracles import DEFAULT_POOL, TOPOLOGIES, OracleHarness, random_realization
+from tests.oracles import (
+    DEFAULT_POOL,
+    TOPOLOGIES,
+    OracleHarness,
+    accumulator_ring,
+    bench_like_ring,
+    random_realization,
+    with_isos,
+)
 
 
 def test_split_connect_round_trip_with_isos():
@@ -84,3 +93,50 @@ def test_behavioral_ctrl_obs_on_rings_with_disconnected_remainder():
             obs += 1
         done += 1
     assert done == 60 and ctrl >= 5 and obs >= 5
+
+
+def split_cases():
+    """Rings and trellises with iso edges, each split by default at random
+    edge sets and with `parts=` into runs of constraints in listing order,
+    where a few edges inside a run are cut too."""
+    rng = random.Random("ends")
+    trellises = [with_isos(trellis_realization(rows, [GF2] * len(rows[0])), rng, 0.8)
+                 for rows in ([[1, 1, 0, 1, 0], [0, 1, 1, 1, 1]],
+                              [[1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 1, 0], [0, 0, 1, 1, 0, 1]])]
+    for r in [bench_like_ring(4), bench_like_ring(6, 1), accumulator_ring(5), *trellises]:
+        internal = sorted(r.internal_states())
+        for _ in range(4):
+            yield r, r.split(rng.sample(internal, rng.randrange(1, len(internal) + 1)))
+            order = list(r.constraints)
+            stops = sorted(rng.sample(range(1, len(order)), rng.randrange(1, 3)))
+            parts = [set(order[a:b]) for a, b in zip([0, *stops], [*stops, len(order)])]
+            part_of = {cl: k for k, part in enumerate(parts) for cl in part}
+            cut = [j for j in internal
+                   if len({part_of[cl] for cl, _ in r.slots[j]}) > 1 or rng.random() < 0.3]
+            yield r, r.split(cut, parts=parts)
+
+
+def test_split_ends_name_each_half_once():
+    """`ends[k]` names boundary variables of fragment k only, lists both
+    halves of every cut edge once each between them, and joining each
+    (tail, head) pair back, found through `ends`, gives the input's code."""
+    shared = 0
+    for r, sp in split_cases():
+        assert len(sp.ends) == len(sp.fragments)
+        listed = Counter()
+        for frag, ends in zip(sp.fragments, sp.ends):
+            assert set(ends) <= set(frag.boundary)
+            listed.update(ends.items())
+        assert listed == Counter((lab, j) for j, pair in sp.halves.items() for lab in pair)
+        pieces = [(frag, set(ends)) for frag, ends in zip(sp.fragments, sp.ends)]
+        for tail, head in sp.halves.values():
+            (f_tail, tails), = [p for p in pieces if tail in p[1]]
+            (f_head, heads), = [p for p in pieces if head in p[1]]
+            shared += f_head is f_tail
+            pieces = [p for p in pieces if p[0] is not f_tail and p[0] is not f_head]
+            joined = f_tail.connect(None if f_head is f_tail else f_head, tail, head)
+            pieces.append((joined, (tails | heads) - {tail, head}))
+        (restored, left), = pieces
+        assert not left and not restored.boundary
+        assert restored.code() == r.code()
+    assert shared >= 20
