@@ -161,8 +161,8 @@ class ProductSpace(_Moduli):
     _noun = "ambient"
 
     def __init__(self, factors: Sequence[tuple[Hashable, Alphabet]]):
-        labels = [lab for lab, _ in factors]
-        if len(set(labels)) != len(labels):
+        self.labels: tuple[Hashable, ...] = tuple(lab for lab, _ in factors)
+        if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate factor labels in product space")
         self.factors: tuple[tuple[Hashable, Alphabet], ...] = tuple(factors)
         self.moduli: tuple[int, ...] = tuple(
@@ -176,10 +176,6 @@ class ProductSpace(_Moduli):
         for lab, alpha in factors:
             self._ranges[lab] = (pos, pos + alpha.width)
             pos += alpha.width
-
-    @property
-    def labels(self) -> tuple[Hashable, ...]:
-        return tuple(lab for lab, _ in self.factors)
 
     def alphabet(self, label: Hashable) -> Alphabet:
         for lab, alpha in self.factors:
@@ -196,16 +192,11 @@ class ProductSpace(_Moduli):
 
     def columns(self, labels: Sequence[Hashable]) -> list[int]:
         """Flat coordinate indices of the given factors, in ambient order."""
-        wanted = set(labels)
-        for lab in labels:
-            if lab not in self._ranges:
-                raise UnknownLabel(f"no factor labeled {lab!r}")
-        cols: list[int] = []
-        for lab, _ in self.factors:
-            if lab in wanted:
-                a, b = self._ranges[lab]
-                cols.extend(range(a, b))
-        return cols
+        labels = tuple(labels)
+        if labels == self.labels[:len(labels)]:  # the leading factors, in order
+            return list(range(self.span(labels[-1])[1] if labels else 0))
+        return [c for a, b in sorted(map(self.span, dict.fromkeys(labels)))
+                for c in range(a, b)]
 
     def subspace(self, labels: Sequence[Hashable]) -> "ProductSpace":
         """Sub-product of the given factors, keeping ambient order."""

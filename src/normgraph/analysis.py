@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import zmod
 from ._records import record
 from .alphabets import ProductSpace, sort_key
 from .errors import (
@@ -370,35 +369,31 @@ class StateTrimReport:
 def _cut_pairs(bundle, k: int):
     """Per edge j, proj_(s_j, h_j) of sigma^-1(S_j) on U0 = U with its first
     k factors zero: ker sigma + preimages of Sigma0 cap S_j, Sigma0 = sigma(U0),
-    where Sigma0 cap S_j = (proj_j Sigma0-perp)-perp.  One Howell form of the
-    lifted rows (u_zero, sigma(u), u_rest), built once: its rows leading in
-    the state block reduce (0, y, 0), y in Sigma0, to (0, 0, -u) with
-    sigma(u) = y, and those leading after it span ker sigma on U0."""
+    where Sigma0 cap S_j = (proj_j Sigma0-perp)-perp.  All are read off one
+    subgroup of the rows (u_zero, sigma(u), u_rest), built once: its
+    cross-section after u_zero is the graph {(sigma(u), u_rest) : u in U0},
+    whose cross-section on u_rest is ker sigma and whose projection on the
+    state prefix is Sigma0, and each preimage is a `lift_prefix` of it."""
     uni, states = bundle.universe.ambient, bundle.state_space
-    space = ProductSpace(uni.factors[:k] + states.factors + uni.factors[k:])
-    M = space.lcm_modulus
-    scale = [M // m for m in space.moduli]
-    a = sum(alpha.width for _, alpha in uni.factors[:k])
-    b = a + states.width
-    hf = zmod.howell_form([[v * s for v, s in zip(u[:a] + y + u[a:], scale)]
-                           for u, y in zip(bundle.universe.rows, bundle.syndromes)],
-                          M, space.width)
-    reducers = [row for row in hf if any(row[a:b]) and not any(row[:a])]
-    kernel = [row for row in hf if not any(row[:b])]
-    perp = CodeSubgroup(states, [[v // s for v, s in zip(row[a:b], scale[a:b])]
-                                 for row in reducers]).orthogonal()
+    zero, rest = uni.factors[:k], uni.labels[k:]
+    a = sum(alpha.width for _, alpha in zero)
+    joint = CodeSubgroup(ProductSpace(zero + states.factors + uni.factors[k:]),
+                         [u[:a] + y + u[a:] for u, y in
+                          zip(bundle.universe.rows, bundle.syndromes)])
+    graph = joint.cross_section(states.labels + rest)
+    kernel = graph.cross_section(rest)
+    perp = graph.project(states.labels).orthogonal()
 
     def pairs(edge: str) -> CodeSubgroup:
-        ya, yb = (a + c for c in states.span(edge))
-        rows = list(kernel)
-        for y in perp.project([edge]).orthogonal().rows:
-            v = [0] * space.width
-            v[ya:yb] = [t * s for t, s in zip(y, scale[ya:yb])]
-            rows.append([-x % M for x in zmod.reduce_vector(v, reducers, M)])
         pair = [("s", edge), ("h", edge)]
-        cols = space.columns(pair)
-        return CodeSubgroup(space.subspace(pair),
-                            [[row[c] // scale[c] for c in cols] for row in rows])
+        cols = kernel.ambient.columns(pair)
+        rows = [[row[c] for c in cols] for row in kernel.rows]
+        ya, yb = states.span(edge)
+        for y in perp.project([edge]).orthogonal().rows:
+            lift = graph.lift_prefix(states.labels,
+                                     [0] * ya + list(y) + [0] * (states.width - yb))
+            rows.append([lift[states.width + c] for c in cols])
+        return CodeSubgroup(kernel.ambient.subspace(pair), rows)
     return pairs
 
 

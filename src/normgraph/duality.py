@@ -16,14 +16,13 @@ one Howell form.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import mul
+from itertools import chain, islice
 
-from . import zmod
 from ._records import record
+from .alphabets import ProductSpace
 from .homs import Homomorphism, negation_map
 from .realization import Realization, Constraint, StateVar, _is_identity
-from .subgroups import CodeSubgroup
+from .subgroups import CodeSubgroup, kernel_span
 
 
 def _dual_edge_map(sv: StateVar) -> Homomorphism | None:
@@ -68,18 +67,17 @@ class DualityReport:
 def verify_duality(r: Realization) -> DualityReport:
     """Check C° = C⊥ by both routes: dual behavior and check-space cross-section.
 
-    The cross-section is one cut Howell form of the closed-form rows of U⊥
-    and V⊥ with the external columns last.  Its edge rows come from the
-    primal isos, not from `dualize`'s edge maps, so a wrong dual edge map
-    shows as a disagreement.  Works for fragments as well, where the
-    external behavior plays the role of the code.
+    The cross-section is one `kernel_span`: the external parts of the
+    closed-form rows of U⊥ and V⊥, where their other parts sum to zero.
+    Its edge rows come from the primal isos, not from `dualize`'s edge
+    maps, so a wrong dual edge map shows as a disagreement.  Works for
+    fragments as well, where the external behavior plays the role of the
+    code.
     """
     code = r.external_behavior()
     space, ext = r.universe_space(), code.ambient
-    f, M = ext.width, space.lcm_modulus
-    scales = space.scales[f:] + space.scales[:f]
-    rows = [list(map(mul, row[f:] + row[:f], scales)) for row in chain(*r.check_rows())]
-    route = CodeSubgroup._from_howell(
-        ext, zmod.howell_form(rows, M, space.width, space.width - f), M // ext.lcm_modulus)
+    rows, w = list(chain(*r.check_rows())), ext.width
+    route = kernel_span(ext, [islice(row, w) for row in rows],
+                        ProductSpace(space.factors[len(ext.factors):]),
+                        [islice(row, w, None) for row in rows])
     return DualityReport(code, dualize(r).external_behavior(), code.orthogonal(), route)
-

@@ -71,12 +71,6 @@ class Homomorphism:
             rows.append(tuple(row))
         return Homomorphism(self.target, self.source, tuple(rows))
 
-    def graph(self) -> CodeSubgroup:
-        """The subgroup {(x, phi(x))} over source x target."""
-        amb = ProductSpace([(("h", "src"), self.source), (("h", "tgt"), self.target)])
-        rows = [e + self.apply(e) for e in self.source.unit_rows()]
-        return CodeSubgroup(amb, rows)
-
     def kernel(self) -> CodeSubgroup:
         source = full_subgroup(ProductSpace([(("h", "src"), self.source)]))
         target = ProductSpace([(("h", "tgt"), self.target)])
@@ -94,12 +88,11 @@ class Homomorphism:
     def inverse(self) -> "Homomorphism":
         if not self.is_isomorphism:
             raise ValueError("only isomorphisms can be inverted")
-        g = self.graph()
-        rows = []
-        for e in self.target.unit_rows():
-            full = g.lift_prefix([("h", "tgt")], e)
-            assert full is not None
-            rows.append(full[: self.source.width])
+        # the graph target first, {(phi(x), x)}: each preimage is a prefix read
+        amb = ProductSpace([(("h", "tgt"), self.target), (("h", "src"), self.source)])
+        g = CodeSubgroup(amb, [self.apply(e) + e for e in self.source.unit_rows()])
+        w = self.target.width
+        rows = [g.lift_prefix([("h", "tgt")], e)[w:] for e in self.target.unit_rows()]
         return Homomorphism(self.target, self.source, tuple(rows))
 
 

@@ -177,11 +177,12 @@ def recover_internal_states(f: Realization, assignment: Configuration) -> Config
             w = tuple(x for v in con.vars for x in known[v])
             assert con.code.contains(w), "peeled values violate a constraint"
             continue
-        amb = con.code.ambient
-        fixed_labels = [amb.labels[i] for i, v in enumerate(con.vars) if v != j]
+        labels = con.code.ambient.labels
+        free = labels[con.vars.index(j)]
+        fixed_labels = [lab for lab in labels if lab != free]
         fixed_vals = [x for v in con.vars if v != j for x in known[v]]
-        sol = con.code.lift_prefix(fixed_labels, fixed_vals)
+        # lift_prefix reads the leading factors, so j's slot goes last
+        sol = con.code.permuted([*fixed_labels, free]).lift_prefix(fixed_labels, fixed_vals)
         assert sol is not None, "peeling failed on a valid configuration"
-        a, b = amb.span(amb.labels[con.vars.index(j)])
-        known[j] = tuple(sol[a:b])
+        known[j] = tuple(sol[len(fixed_vals):])
     return known

@@ -16,9 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, namedtuple
 from collections.abc import Collection, Hashable, Iterable, Mapping, Sequence
-from operator import mul
 
-from . import zmod
 from ._records import record
 from .alphabets import Alphabet, Element, ProductSpace, sort_key
 from .errors import (
@@ -29,7 +27,7 @@ from .errors import (
     ValidationFailed,
 )
 from .homs import Homomorphism, identity_map
-from .subgroups import CodeSubgroup, full_subgroup
+from .subgroups import CodeSubgroup, full_subgroup, kernel_span
 
 Configuration = dict[str, Element]
 
@@ -385,8 +383,8 @@ class Realization:
         The partial code lives on its open edge ends, then its external
         variables in final order.  Each join takes the product with one
         constraint's code and closes the edges whose two ends are now
-        present: one cut Howell form, with their syndromes h_j - iso(s_j) as
-        relations and the rows without their columns as images."""
+        present: one `kernel_span` of the rows without their columns, with
+        their syndromes h_j - iso(s_j) as values."""
         syms, bound, _ = self._blocks()
         free = [("a", k) for k in syms] + [("x", j) for j in bound]
         final = {lab: t for t, lab in enumerate(free)}
@@ -403,16 +401,12 @@ class Realization:
             shut = {(kind, j) for j in closed for kind in "sh"}
             sub = ProductSpace(sorted((f for f in amb.factors if f[0] not in shut),
                                       key=lambda f: final.get(f[0], -1)))
-            M = amb.lcm_modulus
-            cols = [(c, M // amb.moduli[c]) for lab in sub.labels
-                    for c in range(*amb.span(lab))]
-            lift = [M // q for j in closed for q in self.states[j].alphabet.moduli]
+            cols = [c for lab in sub.labels for c in range(*amb.span(lab))]
             gens = ([[*r, *[0] * (amb.width - w)] for r in part.rows]
                     + [[0] * w + list(r) for r in con.code.rows])
-            relations = [list(map(mul, y, lift)) for y in self.syndromes(gens, amb, closed)]
-            hf = zmod.kernel(relations.__getitem__, len(lift), len(gens), M,
-                             [[g[c] * k for c, k in cols] for g in gens])
-            part = CodeSubgroup._from_howell(sub, hf, M // sub.lcm_modulus)
+            part = kernel_span(sub, [[g[c] for c in cols] for g in gens],
+                               ProductSpace([(j, self.states[j].alphabet) for j in closed]),
+                               self.syndromes(gens, amb, closed))
         return part.renamed({lab: lab[1] for lab in free})
 
     # -- structure editing (persistent: returns new realizations) -------------

@@ -4,13 +4,16 @@ A CodeSubgroup lives in a ProductSpace whose coordinates carry mixed moduli
 m_i.  Internally every coordinate is lifted into Z_M (M = lcm of the moduli)
 by scaling with M/m_i; the Howell normal form of the lifted generator matrix
 is the canonical representation, so two equal subgroups are bit-identical.
-All set operations (orthogonal, projection, cross-section, sum,
-intersection, quotients) are exact, and each makes at most one elimination:
-a kernel, an intersection or an orthogonal is the cut Howell form of the
-rows (relation | image), a cross-section the cut form of the reordered
-lifted rows, and a projection onto a column prefix the truncated rows that
-lead inside the prefix, with no elimination at all.  A quotient C/D
-reads the Hermite bases of the lattices L_C = {x in Z^n : x mod m in C}
+Only this module reads or writes lifted rows, and only it calls `zmod` and
+`intmat`.  Every set operation is exact and makes at most one elimination:
+`kernel_span(space, gens, target, values)`, {sum z_i gens_i : sum z_i
+values_i = 0 in target}, a kernel, an intersection and an orthogonal are
+the cut Howell form of lifted rows (values_i | gens_i).  By the Howell
+property two reads make none: a projection onto a column prefix, and
+`lift_prefix` there, use the rows that lead inside the prefix, and a
+cross-section on a column suffix is the rows that lead inside it, cut; on
+other columns the reordered rows are put in one form first.  A quotient
+C/D reads the Hermite bases of the lattices L_C = {x in Z^n : x mod m in C}
 and L_D off the two Howell forms, so its one elimination is the Smith form
 of L_D in L_C's basis.  A Howell form over Z_(kM) of rows that are
 multiples of k is k times the Howell form over Z_M of the rows divided by
@@ -25,7 +28,7 @@ place of a slot's alphabet inside a local code.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from operator import floordiv, mul
 
 from . import zmod
@@ -40,6 +43,7 @@ from .errors import (
     AmbientMismatch,
     BadPartition,
     NotASubgroup,
+    RowOutOfAmbient,
     TooLargeToEnumerate,
 )
 from .intmat import hermite_form, smith_form, solve_upper_triangular
@@ -48,7 +52,7 @@ from .intmat import hermite_form, smith_form, solve_upper_triangular
 class CodeSubgroup:
     """A subgroup of a ProductSpace, held as a canonical generator matrix."""
 
-    __slots__ = ("ambient", "rows", "_lifted", "_order")
+    __slots__ = ("ambient", "_rows", "_lifted", "_order")
 
     def __init__(self, ambient: ProductSpace, rows: Sequence[Sequence[int]]):
         """Canonicalize the subgroup generated by the given ambient rows."""
@@ -68,12 +72,20 @@ class CodeSubgroup:
         self.ambient = ambient
         self._lifted = tuple(map(tuple, [[v // k for v in r] for r in hf] if k > 1 else hf))
         self._order = zmod.span_order(self._lifted, ambient.lcm_modulus)
-        self.rows: tuple[Element, ...] = tuple(map(self._unlift, self._lifted))
+        self._rows: tuple[Element, ...] | None = None
 
-    # -- lifting between ambient residues and Z_M coordinates ----------------
+    @property
+    def rows(self) -> tuple[Element, ...]:
+        """The canonical generator matrix in ambient residues, unlifted on
+        first use: most intermediate subgroups are read only when lifted."""
+        if self._rows is None:
+            # where every modulus is the lcm, the lifted rows are the residues
+            amb = self.ambient
+            self._rows = (self._lifted if amb.scales.count(1) == amb.width
+                          else tuple(map(self._unlift, self._lifted)))
+        return self._rows
 
-    def _lift(self, x: Sequence[int]) -> list[int]:
-        return list(map(mul, x, self.ambient.scales))
+    # -- unlifting from Z_M coordinates to ambient residues ------------------
 
     def _unlift(self, y: Sequence[int]) -> Element:
         return tuple(map(floordiv, y, self.ambient.scales))
@@ -95,8 +107,9 @@ class CodeSubgroup:
     def contains(self, x: Sequence[int]) -> bool:
         if len(x) != self.ambient.width:
             return False
-        return zmod.member(self._lift(self.ambient.reduce(x)), self._lifted,
-                           self.ambient.lcm_modulus)
+        amb = self.ambient
+        return zmod.member(list(map(mul, amb.reduce(x), amb.scales)), self._lifted,
+                           amb.lcm_modulus)
 
     def contains_subgroup(self, other: "CodeSubgroup") -> bool:
         self._check_same_ambient(other)
@@ -119,10 +132,10 @@ class CodeSubgroup:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CodeSubgroup)
                 and self.ambient == other.ambient
-                and self.rows == other.rows)
+                and self._lifted == other._lifted)
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self._lifted))
 
     def __repr__(self) -> str:
         return (f"CodeSubgroup(order={self._order}, "
@@ -149,18 +162,8 @@ class CodeSubgroup:
 
     def kernel(self, images: Sequence[Sequence[int]],
                target: ProductSpace) -> "CodeSubgroup":
-        """Kernel of the homomorphism sending rows[i] to images[i] in target.
-
-        It is solved over lcm(M, target lcm): in Z_2 -> Z_4, x -> 2x, the
-        target modulus does not divide M."""
-        if len(images) != len(self.rows):
-            raise ValueError(f"{len(images)} images for {len(self.rows)} rows")
-        L = math.lcm(self.ambient.lcm_modulus, target.lcm_modulus)
-        scale = [L // d for d in target.moduli]
-        relations = [list(map(mul, target.check_row(y), scale)) for y in images]
-        k = L // self.ambient.lcm_modulus
-        return self._solve(relations, target.width, L,
-                           [[v * k for v in r] for r in self._lifted])
+        """Kernel of the homomorphism sending rows[i] to images[i] in target."""
+        return kernel_span(self.ambient, self.rows, target, [*map(target.check_row, images)])
 
     def _solve(self, relations: Sequence[Sequence[int]], width: int, mod: int,
                images: Sequence[Sequence[int]]) -> "CodeSubgroup":
@@ -196,43 +199,40 @@ class CodeSubgroup:
                 self.ambient.lcm_modulus // sub.lcm_modulus)
         return CodeSubgroup(sub, [tuple(r[c] for c in cols) for r in self.rows])
 
-    def _reordered(self, labels: Sequence[Hashable], first: bool):
-        """The lifted rows with the labeled factors' columns moved first (or
-        last), and those columns and the others."""
-        part = self.ambient.columns(labels)
-        taken = set(part)
-        rest = [c for c in range(self.ambient.width) if c not in taken]
-        order = part + rest if first else rest + part
-        return [[r[c] for c in order] for r in self._lifted], part, rest
-
     def cross_section(self, labels: Sequence[Hashable]) -> "CodeSubgroup":
-        """Elements with zeros outside the given factors, restricted to them."""
-        rows, _, rest = self._reordered(labels, first=False)
-        sub = self.ambient.subspace(labels)
-        M = self.ambient.lcm_modulus
-        return CodeSubgroup._from_howell(
-            sub, zmod.howell_form(rows, M, self.ambient.width, len(rest)),
-            M // sub.lcm_modulus)
+        """Elements with zeros outside the given factors, restricted to them.
+
+        On a column suffix the rows leading inside it, cut, are already its
+        Howell form; elsewhere the rows with the others first are cut once."""
+        amb, M = self.ambient, self.ambient.lcm_modulus
+        cols = amb.columns(labels)
+        cut = amb.width - len(cols)
+        if cols == list(range(cut, amb.width)):
+            hf = [r[cut:] for r in self._lifted if not any(r[:cut])]
+        else:
+            taken = set(cols)
+            order = [c for c in range(amb.width) if c not in taken] + cols
+            hf = zmod.howell_form([[r[c] for c in order] for r in self._lifted],
+                                  M, amb.width, cut)
+        sub = amb.subspace(labels)
+        return CodeSubgroup._from_howell(sub, hf, M // sub.lcm_modulus)
 
     def lift_prefix(self, labels: Sequence[Hashable], values: Sequence[int]) -> Element | None:
-        """Some element of the subgroup matching the given factor values, or None."""
-        rows, part_cols, other_cols = self._reordered(labels, first=True)
-        M, cut = self.ambient.lcm_modulus, len(part_cols)
-        hf = zmod.howell_form(rows, M, self.ambient.width)
-        # values are concatenated coordinates of the labeled factors, ambient order
-        sub = self.ambient.subspace(labels)
-        target = sub.check_row(values)
-        v = [t * (M // m) for t, m in zip(target, sub.moduli)] + [0] * len(other_cols)
-        v = zmod.reduce_vector(v, [r for r in hf if any(r[:cut])], M)
-        if any(v[:cut]):
+        """Some element (values, x) of the subgroup, or None, for values of
+        the leading factors `labels` in ambient order.  Lifted, they reduce
+        to (0, -x) against the rows leading inside those columns."""
+        amb, M = self.ambient, self.ambient.lcm_modulus
+        cols = amb.columns(labels)
+        p = len(cols)
+        if cols != list(range(p)):
+            raise BadPartition("lift_prefix reads values of the leading factors only")
+        if len(values) != p or not all(0 <= t < m for t, m in zip(values, amb.moduli)):
+            raise RowOutOfAmbient(f"values {tuple(values)} do not fit factors {list(labels)}")
+        v = [t * s for t, s in zip(values, amb.scales)] + [0] * (amb.width - p)
+        v = zmod.reduce_vector(v, self._lifted, M, p)
+        if any(v[:p]):
             return None
-        full = [0] * self.ambient.width
-        for i, c in enumerate(part_cols):
-            full[c] = target[i]
-        for i, c in enumerate(other_cols):
-            m = self.ambient.moduli[c]
-            full[c] = ((-v[cut + i]) % M) // (M // m)
-        return tuple(full)
+        return (*values, *[-x % M // s for x, s in zip(v[p:], amb.scales[p:])])
 
     def permuted(self, new_labels: Sequence[Hashable]) -> "CodeSubgroup":
         """Same subgroup with ambient factors reordered as given."""
@@ -329,6 +329,25 @@ class QuotientMap:
 
 
 # -- module-level constructors and helpers ------------------------------------
+
+
+def kernel_span(space: ProductSpace, gens: Sequence[Iterable[int]],
+                target: ProductSpace, values: Sequence[Iterable[int]]) -> CodeSubgroup:
+    """The subgroup {sum z_i gens_i : sum z_i values_i = 0 in target} of
+    space, for residue rows gens_i of space and values_i of target, each
+    read once: the rows (values_i | gens_i), lifted into Z_L for L the lcm
+    of both lcm moduli (in Z_2 -> Z_4, x -> 2x, 4 does not divide 2), in
+    one cut Howell form, whose rows with a zero left block carry the answer."""
+    if len(values) != len(gens):
+        raise ValueError(f"{len(values)} values for {len(gens)} generators")
+    L = math.lcm(space.lcm_modulus, target.lcm_modulus)
+    k = L // space.lcm_modulus
+    value_scales = [L // d for d in target.moduli]
+    gen_scales = [s * k for s in space.scales]
+    rows = [[*map(mul, y, value_scales), *map(mul, g, gen_scales)]
+            for y, g in zip(values, gens)]
+    return CodeSubgroup._from_howell(
+        space, zmod.howell_form(rows, L, target.width + space.width, target.width), k)
 
 
 def zero_subgroup(ambient: ProductSpace) -> CodeSubgroup:

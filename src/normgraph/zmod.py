@@ -113,11 +113,15 @@ def howell_form(rows, mod: int, ncols: int, cut: int = 0) -> list[list[int]]:
     return result
 
 
-def reduce_vector(v, rows, mod: int) -> list[int]:
-    """Greedy remainder of v against a Howell basis; zero iff v is in the span."""
+def reduce_vector(v, rows, mod: int, stop: int | None = None) -> list[int]:
+    """Greedy remainder of v against a Howell basis; zero iff v is in the span.
+    With stop, only rows leading before column stop are used, which leaves
+    v's first stop entries zero iff some span element agrees with them."""
     v = [x % mod for x in v]
     for row in rows:
         j = _lead(row)
+        if stop is not None and j >= stop:
+            break
         d = row[j]
         if v[j] == 0:
             continue

@@ -8,6 +8,7 @@ import pytest
 
 from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
 from normgraph.homs import Homomorphism, identity_map, negation_map
+from tests.test_one_elimination import count_howell
 
 Z4 = cyclic_group(4)
 
@@ -102,6 +103,21 @@ def test_kernel_image_iso_inverse():
     inv = cand.inverse()
     for x in v.elements():
         assert inv(cand(x)) == x
+
+
+def test_inverse_makes_two_howell_forms(monkeypatch):
+    """The kernel that `is_isomorphism` takes and the graph, target first,
+    whose prefix reads give the preimages: 2 forms at any width, not one
+    more per unit row of the target."""
+    z12 = cyclic_group(12)
+    mixed = cyclic_group(2, 4)
+    for phi in (Homomorphism(z12, z12, ((5,),)),
+                Homomorphism(mixed, mixed, ((1, 2), (1, 3)))):
+        assert phi.is_isomorphism
+        inverses = []
+        assert count_howell(monkeypatch, lambda: inverses.append(phi.inverse())) == 2
+        for x in phi.source.elements():
+            assert inverses[0](phi(x)) == x
 
 
 def test_compose():

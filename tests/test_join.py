@@ -67,7 +67,7 @@ def old_check_space_route(r) -> CodeSubgroup:
 
 def test_join_equals_the_bundle_external_behavior():
     rs = (list(instances()) + corpus_realizations()
-          + [bench_like_ring(8), trellis(16), trellis(24)])
+          + [bench_like_ring(8), trellis(16), trellis(24), *accumulator_chain()])
     done = cyclic = boundary = 0
     for r in with_fragments(rs):
         joined = r._joined_external()
@@ -102,7 +102,7 @@ def test_check_rows_are_the_orthogonals_of_u_and_v():
 
 def test_check_space_route_equals_the_universe_formula():
     rs = (list(instances()) + corpus_realizations()
-          + [bench_like_ring(8), trellis(16)])
+          + [bench_like_ring(8), trellis(16), *accumulator_chain()])
     done = 0
     for r in with_fragments(rs):
         rep = verify_duality(r)
@@ -112,12 +112,18 @@ def test_check_space_route_equals_the_universe_formula():
     assert done >= 100
 
 
-def mutation_targets():
-    """The binary trellis, two rings, and the Z_12 ring cut open at one
-    edge: a chain whose iso edges go through the join."""
+def accumulator_chain():
+    """The Z_12 ring, whose code sees the sign of its iso edges, and the
+    ring cut open at one edge: a chain whose iso edges go through the join."""
     ring = accumulator_ring(8)
     chain, = ring.split(["s0"]).fragments
     assert cyclomatic_number(chain) == 0 and cyclomatic_number(ring) == 1
+    return ring, chain
+
+
+def mutation_targets():
+    """The binary trellis, two rings, and the Z_12 ring cut open at one edge."""
+    ring, chain = accumulator_chain()
     return {"trellis": trellis(16), "bench ring": bench_like_ring(8),
             "ring": ring, "chain": chain}
 

@@ -11,11 +11,15 @@ import itertools
 import math
 import random
 
+import pytest
+
 from normgraph import zmod
 from normgraph.alphabets import ProductSpace, cyclic_group, vector_space
+from normgraph.analysis import obs_ctrl
 from normgraph.corpus import GF2, trellis_realization
+from normgraph.errors import BadPartition
 from normgraph.subgroups import CodeSubgroup, cylinder
-from tests.oracles import POOL, bench_like_ring, random_subgroup
+from tests.oracles import POOL, accumulator_ring, bench_like_ring, random_subgroup
 from tests.test_minimize import fixed_profile_rows
 
 Z2, Z4 = cyclic_group(2), cyclic_group(4)
@@ -145,18 +149,36 @@ def test_kernel_matches_the_two_step_route():
     assert c.kernel([(2,)], z4).is_trivial
 
 
-def test_prefix_projection_below_the_lifted_modulus():
-    """GF(2) symbols before Z_4 states: the prefix has lcm 2, the ambient 4."""
+def test_prefix_projection_below_the_lifted_modulus(monkeypatch):
+    """GF(2) symbols before Z_4 states: the prefix has lcm 2, the ambient 4.
+    The same factors reversed give suffix cross-sections of lcm 2.  Both
+    reads, and `lift_prefix` on the prefix, make no elimination; a lift
+    reads the leading factors only."""
     rng = random.Random("prefix")
     amb = ProductSpace([("a0", GF2), ("a1", GF2), ("s0", Z4), ("s1", cyclic_group(2, 4))])
+    rev = ProductSpace(amb.factors[::-1])
     for _ in range(60):
         c = random_sub(rng, amb, 4)
+        d = c.permuted(rev.labels)
         for k in range(len(amb.labels) + 1):
-            prefix = amb.labels[:k]
-            got = c.project(prefix)
+            prefix, suffix = amb.labels[:k], rev.labels[len(rev.labels) - k:]
+            reads = []
+            assert count_howell(monkeypatch, lambda: reads.extend(
+                [c.project(prefix), d.cross_section(suffix)])) == 0
+            got, cross = reads
             same(got, old_project(c, prefix))
+            same(cross, old_cross_section(d, suffix))
             if k in (1, 2):
-                assert got.ambient.lcm_modulus == 2 < amb.lcm_modulus
+                assert got.ambient.lcm_modulus == cross.ambient.lcm_modulus == 2 < amb.lcm_modulus
+            p = len(amb.columns(prefix))
+            values = list((*c.rows, amb.zero)[0][:p])
+            lifts = []
+            assert count_howell(monkeypatch, lambda: lifts.append(
+                c.lift_prefix(prefix, values))) == 0
+            assert c.contains(lifts[0]) and list(lifts[0][:p]) == values
+            if 0 < p < amb.width:
+                with pytest.raises(BadPartition):
+                    d.lift_prefix(suffix, values)
 
 
 def count_howell(monkeypatch, fn) -> int:
@@ -180,6 +202,19 @@ def test_behavior_bundle_eliminates_twice(monkeypatch):
                                   [GF2] * 14)
     for r in (trellis, bench_like_ring(16)):
         assert count_howell(monkeypatch, r.behavior_bundle) == 2
+
+
+def test_obs_ctrl_eliminates_only_the_controllable_subspace(monkeypatch):
+    """With the bundle cached, the unobservable subgroups are cross-sections
+    of the external behavior and the behavior on column suffixes, and the
+    external controllability a projection on an empty boundary: only the
+    image Sigma of the syndrome map is eliminated."""
+    trellis = trellis_realization(fixed_profile_rows(random.Random("bundle"), 14, 7),
+                                  [GF2] * 14)
+    for r in (trellis, bench_like_ring(16), accumulator_ring(8)):
+        assert not r.boundary
+        r.behavior_bundle()
+        assert count_howell(monkeypatch, lambda: obs_ctrl(r)) <= 1
 
 
 def test_cylinder_is_read_without_elimination(monkeypatch):

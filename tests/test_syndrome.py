@@ -35,6 +35,7 @@ from normgraph.subgroups import CodeSubgroup
 from tests.oracles import (
     POOL,
     OracleHarness,
+    accumulator_ring,
     bench_like_ring,
     instances,
     random_iso,
@@ -157,7 +158,8 @@ def test_state_trim_status_matches_split_route_and_enumeration():
     """Every report field agrees with the kernel route and the split route;
     the transitions and the reachable pairs also agree with enumeration."""
     edges = enumerated = iso_edges = 0
-    for r in instances():
+    ring = accumulator_ring(8)
+    for r in [*instances(), ring, *ring.split(["s0"]).fragments]:
         for j, rep, frag, halves in checked_edges(r):
             edges += 1
             iso_edges += r.states[j].iso is not None
