@@ -423,7 +423,8 @@ def state_trim_status(r: Realization, edge: str) -> StateTrimReport:
     diag = CodeSubgroup(utrans.ambient, [e + e for e in alpha.unit_rows()])
     dual_state_trim = diag.contains_subgroup(utrans)
     observable = utrans.intersect(diag).is_trivial
-    state_trim = r.behavior_bundle().behavior.project([("s", edge)]).order == alpha.order
+    # the edge's values in the behavior: the reachable pairs the edge closes
+    state_trim = pair_proj.intersect(diag).order == alpha.order
 
     # controllable subspace of the collapsed view: the difference image of
     # the fragment's boundary pairs

@@ -374,6 +374,9 @@ def main(argv=None) -> int:
     except NormgraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return E_PRECONDITION
+    except MemoryError:   # a backstop: no size is checked before work starts
+        print("error: out of memory", file=sys.stderr)
+        return E_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -8,10 +8,10 @@ dualizing twice returns the original realization bit-exactly.
 `verify_duality` computes C⊥ by three routes, on realizations and fragments
 alike: the orthogonal of the (external) code C, the dual realization's
 external behavior C°, and the cross-section of the check space U⊥ + V⊥ on
-the external block.  C and C° are joined constraint by constraint on
-cycle-free input and read from the universe bundle otherwise; the check
-space is written down in closed form (`Realization.check_rows`) and cut in
-one Howell form.
+the external block.  C and C° are joined without the universe: the peeled
+leaves one at a time, then the 2-core in one step; the check space is
+written down in closed form (`Realization.check_rows`) and cut in one
+Howell form.
 """
 
 from __future__ import annotations

@@ -308,12 +308,13 @@ class Realization:
                                       behavior, external)
         return self._bundle
 
-    def _block_rows(self, space: ProductSpace, code_of) -> list[list[int]]:
-        """Each constraint's `code_of(con)` rows, placed at its slots in the
-        universe space."""
+    def _block_rows(self, space: ProductSpace, code_of,
+                    labels: Iterable[str] | None = None) -> list[list[int]]:
+        """Each constraint's (or each listed one's) `code_of(con)` rows,
+        placed at its slots in the universe space or any space holding them."""
         rows: list[list[int]] = []
-        for cl, con in self.constraints.items():
-            code = code_of(con)
+        for cl in self.constraints if labels is None else labels:
+            code = code_of(self.constraints[cl])
             spans = [(code.ambient.span(lab), space.span(self._slot_coordinate(cl, i)))
                      for i, lab in enumerate(code.ambient.labels)]
             for r in code.rows:
@@ -367,34 +368,33 @@ class Realization:
 
     def external_behavior(self) -> CodeSubgroup:
         """C^F over symbols then boundary states (plain variable labels):
-        joined on cycle-free input without a cached bundle, else the bundle's."""
+        the cached bundle's if there is one, else joined without the universe."""
         if self._external is None:
-            from .graphcore import cyclomatic_number  # graphcore imports this module
             self.require_valid()
-            self._external = (self.behavior_bundle().external
-                              if self._bundle is not None or cyclomatic_number(self)
+            self._external = (self._bundle.external if self._bundle is not None
                               else self._joined_external())
         return self._external
 
     def _joined_external(self) -> CodeSubgroup:
-        """C^F without the universe: the constraints joined in `peel` order,
-        then the unstripped ones in listing order.
+        """C^F without the universe: the constraints `peel` strips joined one
+        at a time in peel order, then the 2-core (the rest) in one step.
 
         The partial code lives on its open edge ends, then its external
-        variables in final order.  Each join takes the product with one
-        constraint's code and closes the edges whose two ends are now
-        present: one `kernel_span` of the rows without their columns, with
-        their syndromes h_j - iso(s_j) as values."""
+        variables in final order.  Each join takes the product with the
+        step's constraint codes at their slot coordinates and closes the
+        edges whose two ends are now present: one `kernel_span` of the rows
+        without their columns, with their syndromes h_j - iso(s_j) as values."""
         syms, bound, _ = self._blocks()
         free = [("a", k) for k in syms] + [("x", j) for j in bound]
         final = {lab: t for t, lab in enumerate(free)}
         part, present = CodeSubgroup(ProductSpace([]), []), set()
         stripped = dict(self.peel())
-        for cl in [*stripped, *(c for c in self.constraints if c not in stripped)]:
-            con, w = self.constraints[cl], part.ambient.width
-            present.add(cl)
+        core = [c for c in self.constraints if c not in stripped]
+        for step in [[cl] for cl in stripped] + ([core] if core else []):
+            w = part.ambient.width
+            present.update(step)
             new = [(self._slot_coordinate(cl, i), self.alphabet_of(v))
-                   for i, v in enumerate(con.vars)]
+                   for cl in step for i, v in enumerate(self.constraints[cl].vars)]
             amb = ProductSpace(list(part.ambient.factors) + new)
             closed = [j for j in dict.fromkeys(j for (kind, j), _ in new if kind in "sh")
                       if {c for c, _ in self.slots[j]} <= present]
@@ -403,7 +403,7 @@ class Realization:
                                       key=lambda f: final.get(f[0], -1)))
             cols = [c for lab in sub.labels for c in range(*amb.span(lab))]
             gens = ([[*r, *[0] * (amb.width - w)] for r in part.rows]
-                    + [[0] * w + list(r) for r in con.code.rows])
+                    + self._block_rows(amb, lambda con: con.code, step))
             part = kernel_span(sub, [[g[c] for c in cols] for g in gens],
                                ProductSpace([(j, self.states[j].alphabet) for j in closed]),
                                self.syndromes(gens, amb, closed))

@@ -1,15 +1,14 @@
 """Codes by a join of the constraints, and the check-space route in closed form.
 
-On cycle-free input `Realization.external_behavior` joins the constraints
-leaves first and never builds the universe; `verify_duality` cuts the check
-space U-perp + V-perp from closed-form rows in one Howell form.  Both are
-checked here against the universe routes they replaced, kept as oracles:
-the bundle's external behavior, and the cross-section of
-U.orthogonal() + V.orthogonal() with V built directly.  The join is defined
-on any graph, so it is compared on cyclic input too.  Mutation checks
-show that a wrong dual constraint or a wrong dual edge map makes
-`verify_duality` fail, and counts show which routes eliminate a matrix as
-wide as the universe.
+`Realization.external_behavior` joins the constraints that `peel` strips
+one at a time, then the 2-core in one step, and never builds the universe;
+`verify_duality` cuts the check space U-perp + V-perp from closed-form rows
+in one Howell form.  Both are checked here against the universe routes
+they replaced, kept as oracles: the bundle's external behavior, and the
+cross-section of U.orthogonal() + V.orthogonal() with V built directly.
+Mutation checks show that a wrong dual constraint or a wrong dual edge map
+makes `verify_duality` fail, and counts show which routes eliminate a
+matrix as wide as the universe.
 """
 
 from __future__ import annotations
@@ -18,14 +17,14 @@ import random
 from pathlib import Path
 
 from normgraph import duality
-from normgraph.alphabets import sort_key
+from normgraph.alphabets import ProductSpace, sort_key
 from normgraph.analysis import verify_controllability
-from normgraph.corpus import GF2, trellis_realization
+from normgraph.corpus import GF2, tanner_realization, trellis_realization
 from normgraph.duality import dualize, verify_duality
 from normgraph.graphcore import cyclomatic_number
-from normgraph.realization import _is_identity
+from normgraph.realization import Constraint, StateVar, _is_identity
 from normgraph.serialize import load_realization
-from normgraph.subgroups import CodeSubgroup
+from normgraph.subgroups import CodeSubgroup, full_subgroup, product_subgroup
 from tests.oracles import accumulator_ring, bench_like_ring, instances
 from tests.test_minimize import fixed_profile_rows
 from tests.test_syndrome import count_wide, validity, wide_eliminations
@@ -37,6 +36,26 @@ def trellis(n: int):
     """The benchmark's non-minimal trellis shape, k = n/2."""
     rows = fixed_profile_rows(random.Random(f"join/{n}"), n, n // 2)
     return trellis_realization(rows, [GF2] * n)
+
+
+def tree_plus_edge(n: int):
+    """The trellis with one free GF(2) edge `e` between c0 and c1: each of
+    the two gets a free slot for it, so the code is unchanged, and the
+    2-core is c0 and c1 with the rest of the trellis hanging off them."""
+    r = trellis(n)
+    constraints = dict(r.constraints)
+    for cl in ("c0", "c1"):
+        con = constraints[cl]
+        free = full_subgroup(ProductSpace([(len(con.vars), GF2)]))
+        constraints[cl] = Constraint((*con.vars, "e"), product_subgroup(con.code, free))
+    return r.replaced(states=r.states | {"e": StateVar(GF2)}, constraints=constraints)
+
+
+def hamming_tanner():
+    """The Tanner graph of the [7,4] Hamming code: cyclic, with degree-1
+    symbols on the checks and equality nodes on the others."""
+    return tanner_realization([[1, 1, 0, 1, 1, 0, 0], [1, 0, 1, 1, 0, 1, 0],
+                               [0, 1, 1, 1, 0, 0, 1]], GF2)
 
 
 def corpus_realizations():
@@ -66,26 +85,29 @@ def old_check_space_route(r) -> CodeSubgroup:
 
 
 def test_join_equals_the_bundle_external_behavior():
+    """On every input, with or without cycles.  `both` counts the inputs
+    where the join runs both phases: stripped leaves and a 2-core."""
     rs = (list(instances()) + corpus_realizations()
-          + [bench_like_ring(8), trellis(16), trellis(24), *accumulator_chain()])
-    done = cyclic = boundary = 0
+          + [bench_like_ring(8), bench_like_ring(16), trellis(16), trellis(24),
+             tree_plus_edge(16), hamming_tanner(), *accumulator_chain()])
+    done = cyclic = boundary = both = 0
     for r in with_fragments(rs):
         joined = r._joined_external()
         assert joined == r.behavior_bundle().external
         done += 1
         cyclic += cyclomatic_number(r) > 0
         boundary += bool(r.boundary)
-    assert done >= 100 and cyclic >= 30 and boundary >= 40
+        both += 0 < len(r.peel()) < len(r.constraints)
+    assert done >= 100 and cyclic >= 30 and boundary >= 40 and both >= 12
 
 
-def test_external_behavior_routes_by_the_cyclomatic_number():
-    """Cycle-free input is joined and builds no bundle; cyclic input, and
-    input whose bundle is cached, read the bundle."""
-    path, ring = trellis(16), bench_like_ring(8)
-    assert path.code() == trellis(16).behavior_bundle().external
-    assert path._bundle is None and path._external is not None
-    ring.code()
-    assert ring._bundle is not None
+def test_external_behavior_is_joined_unless_a_bundle_is_cached():
+    """Cycle-free and cyclic input are joined and build no bundle; input
+    whose bundle is cached reads it."""
+    for make in (lambda: trellis(16), lambda: bench_like_ring(8)):
+        r = make()
+        assert r.code() == make().behavior_bundle().external
+        assert r._bundle is None and r._external is not None
     cached = trellis(16)
     bundle = cached.behavior_bundle()
     assert cached.external_behavior() is bundle.external
@@ -173,16 +195,22 @@ def test_a_dual_edge_map_without_negation_fails_the_check(monkeypatch):
 
 def test_check_duality_eliminates_the_universe_a_fixed_number_of_times(
         monkeypatch, tmp_path):
-    """On the ring, the codes come from the two bundles and the check space
-    from one more elimination as wide as the universe, at any length."""
-    small, large = bench_like_ring(8), bench_like_ring(32)
-    counts = [wide_eliminations(monkeypatch, tmp_path, r, "check-duality")
-              for r in (small, large)]
-    assert counts[0] == counts[1] > 0
+    """On the ring, at any length, the code and the dual realization's code
+    are joined with no elimination as wide as the universe, and the check
+    space takes exactly one."""
+    for n in (8, 32):
+        assert wide_eliminations(monkeypatch, tmp_path, bench_like_ring(n),
+                                 "check-duality") == 1
     r = bench_like_ring(8)
-    codes = count_wide(monkeypatch, r.universe_space().width,
-                       lambda: (r.external_behavior(), dualize(r).external_behavior()))
-    assert counts[0] - codes == 1
+    assert count_wide(monkeypatch, r.universe_space().width,
+                      lambda: (r.external_behavior(), dualize(r).external_behavior())) == 0
+
+
+def test_cyclic_codes_never_eliminate_the_universe(monkeypatch):
+    for r in (tree_plus_edge(32), bench_like_ring(8), bench_like_ring(32),
+              accumulator_ring(8)):
+        assert cyclomatic_number(r) > 0
+        assert count_wide(monkeypatch, r.universe_space().width, r.code) == 0
 
 
 def test_cycle_free_codes_never_eliminate_the_universe(monkeypatch, tmp_path):

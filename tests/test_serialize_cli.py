@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from normgraph import cli
 from normgraph.cli import main
 from normgraph.corpus import (
     GF2,
@@ -296,6 +297,20 @@ def test_main_returns_usage_exit_codes(capsys):
     for argv in (["-h"], ["decode", "-h"]):
         assert main(argv) == 0, argv
         assert capsys.readouterr().out.startswith("usage: normgraph"), argv
+
+
+def test_running_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
+    """A `MemoryError` that escapes a command ends in exit 3 and one
+    `error:` line, not a traceback."""
+    def exhausted(args):
+        raise MemoryError
+
+    for command in ("check-duality", "analyze"):
+        monkeypatch.setitem(cli.COMMANDS, command, (exhausted, *cli.COMMANDS[command][1:]))
+        assert main([command, str(CORPUS / "rep3.json")]) == 3, command
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: out of memory\n", command
+        assert "Traceback" not in err
 
 
 UNWRITABLE_OUTPUT = [
