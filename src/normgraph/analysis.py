@@ -197,7 +197,7 @@ class ObsCtrlReport:
     tot_unobservable: CodeSubgroup   # (B^F) : (S_ext x S_int)
     int_controllable: CodeSubgroup   # image of the syndrome map on U^F
     order_universe: int
-    order_extended: int
+    order_extended: int              # |B|, the order of the extended behavior
     order_int_states: int
     ext_observable: bool
     int_observable: bool
@@ -211,15 +211,16 @@ class ObsCtrlReport:
 
 
 def obs_ctrl(f: Realization) -> ObsCtrlReport:
-    """Full internal/external/total observability and controllability report."""
-    bundle = f.behavior_bundle()
+    """Full internal/external/total observability and controllability report:
+    cross-sections of C^F and B on column suffixes, and sigma(U)."""
+    bundle, behavior, ext = f.behavior_bundle(), f.behavior(), f.external_behavior()
     bound = list(f.boundary)
     internal = sorted(f.internal_states(), key=sort_key)
 
-    ext_unobs = bundle.external.cross_section(bound)
-    int_unobs = bundle.behavior.cross_section([("s", j) for j in internal]).renamed(
+    ext_unobs = ext.cross_section(bound)
+    int_unobs = behavior.cross_section([("s", j) for j in internal]).renamed(
         {("s", j): j for j in internal})
-    tot_unobs = bundle.behavior.cross_section(
+    tot_unobs = behavior.cross_section(
         [("x", j) for j in bound] + [("s", j) for j in internal])
 
     controllable_sub = CodeSubgroup(bundle.state_space, bundle.syndromes)
@@ -230,12 +231,12 @@ def obs_ctrl(f: Realization) -> ObsCtrlReport:
         tot_unobservable=tot_unobs,
         int_controllable=controllable_sub,
         order_universe=bundle.universe.order,
-        order_extended=bundle.extended.order,
+        order_extended=behavior.order,
         order_int_states=bundle.state_space.order,
         ext_observable=ext_unobs.is_trivial,
         int_observable=int_unobs.is_trivial,
         tot_observable=tot_unobs.is_trivial,
-        ext_controllable=bundle.external.project(bound).is_full,
+        ext_controllable=ext.project(bound).is_full,
         int_controllable_flag=controllable_sub.is_full,
     )
 
@@ -243,7 +244,8 @@ def obs_ctrl(f: Realization) -> ObsCtrlReport:
 def verify_controllability(f: Realization) -> bool:
     """Check obs_ctrl's internal controllability by two independent routes.
 
-    The counting route: |U| / |extended behavior| = |controllable subspace|.
+    The counting route: |U| / |B| = |controllable subspace|, three orders
+    computed independently (|B| = |ker sigma|, since h_j = iso(s_j) there).
     The independence route: the syndrome map is onto the state space iff
     the checks from `Realization.check_rows` are independent, U⊥ ∩ V⊥ = 0.
     """

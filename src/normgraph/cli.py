@@ -47,7 +47,7 @@ def cmd_validate(args) -> int:
 
 def cmd_behavior(args) -> int:
     r = load_realization(args.file)
-    sub = r.code() if args.external_only else r.behavior_bundle().behavior
+    sub = r.code() if args.external_only else r.behavior()
     labels = " ".join(str(lab) for lab in sub.ambient.labels)
     print(f"# columns: {labels}")
     print(f"# order {sub.order}")
@@ -80,8 +80,8 @@ def cmd_analyze(args) -> int:
     for idx, frag in enumerate(targets):
         entry: dict = {"fragment": idx, "constraints": sorted(frag.constraints)}
         tp = {}
-        ext = frag.behavior_bundle().external  # every report below reads the bundle
-        for v in ext.ambient.labels:
+        frag.behavior()  # joins B, and C^F with it, for every report below
+        for v in frag.external_behavior().ambient.labels:
             st = trim_proper(frag, v)
             tp[str(v)] = {"trim": st.trim, "proper": st.proper,
                           "effective_order": st.effective_order}

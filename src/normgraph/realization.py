@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
-from collections.abc import Collection, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
+from operator import itemgetter
 
 from ._records import record
 from .alphabets import Alphabet, Element, ProductSpace, sort_key
@@ -88,15 +89,12 @@ class ValidationReport:
 
 @record
 class BehaviorBundle:
-    """Universe U, syndromes and behaviors; `syndromes[i]` is
-    sigma(universe.rows[i]) in `state_space` (see `Realization.syndromes`)."""
+    """Universe U and its syndromes: `syndromes[i]` is sigma(universe.rows[i])
+    in `state_space` (see `Realization.syndromes`)."""
 
     universe: CodeSubgroup
     state_space: ProductSpace
     syndromes: list[Element]
-    extended: CodeSubgroup
-    behavior: CodeSubgroup
-    external: CodeSubgroup
 
 
 # Result of `Realization.split`: the folded realization, a list of
@@ -141,6 +139,7 @@ class Realization:
                     raise UnknownLabel(f"constraint {cl!r} uses unknown variable {v!r}")
                 self.slots[v].append((cl, i))
         self._bundle: BehaviorBundle | None = None
+        self._behavior: CodeSubgroup | None = None
         self._external: CodeSubgroup | None = None
         self._edge_duals = None  # cut edges and `analysis._cut_pairs`, on first use
 
@@ -273,12 +272,10 @@ class Realization:
 
     def universe_space(self) -> ProductSpace:
         syms, bound, internal = self._blocks()
-        factors: list[tuple[Hashable, Alphabet]] = []
-        factors += [(("a", k), self.symbols[k]) for k in syms]
-        factors += [(("x", j), self.states[j].alphabet) for j in bound]
-        factors += [(("s", j), self.states[j].alphabet) for j in internal]
-        factors += [(("h", j), self.states[j].alphabet) for j in internal]
-        return ProductSpace(factors)
+        return ProductSpace([(("a", k), self.symbols[k]) for k in syms]
+                            + [(("x", j), self.states[j].alphabet) for j in bound]
+                            + [((kind, j), self.states[j].alphabet)
+                               for kind in "sh" for j in internal])
 
     def _slot_coordinate(self, cl: str, i: int) -> tuple[str, str]:
         """Global factor label of slot i of constraint cl in the universe space."""
@@ -287,34 +284,23 @@ class Realization:
             return ("a", v)
         if v in set(self.boundary):
             return ("x", v)
-        ends = self.slots[v]
-        return ("s", v) if ends[0] == (cl, i) else ("h", v)
+        return ("s", v) if self.slots[v][0] == (cl, i) else ("h", v)
 
     def behavior_bundle(self) -> BehaviorBundle:
-        """Exact U, extended behavior, behavior and external behavior."""
-        if self._bundle is not None:
-            return self._bundle
-        self.require_valid()
-        space = self.universe_space()
-        syms, bound, internal = self._blocks()
-        universe = CodeSubgroup(space, self._block_rows(space, lambda con: con.code))
-        state_space = ProductSpace([(j, self.states[j].alphabet) for j in internal])
-        syndromes = self.syndromes(universe.rows)
-        extended = universe.kernel(syndromes, state_space)
-        free = [("a", k) for k in syms] + [("x", j) for j in bound]
-        behavior = extended.project(free + [("s", j) for j in internal])
-        external = extended.project(free).renamed({lab: lab[1] for lab in free})
-        self._bundle = BehaviorBundle(universe, state_space, syndromes, extended,
-                                      behavior, external)
+        """Exact U and the syndromes of its rows, in one Howell form."""
+        if self._bundle is None:
+            self.require_valid()
+            space = self.universe_space()
+            universe = CodeSubgroup(space, self._block_rows(space, lambda con: con.code))
+            states = ProductSpace([(j, self.states[j].alphabet) for j in self._blocks()[2]])
+            self._bundle = BehaviorBundle(universe, states, self.syndromes(universe.rows))
         return self._bundle
 
-    def _block_rows(self, space: ProductSpace, code_of,
-                    labels: Iterable[str] | None = None) -> list[list[int]]:
-        """Each constraint's (or each listed one's) `code_of(con)` rows,
-        placed at its slots in the universe space or any space holding them."""
+    def _block_rows(self, space: ProductSpace, code_of) -> list[list[int]]:
+        """Each constraint's `code_of(con)` rows, placed at its slots in the universe."""
         rows: list[list[int]] = []
-        for cl in self.constraints if labels is None else labels:
-            code = code_of(self.constraints[cl])
+        for cl, con in self.constraints.items():
+            code = code_of(con)
             spans = [(code.ambient.span(lab), space.span(self._slot_coordinate(cl, i)))
                      for i, lab in enumerate(code.ambient.labels)]
             for r in code.rows:
@@ -332,7 +318,7 @@ class Realization:
 
         On U, ker sigma is the extended behavior and sigma(U) the
         controllable subspace; without block j, ker is the behavior of the
-        fragment cut at j."""
+        fragment cut at j.  Points are residue rows: sigma_j is h_j where s_j is 0."""
         space = self.universe_space() if space is None else space
         spans = [(space.span(("s", j)), space.span(("h", j)), self.states[j])
                  for j in (self._blocks()[2] if edges is None else edges)]
@@ -340,9 +326,12 @@ class Realization:
         for u in points:
             syn: list[int] = []
             for (sa, sb), (ha, hb), sv in spans:
-                mapped = sv.head_of(u[sa:sb])
-                syn.extend((h - m) % q for h, m, q in
-                           zip(u[ha:hb], mapped, sv.alphabet.moduli))
+                tail = u[sa:sb]
+                if any(tail):
+                    syn.extend((h - m) % q for h, m, q in
+                               zip(u[ha:hb], sv.head_of(tail), sv.alphabet.moduli))
+                else:
+                    syn.extend(u[ha:hb])
             out.append(tuple(syn))
         return out
 
@@ -367,26 +356,36 @@ class Realization:
         return self.external_behavior().project(sorted(self.symbols, key=sort_key))
 
     def external_behavior(self) -> CodeSubgroup:
-        """C^F over symbols then boundary states (plain variable labels):
-        the cached bundle's if there is one, else joined without the universe."""
+        """C^F over symbols then boundary states (plain labels), by `_join`."""
         if self._external is None:
             self.require_valid()
-            self._external = (self._bundle.external if self._bundle is not None
-                              else self._joined_external())
+            joined = self._join()
+            self._external = joined.renamed({lab: lab[1] for lab in joined.ambient.labels})
         return self._external
 
-    def _joined_external(self) -> CodeSubgroup:
-        """C^F without the universe: the constraints `peel` strips joined one
-        at a time in peel order, then the 2-core (the rest) in one step.
+    def behavior(self) -> CodeSubgroup:
+        """B over ("a", k), ("x", j), then each internal edge's tail ("s", j),
+        joined as C^F is with the tails kept; C^F is its column prefix."""
+        if self._behavior is None:
+            self.require_valid()
+            b = self._behavior = self._join(tails=True)
+            free = b.ambient.labels[:len(self.symbols) + len(self.boundary)]
+            self._external = b.project(free).renamed({lab: lab[1] for lab in free})
+        return self._behavior
 
-        The partial code lives on its open edge ends, then its external
-        variables in final order.  Each join takes the product with the
-        step's constraint codes at their slot coordinates and closes the
-        edges whose two ends are now present: one `kernel_span` of the rows
-        without their columns, with their syndromes h_j - iso(s_j) as values."""
-        syms, bound, _ = self._blocks()
+    def _join(self, tails: bool = False) -> CodeSubgroup:
+        """C^F over ("a", k), ("x", j), or with `tails` B, without the
+        universe: the leaves `peel` strips joined one at a time, then the
+        2-core (the rest) in one step.  The partial code lives on its open
+        edge ends, then its kept variables in final order.  Each join takes
+        the product with the step's constraint codes and closes the edges
+        whose two ends are now present: one `kernel_span` of the rows
+        without their heads (and tails, unless `tails`), with their
+        syndromes h_j - iso(s_j) as values."""
+        syms, bound, internal = self._blocks()
         free = [("a", k) for k in syms] + [("x", j) for j in bound]
         final = {lab: t for t, lab in enumerate(free)}
+        tail_at = {j: len(free) + t for t, j in enumerate(internal)}
         part, present = CodeSubgroup(ProductSpace([]), []), set()
         stripped = dict(self.peel())
         core = [c for c in self.constraints if c not in stripped]
@@ -396,18 +395,22 @@ class Realization:
             new = [(self._slot_coordinate(cl, i), self.alphabet_of(v))
                    for cl in step for i, v in enumerate(self.constraints[cl].vars)]
             amb = ProductSpace(list(part.ambient.factors) + new)
+            gens = [[*r, *[0] * (amb.width - w)] for r in part.rows]
+            for code in (self.constraints[cl].code for cl in step):
+                gens += [[*[0] * w, *r, *[0] * (amb.width - w - len(r))] for r in code.rows]
+                w += code.ambient.width
             closed = [j for j in dict.fromkeys(j for (kind, j), _ in new if kind in "sh")
                       if {c for c, _ in self.slots[j]} <= present]
-            shut = {(kind, j) for j in closed for kind in "sh"}
+            if tails:
+                final.update((("s", j), tail_at[j]) for j in closed)
+            shut = {(kind, j) for j in closed for kind in ("h" if tails else "sh")}
             sub = ProductSpace(sorted((f for f in amb.factors if f[0] not in shut),
                                       key=lambda f: final.get(f[0], -1)))
-            cols = [c for lab in sub.labels for c in range(*amb.span(lab))]
-            gens = ([[*r, *[0] * (amb.width - w)] for r in part.rows]
-                    + self._block_rows(amb, lambda con: con.code, step))
-            part = kernel_span(sub, [[g[c] for c in cols] for g in gens],
+            pick = _picker([c for lab in sub.labels for c in range(*amb.span(lab))])
+            part = kernel_span(sub, list(map(pick, gens)),
                                ProductSpace([(j, self.states[j].alphabet) for j in closed]),
                                self.syndromes(gens, amb, closed))
-        return part.renamed({lab: lab[1] for lab in free})
+        return part
 
     # -- structure editing (persistent: returns new realizations) -------------
 
@@ -578,6 +581,11 @@ class Realization:
         for b in self.boundary:
             n *= self.states[b].alphabet.order
         return n
+
+def _picker(cols: Sequence[int]):
+    """row -> its entries at `cols` (an itemgetter gives a bare entry for one)."""
+    return itemgetter(*cols) if len(cols) > 1 else lambda row: [row[c] for c in cols]
+
 
 def _is_identity(phi: Homomorphism) -> bool:
     return phi.matrix == identity_map(phi.source).matrix and phi.source == phi.target

@@ -1,21 +1,30 @@
-"""Seeded random realizations, the iso-rich pools and the exhaustive oracle.
+"""Seeded random realizations, the iso-rich pools and the oracles.
 
-The oracle is deliberately independent of the canonical linear algebra:
-constraint codes are closed by repeated addition, behaviors by filtering
-full configuration spaces, and marginals are sums over the behavior.  No
-code is listed from its Howell form here.
+The exhaustive oracle is deliberately independent of the canonical linear
+algebra: constraint codes are closed by repeated addition, behaviors by
+filtering full configuration spaces, and marginals are sums over the
+behavior.  No code is listed from its Howell form there.  The universe
+oracle (`universe_behaviors`) is the algebraic route the joins replaced,
+for inputs too large to enumerate.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd, prod
 
 from normgraph._records import record
-from normgraph.alphabets import Alphabet, Element, ProductSpace, cyclic_group, vector_space
+from normgraph.alphabets import (
+    Alphabet,
+    Element,
+    ProductSpace,
+    cyclic_group,
+    sort_key,
+    vector_space,
+)
 from normgraph.corpus import (
     GF2,
     GF3,
@@ -259,6 +268,26 @@ def accumulator_ring(n: int, seed: int = 0):
     return r.replaced(states={
         j: StateVar(z12, Homomorphism(z12, z12, ((rng.choice(units),),))
                     if int(j[1:]) % 2 else None) for j in r.states})
+
+
+# -- behaviors from the universe ---------------------------------------------------
+
+
+UniverseBehaviors = namedtuple("UniverseBehaviors", ["extended", "behavior", "external"])
+
+
+def universe_behaviors(r: Realization) -> UniverseBehaviors:
+    """The extended behavior as the kernel of the syndrome map over the
+    whole universe U, and B and C^F as its projections: the route that
+    `Realization.behavior` and `external_behavior` replaced by a join of
+    the constraints, kept as their oracle."""
+    bundle = r.behavior_bundle()
+    extended = bundle.universe.kernel(bundle.syndromes, bundle.state_space)
+    free = ([("a", k) for k in sorted(r.symbols, key=sort_key)]
+            + [("x", j) for j in r.boundary])
+    tails = [("s", j) for j in bundle.state_space.labels]
+    return UniverseBehaviors(extended, extended.project(free + tails),
+                             extended.project(free).renamed({lab: lab[1] for lab in free}))
 
 
 # -- exhaustive oracle harness ----------------------------------------------------

@@ -49,8 +49,11 @@ from normgraph.realization import Constraint, Realization, StateVar
 from normgraph.subgroups import CodeSubgroup, ftsp_decompose
 from tests.oracles import (
     OracleHarness,
+    accumulator_ring,
+    bench_like_ring,
     brute_force_app,
     close_rows,
+    instances,
     random_fragment,
     random_realization,
 )
@@ -236,19 +239,33 @@ def test_criterion_4_controllability_test():
           f"{len(corpus)} realizations + fixtures (10,3,8,7): PASS")
 
 
+def at_heads(r: Realization, states: CodeSubgroup) -> CodeSubgroup:
+    """A subgroup of edge states (tail values, one factor per edge) read at
+    each edge's head end: t_j -> iso_j(t_j)."""
+    amb = states.ambient
+    return CodeSubgroup(amb, [sum((r.states[j].head_of(row[slice(*amb.span(j))])
+                                   for j in amb.labels), ()) for row in states.rows])
+
+
 def test_criterion_5_obs_ctrl_duality():
-    """S^c(R) = (S^u(R°))⊥ exactly, and |S^u| = |S|/|S^c(R°)|."""
+    """S^c(R) = (S^u(R°))⊥ exactly, and |S^u| = |S|/|S^c(R°)|.
+
+    The syndromes h_j - iso(s_j) live at the head end of each edge, so the
+    dual's unobservable states are read there too, through the dual edge
+    map.  Read in tail coordinates, the identity fails on 23 of the 47
+    instances of the iso-rich pool and the rings."""
     corpus = corpus_realizations(60, ("cycle", "cycle_pendant", "theta"),
                                  start_seed=50_000)
-    for r in corpus:
-        rep = obs_ctrl(r)
-        dual_rep = obs_ctrl(dualize(r))
-        assert rep.int_controllable == dual_rep.int_unobservable.orthogonal()
-        assert dual_rep.int_controllable == rep.int_unobservable.orthogonal()
+    pool = [*instances(), accumulator_ring(8), bench_like_ring(8), bench_like_ring(16)]
+    for r in corpus + pool:
+        dual = dualize(r)
+        rep, dual_rep = obs_ctrl(r), obs_ctrl(dual)
+        assert rep.int_controllable == at_heads(dual, dual_rep.int_unobservable).orthogonal()
+        assert dual_rep.int_controllable == at_heads(r, rep.int_unobservable).orthogonal()
         assert rep.int_unobservable.order * dual_rep.int_controllable.order \
             == rep.order_int_states
     print("\nACCEPTANCE 5: observability/controllability duality on "
-          f"{len(corpus)} realizations, exact: PASS")
+          f"{len(corpus) + len(pool)} realizations, exact: PASS")
 
 
 def _side_orders_by_enumeration(r: Realization, edge: str) -> tuple[int, int]:

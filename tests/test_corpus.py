@@ -33,6 +33,7 @@ from tests.oracles import (
     random_fragment,
     random_realization,
     random_small_realization,
+    universe_behaviors,
     z4_sample_realizations,
 )
 
@@ -114,8 +115,9 @@ def test_oracle_matches_algebra():
             continue
         oracle = OracleHarness.build(r)
         assert oracle.projection(oracle.syms) == set(r.code().elements())
-        bundle = r.behavior_bundle()
-        assert oracle.projection(oracle.syms + oracle.bound) == set(bundle.external.elements())
+        assert set(r.behavior().elements()) == {sum(word, ()) for word in oracle.behavior}
+        external = universe_behaviors(r).external
+        assert oracle.projection(oracle.syms + oracle.bound) == set(external.elements())
         done += 1
     assert done >= 8
 

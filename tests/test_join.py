@@ -1,10 +1,11 @@
-"""Codes by a join of the constraints, and the check-space route in closed form.
+"""Behaviors by a join of the constraints, and the check-space route in closed form.
 
-`Realization.external_behavior` joins the constraints that `peel` strips
-one at a time, then the 2-core in one step, and never builds the universe;
-`verify_duality` cuts the check space U-perp + V-perp from closed-form rows
-in one Howell form.  Both are checked here against the universe routes
-they replaced, kept as oracles: the bundle's external behavior, and the
+`Realization.external_behavior` and `Realization.behavior` join the
+constraints that `peel` strips one at a time, then the 2-core in one
+step, and never build the universe; `verify_duality` cuts the check space
+U-perp + V-perp from closed-form rows in one Howell form.  These are
+checked here against the universe routes they replaced, kept as oracles:
+the kernel of the syndrome map over U (`universe_behaviors`), and the
 cross-section of U.orthogonal() + V.orthogonal() with V built directly.
 Mutation checks show that a wrong dual constraint or a wrong dual edge map
 makes `verify_duality` fail, and counts show which routes eliminate a
@@ -25,8 +26,9 @@ from normgraph.graphcore import cyclomatic_number
 from normgraph.realization import Constraint, StateVar, _is_identity
 from normgraph.serialize import load_realization
 from normgraph.subgroups import CodeSubgroup, full_subgroup, product_subgroup
-from tests.oracles import accumulator_ring, bench_like_ring, instances
+from tests.oracles import accumulator_ring, bench_like_ring, instances, universe_behaviors
 from tests.test_minimize import fixed_profile_rows
+from tests.test_one_elimination import count_howell
 from tests.test_syndrome import count_wide, validity, wide_eliminations
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -84,16 +86,21 @@ def old_check_space_route(r) -> CodeSubgroup:
     return check_space.cross_section(ext).renamed({lab: lab[1] for lab in ext})
 
 
+def join_pool():
+    """Every input, with or without cycles, and the fragments cut from it."""
+    return list(with_fragments(
+        list(instances()) + corpus_realizations()
+        + [bench_like_ring(8), bench_like_ring(16), trellis(16), trellis(24),
+           tree_plus_edge(16), hamming_tanner(), *accumulator_chain()]))
+
+
 def test_join_equals_the_bundle_external_behavior():
-    """On every input, with or without cycles.  `both` counts the inputs
-    where the join runs both phases: stripped leaves and a 2-core."""
-    rs = (list(instances()) + corpus_realizations()
-          + [bench_like_ring(8), bench_like_ring(16), trellis(16), trellis(24),
-             tree_plus_edge(16), hamming_tanner(), *accumulator_chain()])
+    """C^F joined equals the kernel of sigma over the bundle's universe,
+    projected.  `both` counts the inputs where the join runs both phases:
+    stripped leaves and a 2-core."""
     done = cyclic = boundary = both = 0
-    for r in with_fragments(rs):
-        joined = r._joined_external()
-        assert joined == r.behavior_bundle().external
+    for r in join_pool():
+        assert r.external_behavior() == universe_behaviors(r).external
         done += 1
         cyclic += cyclomatic_number(r) > 0
         boundary += bool(r.boundary)
@@ -101,16 +108,35 @@ def test_join_equals_the_bundle_external_behavior():
     assert done >= 100 and cyclic >= 30 and boundary >= 40 and both >= 12
 
 
-def test_external_behavior_is_joined_unless_a_bundle_is_cached():
-    """Cycle-free and cyclic input are joined and build no bundle; input
-    whose bundle is cached reads it."""
+def test_behavior_equals_the_universe_kernel():
+    """B joined with each closed edge's tail kept equals the oracle's, row
+    for row over the same factors, and the C^F it leaves in the cache is
+    the oracle's too."""
+    done = cyclic = boundary = 0
+    for r in join_pool():
+        oracle = universe_behaviors(r)
+        assert r.behavior() == oracle.behavior
+        assert r._external == oracle.external
+        done += 1
+        cyclic += cyclomatic_number(r) > 0
+        boundary += bool(r.boundary)
+    assert done >= 130 and cyclic >= 50 and boundary >= 70
+
+
+def test_external_behavior_is_joined_even_with_a_bundle_cached(monkeypatch):
+    """The bundle holds U and its syndromes only, so C^F is joined whether
+    or not a bundle is cached, and `behavior()` leaves C^F, B's column
+    prefix, in the cache with no elimination beyond its own join."""
     for make in (lambda: trellis(16), lambda: bench_like_ring(8)):
-        r = make()
-        assert r.code() == make().behavior_bundle().external
-        assert r._bundle is None and r._external is not None
-    cached = trellis(16)
-    bundle = cached.behavior_bundle()
-    assert cached.external_behavior() is bundle.external
+        r, cached, joined, fresh = make(), make(), make(), make()
+        want = universe_behaviors(make()).external
+        assert r.external_behavior() == want
+        assert r._bundle is None and r._behavior is None
+        cached.behavior_bundle()
+        assert cached.external_behavior() == want and cached._behavior is None
+        calls = count_howell(monkeypatch, lambda: joined._join(tails=True))
+        assert count_howell(monkeypatch, fresh.behavior) == calls
+        assert fresh._external == want
 
 
 def test_check_rows_are_the_orthogonals_of_u_and_v():
@@ -217,3 +243,14 @@ def test_cycle_free_codes_never_eliminate_the_universe(monkeypatch, tmp_path):
     r = trellis(16)
     assert wide_eliminations(monkeypatch, tmp_path, r, "behavior", "--external-only") == 0
     assert wide_eliminations(monkeypatch, tmp_path, r, "check-duality") == 1
+
+
+def test_behavior_eliminates_the_universe_only_in_a_core_step(monkeypatch, tmp_path):
+    """`behavior` joins B leaf by leaf on a tree, with no Howell form as
+    wide as the universe, and on a ring, all 2-core, in one such form;
+    `analyze --json` on the tree adds only U's (the bundle's one form)."""
+    r = trellis(16)
+    assert wide_eliminations(monkeypatch, tmp_path, r, "behavior") == 0
+    assert wide_eliminations(monkeypatch, tmp_path, r) == 1
+    for n in (8, 32):
+        assert wide_eliminations(monkeypatch, tmp_path, bench_like_ring(n), "behavior") == 1

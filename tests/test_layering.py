@@ -5,7 +5,8 @@ are written, cut and read in `subgroups` alone, on top of `zmod` and
 `intmat`; every other module asks it for subgroups, kernels
 (`kernel_span`), projections, cross-sections and lifts.  Checked on the
 source with `ast`, so a module that starts to lift rows by hand again
-fails here, whatever it computes.
+fails here, whatever it computes.  The package is also held to its line
+budget (ROADMAP aim 2).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "normgraph"
 CORE = {"zmod", "intmat"}
 LIFTED = {"_from_howell", "_lifted", "scales", "lcm_modulus"}
+LINE_BUDGET = 4450
 
 
 def imported(tree: ast.AST) -> set[str]:
@@ -55,3 +57,10 @@ def test_only_subgroups_uses_the_linear_algebra_core_and_lifted_rows():
     lifting = {name for name, tree in modules.items()
                if name not in CORE and named(tree) & LIFTED}
     assert lifting == {"subgroups", "alphabets"}
+
+
+def test_the_package_stays_within_its_line_budget():
+    """`src/normgraph/*.py` in at most 4,450 lines, counted as `cat
+    src/normgraph/*.py | wc -l` counts them: newline characters."""
+    lines = sum(path.read_text().count("\n") for path in SRC.glob("*.py"))
+    assert lines <= LINE_BUDGET, f"{lines} lines, {lines - LINE_BUDGET} over the budget"

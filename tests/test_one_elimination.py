@@ -195,25 +195,26 @@ def count_howell(monkeypatch, fn) -> int:
     return len(calls)
 
 
-def test_behavior_bundle_eliminates_twice(monkeypatch):
-    """U and its syndrome kernel; the behavior and the external behavior
-    are column prefixes of the extended behavior."""
+def test_behavior_bundle_eliminates_once(monkeypatch):
+    """U; its syndromes are read off its rows, and B and C^F are joined
+    elsewhere (`Realization.behavior`)."""
     trellis = trellis_realization(fixed_profile_rows(random.Random("bundle"), 14, 7),
                                   [GF2] * 14)
     for r in (trellis, bench_like_ring(16)):
-        assert count_howell(monkeypatch, r.behavior_bundle) == 2
+        assert count_howell(monkeypatch, r.behavior_bundle) == 1
 
 
 def test_obs_ctrl_eliminates_only_the_controllable_subspace(monkeypatch):
-    """With the bundle cached, the unobservable subgroups are cross-sections
-    of the external behavior and the behavior on column suffixes, and the
-    external controllability a projection on an empty boundary: only the
-    image Sigma of the syndrome map is eliminated."""
+    """With the bundle and B cached, the unobservable subgroups are
+    cross-sections of C^F and B on column suffixes, and the external
+    controllability a projection on an empty boundary: only the image
+    Sigma of the syndrome map is eliminated."""
     trellis = trellis_realization(fixed_profile_rows(random.Random("bundle"), 14, 7),
                                   [GF2] * 14)
     for r in (trellis, bench_like_ring(16), accumulator_ring(8)):
         assert not r.boundary
         r.behavior_bundle()
+        r.behavior()
         assert count_howell(monkeypatch, lambda: obs_ctrl(r)) <= 1
 
 

@@ -16,7 +16,12 @@ from normgraph.realization import (
     normalize,
 )
 from normgraph.subgroups import CodeSubgroup
-from tests.oracles import OracleHarness, instances, random_small_realization
+from tests.oracles import (
+    OracleHarness,
+    instances,
+    random_small_realization,
+    universe_behaviors,
+)
 
 GF2 = vector_space(2, 1)
 GF3 = vector_space(3, 1)
@@ -81,8 +86,8 @@ def test_single_zero_sum_code():
 def test_two_section_trellis_code():
     r = rep3_trellis()
     assert set(r.code().elements()) == {(0, 0), (1, 1)}
-    b = r.behavior_bundle()
-    assert b.extended.order == b.behavior.order
+    b = universe_behaviors(r)
+    assert b.extended.order == b.behavior.order == r.behavior().order
 
 
 def test_edge_isomorphism_behavior():
@@ -105,10 +110,11 @@ def test_behavior_matches_exhaustive_oracle():
     rng = random.Random(97)
     for trial in range(25):
         r = random_small_realization(rng)
-        bundle = r.behavior_bundle()
+        b = universe_behaviors(r)
         oracle = OracleHarness.build(r)
         assert set(r.code().elements()) == oracle.projection(oracle.syms)
-        assert bundle.extended.order == bundle.behavior.order
+        assert set(r.behavior().elements()) == {sum(word, ()) for word in oracle.behavior}
+        assert b.extended.order == b.behavior.order == r.behavior().order
 
 
 def test_disconnected_code_is_product():

@@ -18,6 +18,7 @@ from tests.oracles import (
     accumulator_ring,
     bench_like_ring,
     random_realization,
+    universe_behaviors,
     with_isos,
 )
 
@@ -52,8 +53,8 @@ def test_split_connect_round_trip_with_isos():
             restored, = frags
             assert not restored.boundary
             oracle = OracleHarness.build(r)
-            behavior = restored.behavior_bundle().behavior
-            assert behavior == r.behavior_bundle().behavior
+            behavior = restored.behavior()
+            assert behavior == universe_behaviors(r).behavior
             assert set(behavior.elements()) == {
                 sum(word, ()) for word in oracle.behavior}
             assert restored.code() == r.code()

@@ -1,10 +1,11 @@
 """The syndrome map on realizations whose edges carry general isomorphisms.
 
-`behavior_bundle` takes the extended behavior as the kernel of the syndrome
-map.  `state_trim_status` takes the behavior of the fragment cut at edge j
-as K_j = B + preimages of Sigma cap S_j, where Sigma = sigma(U) and
-Sigma cap S_j = (proj_j Sigma-perp)-perp (projection/cross-section
-duality), from eliminations made once per realization.  These are checked
+The universe oracle (`universe_behaviors`) takes the extended behavior as
+the kernel of the syndrome map.  `state_trim_status` takes the behavior
+of the fragment cut at edge j as K_j = B + preimages of Sigma cap S_j,
+where Sigma = sigma(U) and Sigma cap S_j = (proj_j Sigma-perp)-perp
+(projection/cross-section duality), from eliminations made once per
+realization.  These are checked
 here against independent routes: U cap V with V built directly, the kernel
 of sigma with edge j's block left out (`kernel_route`, one elimination of
 the universe per edge), the `split` + `external_behavior` route, and
@@ -41,6 +42,7 @@ from tests.oracles import (
     random_iso,
     random_realization,
     random_subgroup,
+    universe_behaviors,
     with_isos,
 )
 
@@ -77,7 +79,7 @@ def kernel_route(r, edge) -> StateTrimReport:
     if iso is not None:
         ext = _map_slot(ext, ext.ambient.labels.index(("h", edge)), iso.inverse())
     alpha = r.states[edge].alphabet
-    state_trim = bundle.behavior.project([("s", edge)]).order == alpha.order
+    state_trim = universe_behaviors(r).behavior.project([("s", edge)]).order == alpha.order
     return report(r, edge, ext.cross_section(pair), ext.project(pair), state_trim)
 
 
@@ -125,7 +127,7 @@ def checked_edges(r):
 def validity(r: Realization) -> CodeSubgroup:
     """The validity subgroup V of the universe space (head = iso(tail) on
     every internal edge, anything elsewhere), built directly: the oracle
-    for the extended behavior U cap V, which `behavior_bundle` takes as
+    for the extended behavior U cap V, which the universe oracle takes as
     ker sigma, and for the check space U-perp + V-perp."""
     space = r.universe_space()
     units = space.unit_rows()
@@ -145,8 +147,9 @@ def validity(r: Realization) -> CodeSubgroup:
 def test_extended_behavior_is_the_syndrome_kernel():
     done = 0
     for r in instances():
-        bundle = r.behavior_bundle()
-        assert bundle.extended == bundle.universe.intersect(validity(r))
+        bundle, oracle = r.behavior_bundle(), universe_behaviors(r)
+        assert oracle.extended == bundle.universe.intersect(validity(r))
+        assert oracle.behavior == r.behavior()
         assert bundle.syndromes == r.syndromes(bundle.universe.rows)
         assert verify_controllability(r)
         assert verify_duality(r).passed
@@ -272,13 +275,13 @@ def wide_eliminations(monkeypatch, tmp_path, r: Realization, *argv: str) -> int:
 def test_analyze_eliminates_the_universe_a_fixed_number_of_times(monkeypatch, tmp_path):
     """The per-edge reports cost no elimination of the whole universe: the
     count is the same on 8 and 32 sections (every edge is reported), and
-    at most 4: U, its syndrome kernel and the two cut-pair forms."""
+    it is 4: U, the 2-core step of the join for B (the whole ring) and the
+    two cut-pair forms."""
     small, large = bench_like_ring(8), bench_like_ring(32)
     assert not cut_edges(small) and not cut_edges(large)
     assert any(sv.iso is not None for sv in large.states.values())
     counts = [wide_eliminations(monkeypatch, tmp_path, r) for r in (small, large)]
-    assert counts[0] == counts[1] > 0
-    assert counts[0] <= 4
+    assert counts[0] == counts[1] == 4
 
 
 def test_the_isos_matter():
