@@ -19,6 +19,7 @@ from .errors import (
     NotAStateEdge,
     UnknownVariable,
 )
+from .duality import check_space
 from .graphcore import cut_edges
 from .realization import Constraint, Realization, StateVar, _map_slot, fresh_label
 from .subgroups import CodeSubgroup, QuotientMap, product_subgroup, restrict_merge
@@ -247,12 +248,13 @@ def verify_controllability(f: Realization) -> bool:
     The counting route: |U| / |B| = |controllable subspace|, three orders
     computed independently (|B| = |ker sigma|, since h_j = iso(s_j) there).
     The independence route: the syndrome map is onto the state space iff
-    the checks from `Realization.check_rows` are independent, U⊥ ∩ V⊥ = 0.
+    the checks are independent, U⊥ ∩ V⊥ = 0.  A point of U⊥ ∩ V⊥ is zero
+    outside the edges and fixed by its tails there, so it is read as the
+    cross-section on the tails of the check space joined with them kept.
     """
     rep = obs_ctrl(f)
-    space, (u_perp, v_perp) = f.universe_space(), f.check_rows()
-    independent = CodeSubgroup(space, u_perp).intersect(
-        CodeSubgroup(space, v_perp)).is_trivial
+    tails = [("s", j) for j in sorted(f.internal_states(), key=sort_key)]
+    independent = check_space(f, tails=True).cross_section(tails).is_trivial
     return (rep.order_universe == rep.order_extended * rep.int_controllable.order
             and independent == rep.int_controllable_flag)
 

@@ -8,21 +8,18 @@ dualizing twice returns the original realization bit-exactly.
 `verify_duality` computes C⊥ by three routes, on realizations and fragments
 alike: the orthogonal of the (external) code C, the dual realization's
 external behavior C°, and the cross-section of the check space U⊥ + V⊥ on
-the external block.  C and C° are joined without the universe: the peeled
-leaves one at a time, then the 2-core in one step; the check space is
-written down in closed form (`Realization.check_rows`) and cut in one
-Howell form.
+the external block.  All three are joined without the universe, the peeled
+leaves one at a time and then the 2-core in one step (`Realization._join`):
+the check space as the constraints' orthogonals C_c⊥ cut where each edge's
+check value tau_j = s_j + iso*(h_j) vanishes.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
-
 from ._records import record
-from .alphabets import ProductSpace
 from .homs import Homomorphism, negation_map
-from .realization import Realization, Constraint, StateVar, _is_identity
-from .subgroups import CodeSubgroup, kernel_span
+from .realization import Realization, Constraint, StateVar, _is_identity, edge_values
+from .subgroups import CodeSubgroup
 
 
 def _dual_edge_map(sv: StateVar) -> Homomorphism | None:
@@ -64,20 +61,26 @@ class DualityReport:
                 f"|C⊥|={self.orthogonal_code.order}")
 
 
-def verify_duality(r: Realization) -> DualityReport:
-    """Check C° = C⊥ by both routes: dual behavior and check-space cross-section.
+def check_space(r: Realization, tails: bool = False) -> CodeSubgroup:
+    """The check space U⊥ + V⊥ cut to ("a", k), ("x", j), and with `tails`
+    each internal edge's tail ("s", j): as V⊥ = {(-iso*(e), e)} on (s_j, h_j),
+    the join of the C_c⊥ where tau_j = s_j + iso*(h_j) vanishes.  tau reads
+    the primal isos, not `dualize`'s edge maps, so a wrong dual edge map shows."""
+    def checks(points, space, edges):
+        ends = []
+        for j in edges:
+            sv = r.states[j]
+            psi = negation_map(sv.alphabet) if sv.iso is None else sv.iso.adjoint().negated()
+            ends.append((("s", j), ("h", j), None if _is_identity(psi) else psi))
+        return edge_values(points, space, ends)
+    return r._join({cl: con.code.orthogonal() for cl, con in r.constraints.items()},
+                   checks, tails)
 
-    The cross-section is one `kernel_span`: the external parts of the
-    closed-form rows of U⊥ and V⊥, where their other parts sum to zero.
-    Its edge rows come from the primal isos, not from `dualize`'s edge
-    maps, so a wrong dual edge map shows as a disagreement.  Works for
-    fragments as well, where the external behavior plays the role of the
-    code.
-    """
-    code = r.external_behavior()
-    space, ext = r.universe_space(), code.ambient
-    rows, w = list(chain(*r.check_rows())), ext.width
-    route = kernel_span(ext, [islice(row, w) for row in rows],
-                        ProductSpace(space.factors[len(ext.factors):]),
-                        [islice(row, w, None) for row in rows])
+
+def verify_duality(r: Realization) -> DualityReport:
+    """Check C° = C⊥ by both routes: dual behavior and check-space
+    cross-section (`check_space`).  Works for fragments as well, where the
+    external behavior plays the role of the code."""
+    code, route = r.external_behavior(), check_space(r)
+    route = route.renamed({lab: lab[1] for lab in route.ambient.labels})
     return DualityReport(code, dualize(r).external_behavior(), code.orthogonal(), route)

@@ -144,9 +144,9 @@ def recover_internal_states(f: Realization, assignment: Configuration) -> Config
     """Unique internal state values of an internally proper cycle-free fragment.
 
     assignment maps every symbol and boundary variable to its value; the
-    returned configuration adds every internal state (tail coordinates).
-    Follows `Realization.peel`: properness determines the edge each leaf
-    hangs by from its other values.
+    returned configuration adds every internal state (tail coordinates),
+    read as one `lift_prefix` of the behavior B: its column prefix is C^F,
+    and properness leaves one set of tails over each external value.
     """
     f.require_valid()
     if cyclomatic_number(f) != 0 or not f.is_connected:
@@ -158,7 +158,7 @@ def recover_internal_states(f: Realization, assignment: Configuration) -> Config
             if v in internal and not con.code.cross_section([lab]).is_trivial:
                 raise NotInternallyProper(
                     f"constraint {cl!r} is not proper at its state slot {lab!r}")
-    ext = f.external_behavior()
+    b, ext = f.behavior(), f.external_behavior()  # C^F comes with B
     word = []
     for lab in ext.ambient.labels:
         if lab not in assignment:
@@ -166,23 +166,8 @@ def recover_internal_states(f: Realization, assignment: Configuration) -> Config
         word.extend(assignment[lab])
     if not ext.contains(word):
         raise NotInExternalBehavior("assignment is not a valid external configuration")
-
-    folded = f.fold_edge_iso(*f.internal_states())
+    p = len(ext.ambient.labels)
+    sol = b.lift_prefix(b.ambient.labels[:p], word)
     known: Configuration = {v: tuple(assignment[v]) for v in assignment}
-    # each stripped constraint's one unknown is the edge it hung by; the last
-    # of the tree has none left, and is checked
-    for cl, j in folded.peel():
-        con = folded.constraints[cl]
-        if j is None:
-            w = tuple(x for v in con.vars for x in known[v])
-            assert con.code.contains(w), "peeled values violate a constraint"
-            continue
-        labels = con.code.ambient.labels
-        free = labels[con.vars.index(j)]
-        fixed_labels = [lab for lab in labels if lab != free]
-        fixed_vals = [x for v in con.vars if v != j for x in known[v]]
-        # lift_prefix reads the leading factors, so j's slot goes last
-        sol = con.code.permuted([*fixed_labels, free]).lift_prefix(fixed_labels, fixed_vals)
-        assert sol is not None, "peeling failed on a valid configuration"
-        known[j] = tuple(sol[len(fixed_vals):])
+    known.update((lab[1], sol[slice(*b.ambient.span(lab))]) for lab in b.ambient.labels[p:])
     return known

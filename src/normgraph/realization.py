@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
-from collections.abc import Collection, Iterable, Mapping, Sequence
-from operator import itemgetter
+from collections.abc import Collection, Hashable, Iterable, Mapping, Sequence
+from operator import itemgetter, mod, sub
 
 from ._records import record
 from .alphabets import Alphabet, Element, ProductSpace, sort_key
@@ -27,7 +27,7 @@ from .errors import (
     UnknownLabel,
     ValidationFailed,
 )
-from .homs import Homomorphism, identity_map
+from .homs import Homomorphism
 from .subgroups import CodeSubgroup, full_subgroup, kernel_span
 
 Configuration = dict[str, Element]
@@ -277,79 +277,42 @@ class Realization:
                             + [((kind, j), self.states[j].alphabet)
                                for kind in "sh" for j in internal])
 
-    def _slot_coordinate(self, cl: str, i: int) -> tuple[str, str]:
-        """Global factor label of slot i of constraint cl in the universe space."""
-        v = self.constraints[cl].vars[i]
-        if v in self.symbols:
-            return ("a", v)
-        if v in set(self.boundary):
-            return ("x", v)
-        return ("s", v) if self.slots[v][0] == (cl, i) else ("h", v)
-
     def behavior_bundle(self) -> BehaviorBundle:
         """Exact U and the syndromes of its rows, in one Howell form."""
         if self._bundle is None:
             self.require_valid()
             space = self.universe_space()
-            universe = CodeSubgroup(space, self._block_rows(space, lambda con: con.code))
+            slots = ProductSpace(self._slot_factors(self.constraints))
+            pick = _picker([c for lab in space.labels for c in range(*slots.span(lab))])
+            rows = _block_diagonal(self._codes().values())
+            universe = CodeSubgroup(space, list(map(pick, rows)))
             states = ProductSpace([(j, self.states[j].alphabet) for j in self._blocks()[2]])
-            self._bundle = BehaviorBundle(universe, states, self.syndromes(universe.rows))
+            syndromes = self.syndromes(universe.rows, space, states.labels)
+            self._bundle = BehaviorBundle(universe, states, syndromes)
         return self._bundle
 
-    def _block_rows(self, space: ProductSpace, code_of) -> list[list[int]]:
-        """Each constraint's `code_of(con)` rows, placed at its slots in the universe."""
-        rows: list[list[int]] = []
-        for cl, con in self.constraints.items():
-            code = code_of(con)
-            spans = [(code.ambient.span(lab), space.span(self._slot_coordinate(cl, i)))
-                     for i, lab in enumerate(code.ambient.labels)]
-            for r in code.rows:
-                row = [0] * space.width
-                for (a, b), (ga, gb) in spans:
-                    row[ga:gb] = r[a:b]
-                rows.append(row)
-        return rows
-
-    def syndromes(self, points: Iterable[Sequence[int]], space: ProductSpace | None = None,
-                  edges: Sequence[str] | None = None) -> list[Element]:
-        """The syndrome map sigma: U -> (+)_j S_j, sigma_j(u) = h_j - iso(s_j)
-        over the internal edges j in sorted order, on universe-space points
-        (or over the given edges, on points of a space holding their ends).
-
-        On U, ker sigma is the extended behavior and sigma(U) the
-        controllable subspace; without block j, ker is the behavior of the
-        fragment cut at j.  Points are residue rows: sigma_j is h_j where s_j is 0."""
-        space = self.universe_space() if space is None else space
-        spans = [(space.span(("s", j)), space.span(("h", j)), self.states[j])
-                 for j in (self._blocks()[2] if edges is None else edges)]
-        out = []
-        for u in points:
-            syn: list[int] = []
-            for (sa, sb), (ha, hb), sv in spans:
-                tail = u[sa:sb]
-                if any(tail):
-                    syn.extend((h - m) % q for h, m, q in
-                               zip(u[ha:hb], sv.head_of(tail), sv.alphabet.moduli))
-                else:
-                    syn.extend(u[ha:hb])
-            out.append(tuple(syn))
+    def _slot_factors(self, constraints: Iterable[str]) -> list[tuple[tuple[str, str], Alphabet]]:
+        """The universe's factors at the slots of the constraints, in order:
+        ("a", k) for a symbol, ("x", j) for a boundary state, and an edge's
+        tail ("s", j) at its first-listed slot, its head ("h", j) at the other."""
+        bound, out = set(self.boundary), []
+        for cl in constraints:
+            for i, v in enumerate(self.constraints[cl].vars):
+                kind = ("a" if v in self.symbols else "x" if v in bound
+                        else "s" if self.slots[v][0] == (cl, i) else "h")
+                out.append(((kind, v), self.alphabet_of(v)))
         return out
 
-    def check_rows(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Generators of U-perp and V-perp in the universe space, in closed
-        form: each constraint's C_c-perp at its slots, and for each internal
-        edge the rows (-iso*(e), e) on (s_j, h_j), e a unit row of S_j."""
-        space = self.universe_space()
-        v_perp = []
-        for j in self._blocks()[2]:
-            sv = self.states[j]
-            (sa, sb), (ha, hb) = space.span(("s", j)), space.span(("h", j))
-            adjoint = (sv.iso or identity_map(sv.alphabet)).adjoint()
-            for e in sv.alphabet.unit_rows():
-                row = [0] * space.width
-                row[sa:sb], row[ha:hb] = sv.alphabet.neg(adjoint.apply(e)), e
-                v_perp.append(row)
-        return self._block_rows(space, lambda con: con.code.orthogonal()), v_perp
+    def syndromes(self, points: Iterable[Sequence[int]], space: ProductSpace,
+                  edges: Sequence[str]) -> list[Element]:
+        """The syndrome map sigma_j(u) = h_j - iso(s_j) over the given internal
+        edges j, on points of a space holding their ends.
+
+        On U over every edge, ker sigma is the extended behavior and sigma(U)
+        the controllable subspace; without block j, ker is the behavior of
+        the fragment cut at j."""
+        ends = [(("h", j), ("s", j), self.states[j].iso) for j in edges]
+        return edge_values(points, space, ends)
 
     def code(self) -> CodeSubgroup:
         """The code realized: projection of the external behavior on the symbols."""
@@ -359,7 +322,7 @@ class Realization:
         """C^F over symbols then boundary states (plain labels), by `_join`."""
         if self._external is None:
             self.require_valid()
-            joined = self._join()
+            joined = self._join(self._codes(), self.syndromes)
             self._external = joined.renamed({lab: lab[1] for lab in joined.ambient.labels})
         return self._external
 
@@ -368,20 +331,26 @@ class Realization:
         joined as C^F is with the tails kept; C^F is its column prefix."""
         if self._behavior is None:
             self.require_valid()
-            b = self._behavior = self._join(tails=True)
+            b = self._behavior = self._join(self._codes(), self.syndromes, tails=True)
             free = b.ambient.labels[:len(self.symbols) + len(self.boundary)]
             self._external = b.project(free).renamed({lab: lab[1] for lab in free})
         return self._behavior
 
-    def _join(self, tails: bool = False) -> CodeSubgroup:
-        """C^F over ("a", k), ("x", j), or with `tails` B, without the
-        universe: the leaves `peel` strips joined one at a time, then the
-        2-core (the rest) in one step.  The partial code lives on its open
-        edge ends, then its kept variables in final order.  Each join takes
-        the product with the step's constraint codes and closes the edges
-        whose two ends are now present: one `kernel_span` of the rows
-        without their heads (and tails, unless `tails`), with their
-        syndromes h_j - iso(s_j) as values."""
+    def _codes(self) -> dict[str, CodeSubgroup]:
+        return {cl: con.code for cl, con in self.constraints.items()}
+
+    def _join(self, codes: Mapping[str, CodeSubgroup], values,
+              tails: bool = False) -> CodeSubgroup:
+        """Over ("a", k), ("x", j), and with `tails` each internal edge's
+        ("s", j): `codes` (one per constraint) at their slots, where
+        `values(points, space, edges)` vanish on every internal edge; C^F or
+        B with the constraint codes and `syndromes`.  Without the universe:
+        the leaves `peel` strips joined one at a time, then the 2-core in one
+        step.  The partial code lives on its open edge ends, then its kept
+        variables in final order.  Each join takes the product with the
+        step's codes and closes the edges whose two ends are now present: one
+        `kernel_span` of the rows without their heads (and tails, unless
+        `tails`), with their values there."""
         syms, bound, internal = self._blocks()
         free = [("a", k) for k in syms] + [("x", j) for j in bound]
         final = {lab: t for t, lab in enumerate(free)}
@@ -390,15 +359,10 @@ class Realization:
         stripped = dict(self.peel())
         core = [c for c in self.constraints if c not in stripped]
         for step in [[cl] for cl in stripped] + ([core] if core else []):
-            w = part.ambient.width
             present.update(step)
-            new = [(self._slot_coordinate(cl, i), self.alphabet_of(v))
-                   for cl in step for i, v in enumerate(self.constraints[cl].vars)]
+            new = self._slot_factors(step)
             amb = ProductSpace(list(part.ambient.factors) + new)
-            gens = [[*r, *[0] * (amb.width - w)] for r in part.rows]
-            for code in (self.constraints[cl].code for cl in step):
-                gens += [[*[0] * w, *r, *[0] * (amb.width - w - len(r))] for r in code.rows]
-                w += code.ambient.width
+            gens = _block_diagonal([part, *(codes[cl] for cl in step)])
             closed = [j for j in dict.fromkeys(j for (kind, j), _ in new if kind in "sh")
                       if {c for c, _ in self.slots[j]} <= present]
             if tails:
@@ -409,7 +373,7 @@ class Realization:
             pick = _picker([c for lab in sub.labels for c in range(*amb.span(lab))])
             part = kernel_span(sub, list(map(pick, gens)),
                                ProductSpace([(j, self.states[j].alphabet) for j in closed]),
-                               self.syndromes(gens, amb, closed))
+                               values(gens, amb, closed))
         return part
 
     # -- structure editing (persistent: returns new realizations) -------------
@@ -587,8 +551,38 @@ def _picker(cols: Sequence[int]):
     return itemgetter(*cols) if len(cols) > 1 else lambda row: [row[c] for c in cols]
 
 
+def _block_diagonal(codes: Collection[CodeSubgroup]) -> list[list[int]]:
+    """The rows of each code, side by side: zero outside its own columns."""
+    width, w, rows = sum(code.ambient.width for code in codes), 0, []
+    for code in codes:
+        rows += [[*[0] * w, *r, *[0] * (width - w - len(r))] for r in code.rows]
+        w += code.ambient.width
+    return rows
+
+
+def edge_values(points: Iterable[Sequence[int]], space: ProductSpace,
+                ends: Sequence[tuple[Hashable, Hashable, Homomorphism | None]]) -> list[Element]:
+    """Per residue row of `space`, x - phi(y) on each edge's ends (x, y,
+    phi), concatenated; phi None is the identity, and it is applied only
+    where y is nonzero."""
+    factor = dict(space.factors)
+    vals = ProductSpace([(x, factor[x]) for x, _, _ in ends])
+    xs = _picker([c for x, _, _ in ends for c in range(*space.span(x))])
+    ys = _picker([c for _, y, _ in ends for c in range(*space.span(y))])
+    spans = [(*vals.span(x), phi) for x, _, phi in ends]
+    owner = [k for k, (a, b, _) in enumerate(spans) for _ in range(a, b)]
+    out = []
+    for u in points:
+        v, y = list(xs(u)), ys(u)
+        for a, b, phi in map(spans.__getitem__, dict.fromkeys(itertools.compress(owner, y))):
+            m = y[a:b] if phi is None else phi.apply(y[a:b])
+            v[a:b] = map(mod, map(sub, v[a:b], m), vals.moduli[a:b])
+        out.append(tuple(v))
+    return out
+
+
 def _is_identity(phi: Homomorphism) -> bool:
-    return phi.matrix == identity_map(phi.source).matrix and phi.source == phi.target
+    return phi.source == phi.target and phi.matrix == tuple(phi.source.unit_rows())
 
 
 def _map_slot(code: CodeSubgroup, slot: int, phi: Homomorphism) -> CodeSubgroup:

@@ -276,16 +276,36 @@ def accumulator_ring(n: int, seed: int = 0):
 UniverseBehaviors = namedtuple("UniverseBehaviors", ["extended", "behavior", "external"])
 
 
+def validity(r: Realization) -> CodeSubgroup:
+    """The validity subgroup V of the universe space (head = iso(tail) on
+    every internal edge, anything elsewhere), built directly: the oracle
+    for the extended behavior U cap V and for the check space
+    U-perp + V-perp."""
+    space = r.universe_space()
+    units = space.unit_rows()
+    vrows = [units[c] for lab in space.labels if lab[0] in ("a", "x")
+             for c in range(*space.span(lab))]
+    for j in r.internal_states():
+        sv = r.states[j]
+        sa, _ = space.span(("s", j))
+        ha, hb = space.span(("h", j))
+        for i, e in enumerate(sv.alphabet.unit_rows()):
+            row = list(units[sa + i])
+            row[ha:hb] = sv.head_of(e)
+            vrows.append(row)
+    return CodeSubgroup(space, vrows)
+
+
 def universe_behaviors(r: Realization) -> UniverseBehaviors:
-    """The extended behavior as the kernel of the syndrome map over the
-    whole universe U, and B and C^F as its projections: the route that
-    `Realization.behavior` and `external_behavior` replaced by a join of
-    the constraints, kept as their oracle."""
-    bundle = r.behavior_bundle()
-    extended = bundle.universe.kernel(bundle.syndromes, bundle.state_space)
+    """The extended behavior as U cap V over the whole universe, with V
+    built directly (`validity`), and B and C^F as its projections: the
+    route that `Realization.behavior` and `external_behavior` replaced by
+    a join of the constraints, kept as their oracle.  It reads no edge
+    values, so a fault in the map the joins close edges by shows."""
+    extended = r.behavior_bundle().universe.intersect(validity(r))
     free = ([("a", k) for k in sorted(r.symbols, key=sort_key)]
             + [("x", j) for j in r.boundary])
-    tails = [("s", j) for j in bundle.state_space.labels]
+    tails = [("s", j) for j in sorted(r.internal_states(), key=sort_key)]
     return UniverseBehaviors(extended, extended.project(free + tails),
                              extended.project(free).renamed({lab: lab[1] for lab in free}))
 

@@ -1,15 +1,17 @@
-"""Behaviors by a join of the constraints, and the check-space route in closed form.
+"""Behaviors and the check space by one join of the constraints.
 
 `Realization.external_behavior` and `Realization.behavior` join the
 constraints that `peel` strips one at a time, then the 2-core in one
-step, and never build the universe; `verify_duality` cuts the check space
-U-perp + V-perp from closed-form rows in one Howell form.  These are
-checked here against the universe routes they replaced, kept as oracles:
-the kernel of the syndrome map over U (`universe_behaviors`), and the
-cross-section of U.orthogonal() + V.orthogonal() with V built directly.
-Mutation checks show that a wrong dual constraint or a wrong dual edge map
-makes `verify_duality` fail, and counts show which routes eliminate a
-matrix as wide as the universe.
+step, and never build the universe; `duality.check_space` runs the same
+join over the orthogonals C_c-perp, closing each edge where its check
+value s_j + iso*(h_j) vanishes, for `verify_duality`'s check-space route
+and `verify_controllability`'s independence read.  These are checked here
+against the universe routes they replaced, kept as oracles with V built
+directly (`validity`): U cap V and its projections (`universe_behaviors`),
+the cross-section of U.orthogonal() + V.orthogonal(), and the order of
+U.orthogonal() cap V.orthogonal().  Mutation checks show that a wrong dual
+constraint or a wrong dual edge map makes `verify_duality` fail, and
+counts show which routes eliminate a matrix as wide as the universe.
 """
 
 from __future__ import annotations
@@ -21,15 +23,21 @@ from normgraph import duality
 from normgraph.alphabets import ProductSpace, sort_key
 from normgraph.analysis import verify_controllability
 from normgraph.corpus import GF2, tanner_realization, trellis_realization
-from normgraph.duality import dualize, verify_duality
+from normgraph.duality import check_space, dualize, verify_duality
 from normgraph.graphcore import cyclomatic_number
 from normgraph.realization import Constraint, StateVar, _is_identity
 from normgraph.serialize import load_realization
 from normgraph.subgroups import CodeSubgroup, full_subgroup, product_subgroup
-from tests.oracles import accumulator_ring, bench_like_ring, instances, universe_behaviors
+from tests.oracles import (
+    accumulator_ring,
+    bench_like_ring,
+    instances,
+    universe_behaviors,
+    validity,
+)
 from tests.test_minimize import fixed_profile_rows
 from tests.test_one_elimination import count_howell
-from tests.test_syndrome import count_wide, validity, wide_eliminations
+from tests.test_syndrome import count_wide, wide_eliminations
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -134,30 +142,42 @@ def test_external_behavior_is_joined_even_with_a_bundle_cached(monkeypatch):
         assert r._bundle is None and r._behavior is None
         cached.behavior_bundle()
         assert cached.external_behavior() == want and cached._behavior is None
-        calls = count_howell(monkeypatch, lambda: joined._join(tails=True))
+        calls = count_howell(monkeypatch, lambda: joined._join(
+            joined._codes(), joined.syndromes, tails=True))
         assert count_howell(monkeypatch, fresh.behavior) == calls
         assert fresh._external == want
 
 
-def test_check_rows_are_the_orthogonals_of_u_and_v():
-    for r in with_fragments(list(instances())[:20] + [bench_like_ring(8)]):
-        space = r.universe_space()
-        u_perp, v_perp = r.check_rows()
-        assert CodeSubgroup(space, u_perp) == r.behavior_bundle().universe.orthogonal()
-        assert CodeSubgroup(space, v_perp) == validity(r).orthogonal()
+def test_independence_read_equals_the_universe_intersection():
+    """|U-perp cap V-perp|, read as the cross-section on the tails of the
+    check space joined with them kept, equals the order of the intersection
+    of the two orthogonals taken in the universe space; it is nontrivial on
+    a good share of the inputs, so both outcomes are compared."""
+    done = nontrivial = 0
+    for r in join_pool():
+        tails = [("s", j) for j in sorted(r.internal_states(), key=sort_key)]
+        got = check_space(r, tails=True).cross_section(tails).order
+        want = r.behavior_bundle().universe.orthogonal().intersect(validity(r).orthogonal())
+        assert got == want.order
         assert verify_controllability(r)
+        done += 1
+        nontrivial += got > 1
+    assert done >= 100 and nontrivial >= 50
 
 
 def test_check_space_route_equals_the_universe_formula():
-    rs = (list(instances()) + corpus_realizations()
-          + [bench_like_ring(8), trellis(16), *accumulator_chain()])
-    done = 0
-    for r in with_fragments(rs):
+    """The joined check-space route equals the cross-section of
+    U.orthogonal() + V.orthogonal(), and C-perp, on the whole pool."""
+    done = cyclic = boundary = both = 0
+    for r in join_pool():
         rep = verify_duality(r)
         assert rep.check_space_route == old_check_space_route(r)
         assert rep.passed
         done += 1
-    assert done >= 100
+        cyclic += cyclomatic_number(r) > 0
+        boundary += bool(r.boundary)
+        both += 0 < len(r.peel()) < len(r.constraints)
+    assert done >= 100 and cyclic >= 30 and boundary >= 40 and both >= 12
 
 
 def accumulator_chain():
@@ -221,15 +241,26 @@ def test_a_dual_edge_map_without_negation_fails_the_check(monkeypatch):
 
 def test_check_duality_eliminates_the_universe_a_fixed_number_of_times(
         monkeypatch, tmp_path):
-    """On the ring, at any length, the code and the dual realization's code
-    are joined with no elimination as wide as the universe, and the check
-    space takes exactly one."""
+    """On the ring, at any length, the code, the dual realization's code
+    and the check space are joined with no elimination as wide as the
+    universe."""
     for n in (8, 32):
         assert wide_eliminations(monkeypatch, tmp_path, bench_like_ring(n),
-                                 "check-duality") == 1
+                                 "check-duality") == 0
     r = bench_like_ring(8)
     assert count_wide(monkeypatch, r.universe_space().width,
                       lambda: (r.external_behavior(), dualize(r).external_behavior())) == 0
+
+
+def test_verify_controllability_eliminates_the_universe_only_in_a_core_step(monkeypatch):
+    """With U and B cached, the independence read joins the check space
+    with the tails kept: leaf by leaf on a tree, with no Howell form as wide
+    as the universe, and on a ring, all 2-core, in at most one."""
+    for r, most in ((trellis(16), 0), (bench_like_ring(8), 1), (bench_like_ring(32), 1)):
+        r.behavior_bundle(), r.behavior()
+        count = count_wide(monkeypatch, r.universe_space().width,
+                           lambda r=r: verify_controllability(r))
+        assert count <= most
 
 
 def test_cyclic_codes_never_eliminate_the_universe(monkeypatch):
@@ -242,7 +273,7 @@ def test_cyclic_codes_never_eliminate_the_universe(monkeypatch):
 def test_cycle_free_codes_never_eliminate_the_universe(monkeypatch, tmp_path):
     r = trellis(16)
     assert wide_eliminations(monkeypatch, tmp_path, r, "behavior", "--external-only") == 0
-    assert wide_eliminations(monkeypatch, tmp_path, r, "check-duality") == 1
+    assert wide_eliminations(monkeypatch, tmp_path, r, "check-duality") == 0
 
 
 def test_behavior_eliminates_the_universe_only_in_a_core_step(monkeypatch, tmp_path):

@@ -16,7 +16,7 @@ from normgraph.corpus import (
     tanner_realization,
     trellis_realization,
 )
-from normgraph.errors import NotCycleFree, NotInExternalBehavior
+from normgraph.errors import NotCycleFree, NotInExternalBehavior, RowOutOfAmbient
 from normgraph.minimize import (
     minimize_cycle_free,
     recover_internal_states,
@@ -119,6 +119,10 @@ def test_recover_internal_states_rep3():
     assert zero["s1"] == (0,) and zero["s2"] == (0,)
     with pytest.raises(NotInExternalBehavior):
         recover_internal_states(r, {"a0": (1,), "a1": (0,), "a2": (0,)})
+    # an unreduced value is refused on every symbol, the last peeled one's too
+    for a in ("a0", "a2"):
+        with pytest.raises(RowOutOfAmbient):
+            recover_internal_states(r, {"a0": (1,), "a1": (1,), "a2": (1,), a: (3,)})
 
 
 def test_recover_round_trips_whole_behavior():

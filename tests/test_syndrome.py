@@ -1,12 +1,12 @@
 """The syndrome map on realizations whose edges carry general isomorphisms.
 
-The universe oracle (`universe_behaviors`) takes the extended behavior as
-the kernel of the syndrome map.  `state_trim_status` takes the behavior
-of the fragment cut at edge j as K_j = B + preimages of Sigma cap S_j,
-where Sigma = sigma(U) and Sigma cap S_j = (proj_j Sigma-perp)-perp
-(projection/cross-section duality), from eliminations made once per
-realization.  These are checked
-here against independent routes: U cap V with V built directly, the kernel
+The extended behavior is the kernel of the syndrome map over U.
+`state_trim_status` takes the behavior of the fragment cut at edge j as
+K_j = B + preimages of Sigma cap S_j, where Sigma = sigma(U) and
+Sigma cap S_j = (proj_j Sigma-perp)-perp (projection/cross-section
+duality), from eliminations made once per realization.  These are checked
+here against independent routes: U cap V with V built directly (`validity`,
+which the universe oracle `universe_behaviors` reads too), the kernel
 of sigma with edge j's block left out (`kernel_route`, one elimination of
 the universe per edge), the `split` + `external_behavior` route, and
 enumeration.  The edge isomorphisms are random invertible matrices over
@@ -21,7 +21,7 @@ import random
 from contextlib import redirect_stdout
 
 from normgraph import zmod
-from normgraph.alphabets import ProductSpace
+from normgraph.alphabets import ProductSpace, sort_key
 from normgraph.analysis import (
     StateTrimReport,
     state_trim_status,
@@ -43,6 +43,7 @@ from tests.oracles import (
     random_realization,
     random_subgroup,
     universe_behaviors,
+    validity,
     with_isos,
 )
 
@@ -124,33 +125,15 @@ def checked_edges(r):
         yield j, rep, frag, halves
 
 
-def validity(r: Realization) -> CodeSubgroup:
-    """The validity subgroup V of the universe space (head = iso(tail) on
-    every internal edge, anything elsewhere), built directly: the oracle
-    for the extended behavior U cap V, which the universe oracle takes as
-    ker sigma, and for the check space U-perp + V-perp."""
-    space = r.universe_space()
-    units = space.unit_rows()
-    vrows = [units[c] for lab in space.labels if lab[0] in ("a", "x")
-             for c in range(*space.span(lab))]
-    for j in r.internal_states():
-        sv = r.states[j]
-        sa, _ = space.span(("s", j))
-        ha, hb = space.span(("h", j))
-        for i, e in enumerate(sv.alphabet.unit_rows()):
-            row = list(units[sa + i])
-            row[ha:hb] = sv.head_of(e)
-            vrows.append(row)
-    return CodeSubgroup(space, vrows)
-
-
 def test_extended_behavior_is_the_syndrome_kernel():
     done = 0
     for r in instances():
         bundle, oracle = r.behavior_bundle(), universe_behaviors(r)
-        assert oracle.extended == bundle.universe.intersect(validity(r))
+        assert (bundle.universe.kernel(bundle.syndromes, bundle.state_space)
+                == bundle.universe.intersect(validity(r)))
         assert oracle.behavior == r.behavior()
-        assert bundle.syndromes == r.syndromes(bundle.universe.rows)
+        assert bundle.syndromes == r.syndromes(bundle.universe.rows, r.universe_space(),
+                                               sorted(r.internal_states(), key=sort_key))
         assert verify_controllability(r)
         assert verify_duality(r).passed
         done += 1
