@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Hashable, Iterator, Sequence
-from fractions import Fraction
 from functools import reduce
 from operator import mul
 
@@ -220,8 +219,10 @@ class ProductSpace(_Moduli):
         a, b = self.span(label)
         return tuple(x[a:b])
 
-    def pair(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        """Duality pairing <x, y> = sum x_i y_i / m_i as a residue in R/Z."""
+    def pair(self, x: Sequence[int], y: Sequence[int]):
+        """Duality pairing <x, y> = sum x_i y_i / m_i as a residue in R/Z, a
+        `Fraction` (its module loads here, not with the package)."""
+        from fractions import Fraction
         return Fraction(self.pair_nums(x, y), self.lcm_modulus)
 
     def pair_nums(self, x: Sequence[int], y: Sequence[int]) -> int:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from fractions import Fraction
 from operator import itemgetter
 
 from ._records import record
@@ -87,14 +86,23 @@ class Message:
         return self.weights[self.alphabet.index(value)]
 
 
+def _unit(exact: bool):
+    """The weight 1: a `Fraction` in exact mode, a float otherwise.  Only
+    what makes a `Fraction` imports `fractions` (with `decimal`), so a
+    command that does not decode never loads it."""
+    if not exact:
+        return 1.0
+    from fractions import Fraction
+    return Fraction(1)
+
+
 def uniform_message(alpha: Alphabet, exact: bool = True) -> Message:
-    one = Fraction(1) if exact else 1.0
-    return Message(alpha, (one,) * alpha.order)
+    return Message(alpha, (_unit(exact),) * alpha.order)
 
 
 def indicator_message(alpha: Alphabet, value: Element, exact: bool = True) -> Message:
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
+    one = _unit(exact)
+    zero = one - one
     w = [zero] * alpha.order
     w[alpha.index(value)] = one
     return Message(alpha, tuple(w))
@@ -107,6 +115,7 @@ def full_priors(r: Realization, priors: Mapping[str, Message] | None,
                 exact: bool = True) -> PriorSet:
     """Priors for every symbol; unspecified symbols get uniform weights."""
     out: PriorSet = {}
+    one = _unit(exact)
     for k, alpha in r.symbols.items():
         if priors is not None and k in priors:
             m = priors[k]
@@ -115,7 +124,7 @@ def full_priors(r: Realization, priors: Mapping[str, Message] | None,
                                  f"the symbol over {alpha!r}")
             out[k] = m
         else:
-            out[k] = uniform_message(alpha, exact)
+            out[k] = Message(alpha, (one,) * alpha.order)
     return out
 
 
@@ -271,7 +280,7 @@ def sp_update(code: CodeSubgroup, incoming: Mapping, target, exact: bool = True)
     alphas = [target_alpha if m is None else m.alphabet for m in msgs]
     out, = _sweep(_index_table(code, alphas, ENUMERATION_CAP),
                   [None if m is None else m.weights for m in msgs], [t],
-                  [target_alpha.order], Fraction(1) if exact else 1.0)
+                  [target_alpha.order], _unit(exact))
     return Message(target_alpha, tuple(out))
 
 
@@ -296,23 +305,28 @@ def _normalized(ws: list) -> list:
     return ws if t == 0 or t == 1 else [w / t for w in ws]
 
 
-def _integer_weights(weights) -> tuple[int, ...]:
-    """The weights times one positive constant: coprime integers."""
-    fs = [Fraction(w) for w in weights]
-    scale = math.lcm(*(f.denominator for f in fs))
-    ints = [f.numerator * (scale // f.denominator) for f in fs]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints) if g else tuple(ints)
+def _integer_priors(priors: PriorSet) -> PriorSet:
+    """Each prior's weights times one positive constant: coprime integers."""
+    from fractions import Fraction
+    out = {}
+    for k, m in priors.items():
+        fs = [Fraction(w) for w in m.weights]
+        scale = math.lcm(*(f.denominator for f in fs))
+        ints = [f.numerator * (scale // f.denominator) for f in fs]
+        g = math.gcd(*ints)
+        out[k] = Message(m.alphabet, tuple(x // g for x in ints) if g else tuple(ints))
+    return out
 
 
-def _marginal(var: str, alpha: Alphabet, a: list, b: list) -> Message:
+def _marginal(var: str, alpha: Alphabet, a: list, b: list, fraction) -> Message:
     """The normalized product of the two messages meeting at `var`; integer
-    weights are normalized into `Fraction`s.  Sums of products of validated
-    weights need no re-validation: only a float overflow is checked."""
+    weights are normalized into `fraction`s (the `Fraction` class, which
+    exact decoding passes in).  Sums of products of validated weights need
+    no re-validation: only a float overflow is checked."""
     w = tuple(x * y for x, y in zip(a, b))
     t = sum(w)
     if isinstance(t, int):
-        w = tuple(Fraction(x, t or 1) for x in w)
+        w = tuple(fraction(x, t or 1) for x in w)
     elif isinstance(t, float) and not all(x < math.inf for x in w):
         raise WeightOverflow(f"float weights overflowed in the marginal of {var!r}; "
                              f"scale the priors down")
@@ -440,6 +454,9 @@ class _Passer:
 
     def result(self) -> DecodeResult:
         r, store, ids, sym = self.r, self.store, self.ids, {}
+        fraction = None
+        if self.exact:      # exact tree weights are ints, made Fractions here
+            from fractions import Fraction as fraction
         for cl, con in r.constraints.items():
             slots = [i for i, v in enumerate(con.vars) if v in r.symbols]
             if slots:
@@ -447,14 +464,15 @@ class _Passer:
                 for i, w in zip(slots, kernel(table, store, inputs, sizes, self.one)):
                     v = con.vars[i]
                     sym[v] = _marginal(v, self.alphabets[cl][i], w,
-                                       store[ids[(None, v)]])
+                                       store[ids[(None, v)]], fraction)
         st = {}
         for j in sorted(self.edges, key=sort_key):
             (tc, ts), (hc, _) = r.slots[j]
             head = store[ids[(hc, j)]]
             if j in self.forward:
                 head = self.forward[j](head)
-            st[j] = _marginal(j, self.alphabets[tc][ts], store[ids[(tc, j)]], head)
+            st[j] = _marginal(j, self.alphabets[tc][ts], store[ids[(tc, j)]], head,
+                              fraction)
         sym = {k: sym[k] for k in sorted(r.symbols, key=sort_key)}
         contradiction = any(m.is_zero for m in sym.values())
         return DecodeResult(sym, st, contradiction)
@@ -469,8 +487,7 @@ def decode_exact(r: Realization, priors: Mapping[str, Message] | None = None,
         raise NotCycleFree("exact decoding requires a connected cycle-free graph")
     pri = full_priors(r, priors, exact)
     if exact:
-        pri = {k: Message(m.alphabet, _integer_weights(m.weights))
-               for k, m in pri.items()}
+        pri = _integer_priors(pri)
     passer = _Passer(r, pri, 1 if exact else 1.0)
     inward, outward, _ = _forest(r)
     passer.tree_pass(inward + outward)
@@ -505,8 +522,12 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
         res = decode_exact(r, priors, exact)
         return res, ConvergenceReport(1, [0.0], True, res.contradiction)
 
-    passer = _Passer(r, full_priors(r, priors, exact),
-                     Fraction(1) if exact else 1.0)
+    if exact:
+        from fractions import Fraction
+        one, damp = Fraction(1), Fraction(str(damping))
+    else:
+        one, damp = 1.0, damping
+    passer = _Passer(r, full_priors(r, priors, exact), one)
     # the stripped forest's messages toward the core are computed once, exactly
     inward, outward, stripped = _forest(r)
     passer.tree_pass(inward)
@@ -530,7 +551,6 @@ def decode_iterative(r: Realization, priors: Mapping[str, Message] | None = None
              if schedule == "flooding" else
              [passer.step(cl, [s]) for cl, s in map(passer.sender.__getitem__,
                                                     directed)])
-    damp = Fraction(str(damping)) if exact else damping
     # a sweep sends each message through the epilogue of its order
     steps = [(kernel, table, inputs, sizes, [(i, _epilogue(n, exact, bool(damp)))
                                              for i, n in zip(ids, sizes)])
@@ -567,6 +587,7 @@ class ReducedMessage:
 
 def message_reduce(code: CodeSubgroup, variable, msg: Message) -> ReducedMessage:
     """Trim weights to C|V and merge them over cosets of C:V."""
+    from fractions import Fraction
     quot = code.interface([variable])
     zero = Fraction(0) if isinstance(msg.weights[0], Fraction) else 0.0
     acc = [zero] * quot.alphabet.order
@@ -578,8 +599,8 @@ def message_reduce(code: CodeSubgroup, variable, msg: Message) -> ReducedMessage
 def message_expand(reduced: ReducedMessage, alpha: Alphabet,
                    exact: bool = True) -> Message:
     """Spread each coset weight evenly over its members; zero outside C|V."""
-    zero = Fraction(0) if exact else 0.0
-    w = [zero] * alpha.order
+    one = _unit(exact)
+    w = [one - one] * alpha.order
     quot = reduced.quotient
     for v in quot.group.elements():
         w[alpha.index(v)] = reduced.message.weight_of(quot.project(v)) / quot.sub.order

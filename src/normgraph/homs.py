@@ -86,14 +86,17 @@ class Homomorphism:
                 and self.kernel().is_trivial)
 
     def inverse(self) -> "Homomorphism":
-        if not self.is_isomorphism:
-            raise ValueError("only isomorphisms can be inverted")
-        # the graph target first, {(phi(x), x)}: each preimage is a prefix read
-        amb = ProductSpace([(("h", "tgt"), self.target), (("h", "src"), self.source)])
-        g = CodeSubgroup(amb, [self.apply(e) + e for e in self.source.unit_rows()])
-        w = self.target.width
-        rows = [g.lift_prefix([("h", "tgt")], e)[w:] for e in self.target.unit_rows()]
-        return Homomorphism(self.target, self.source, tuple(rows))
+        """The inverse, read off the graph {(phi(x), x)}, target first: each
+        preimage of a target unit row is a prefix lift.  All of them lift
+        iff phi is onto, which at equal orders means bijective."""
+        if self.source.order == self.target.order:
+            amb = ProductSpace([(("h", "tgt"), self.target), (("h", "src"), self.source)])
+            g = CodeSubgroup(amb, [self.apply(e) + e for e in self.source.unit_rows()])
+            w = self.target.width
+            lifts = [g.lift_prefix([("h", "tgt")], e) for e in self.target.unit_rows()]
+            if None not in lifts:
+                return Homomorphism(self.target, self.source, tuple(x[w:] for x in lifts))
+        raise ValueError("only isomorphisms can be inverted")
 
 
 def identity_map(alpha: Alphabet) -> Homomorphism:
@@ -101,4 +104,5 @@ def identity_map(alpha: Alphabet) -> Homomorphism:
 
 
 def negation_map(alpha: Alphabet) -> Homomorphism:
-    return identity_map(alpha).negated()
+    # one map: `Homomorphism` reduces each -1 to m - 1
+    return Homomorphism(alpha, alpha, tuple(tuple(-v for v in e) for e in alpha.unit_rows()))

@@ -138,6 +138,8 @@ class Realization:
                 if v not in self.slots:
                     raise UnknownLabel(f"constraint {cl!r} uses unknown variable {v!r}")
                 self.slots[v].append((cl, i))
+        self._adjacency: dict[str, list[tuple[str, str]]] | None = None
+        self._components: list[set[str]] | None = None
         self._bundle: BehaviorBundle | None = None
         self._behavior: CodeSubgroup | None = None
         self._external: CodeSubgroup | None = None
@@ -161,19 +163,26 @@ class Realization:
         raise UnknownLabel(f"no variable {v!r}")
 
     def neighbors(self) -> dict[str, list[tuple[str, str]]]:
-        """Adjacency over internal state edges: constraint -> [(edge, other)]."""
-        adj: dict[str, list[tuple[str, str]]] = {c: [] for c in self.constraints}
-        for j in self.internal_states():
-            ends = self.slots[j]
-            if len(ends) != 2:
-                continue
-            (c1, _), (c2, _) = ends
-            adj[c1].append((j, c2))
-            adj[c2].append((j, c1))
-        return adj
+        """Adjacency over internal state edges: constraint -> [(edge, other)].
+        Built once and shared by every caller, which only reads it."""
+        if self._adjacency is None:
+            adj: dict[str, list[tuple[str, str]]] = {c: [] for c in self.constraints}
+            for j in self.internal_states():
+                ends = self.slots[j]
+                if len(ends) != 2:
+                    continue
+                (c1, _), (c2, _) = ends
+                adj[c1].append((j, c2))
+                adj[c2].append((j, c1))
+            self._adjacency = adj
+        return self._adjacency
 
     def components(self, removed_edges: set[str] | None = None) -> list[set[str]]:
-        """Connected components of the constraint graph, optionally cutting edges."""
+        """Connected components of the constraint graph, optionally cutting
+        edges.  Without a cut they are found once and shared by every
+        caller, which only reads them."""
+        if not removed_edges and self._components is not None:
+            return self._components
         removed = removed_edges or set()
         adj = self.neighbors()
         seen: set[str] = set()
@@ -193,6 +202,8 @@ class Realization:
                     comp.add(other)
                     stack.append(other)
             comps.append(comp)
+        if not removed:
+            self._components = comps
         return comps
 
     @property

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 
 from .alphabets import Alphabet, ProductSpace, sort_key
 from .decode import Message
@@ -42,6 +41,8 @@ def _int(value: object, what: str) -> int:
 
 
 def _list_of(kind: type, values: object, what: str) -> tuple:
+    if type(values) is list and {*map(type, values)} <= {kind}:   # one C-level pass
+        return tuple(values)
     if not isinstance(values, list) or any(
             isinstance(v, bool) or not isinstance(v, kind) for v in values):
         raise ParseError(f"{what} must be a list of {kind.__name__}, got {values!r}")
@@ -122,39 +123,46 @@ def realization_from_json(doc: object) -> Realization:
     try:
         alphabets = {name: _alphabet_from_json(name, entry)
                      for name, entry in doc.get("alphabets", {}).items()}
+        # spaces, codes and iso-free states are keyed by alphabet name, a
+        # plain string: an `Alphabet` record hashes in Python
+        alphabet_name: dict[str, str] = {}     # variable -> its alphabet's name
         symbols: dict[str, Alphabet] = {}
         for entry in doc.get("symbols", []):
-            symbols[_new_id(entry, "symbol", symbols)] = alphabets[entry["alphabet"]]
+            name = entry["alphabet"]
+            alpha = alphabets[name]
+            ident = _new_id(entry, "symbol", symbols)
+            symbols[ident], alphabet_name[ident] = alpha, name
         states: dict[str, StateVar] = {}
+        plain: dict[str, StateVar] = {}        # one iso-free state per name
         for entry in doc.get("states", []):
             ident = _new_id(entry, "state", states)
-            alpha = alphabets[entry["alphabet"]]
-            iso = None
+            name = entry["alphabet"]
+            alpha = alphabets[name]
+            alphabet_name.setdefault(ident, name)  # a clash is refused below
             if "iso" in entry:
-                iso = Homomorphism(alpha, alpha, tuple(
+                states[ident] = StateVar(alpha, Homomorphism(alpha, alpha, tuple(
                     _list_of(int, row, f"state {ident!r} iso row")
-                    for row in entry["iso"]))
-            states[ident] = StateVar(alpha, iso)
+                    for row in entry["iso"])))
+            else:
+                if name not in plain:
+                    plain[name] = StateVar(alpha)
+                states[ident] = plain[name]
         constraints: dict[str, Constraint] = {}
-        spaces: dict[tuple, ProductSpace] = {}    # one per slot alphabet tuple
-        codes: dict[tuple, CodeSubgroup] = {}     # one per (alphabets, rows)
+        spaces: dict[tuple, ProductSpace] = {}    # one per slot alphabet names
+        codes: dict[tuple, CodeSubgroup] = {}     # one per (names, rows)
         for entry in doc.get("constraints", []):
             ident = _new_id(entry, "constraint", constraints)
             vars_ = _list_of(str, entry["vars"], f"constraint {ident!r} vars")
-            alphas = []
-            for v in vars_:
-                if v in symbols:
-                    alphas.append(symbols[v])
-                elif v in states:
-                    alphas.append(states[v].alphabet)
-                else:
-                    raise UnknownLabel(f"constraint {ident!r} references "
-                                       f"unknown variable {v!r}")
-            alphas = tuple(alphas)
-            amb = spaces.get(alphas)
+            try:
+                names = tuple([alphabet_name[v] for v in vars_])
+            except KeyError as exc:
+                raise UnknownLabel(f"constraint {ident!r} references "
+                                   f"unknown variable {exc.args[0]!r}") from None
+            amb = spaces.get(names)
             if amb is None:
-                amb = spaces[alphas] = ProductSpace(list(enumerate(alphas)))
-            key = (alphas, tuple(
+                amb = spaces[names] = ProductSpace(
+                    [(i, alphabets[n]) for i, n in enumerate(names)])
+            key = (names, tuple(
                 _list_of(int, row, f"constraint {ident!r} generator")
                 for row in entry["generators"]))
             code = codes.get(key)
@@ -205,7 +213,7 @@ def load_realization(path: str) -> Realization:
     return realization_from_json(_read_json(path))
 
 
-def _weight(value: object, exact: bool):
+def _weight(value: object, exact: bool, Fraction: type):
     if isinstance(value, bool):
         raise ValueError(f"weight {json.dumps(value)} is a boolean, not a number")
     if isinstance(value, str):
@@ -230,6 +238,7 @@ def load_priors(path: str, r: Realization, exact: bool) -> dict[str, Message]:
     Decimal literals are read exactly (0.9 means 9/10) so that exact-mode
     decoding stays exact.
     """
+    from fractions import Fraction      # loaded only by the commands that decode
     doc = _read_json(path, parse_float=str)
     if not isinstance(doc, dict):
         raise ParseError("priors document must map symbol ids to weight lists")
@@ -246,7 +255,7 @@ def load_priors(path: str, r: Realization, exact: bool) -> dict[str, Message]:
                 f"prior for {key!r} has {len(weights)} weights, "
                 f"alphabet order is {alpha.order}")
         try:
-            out[key] = Message(alpha, tuple(_weight(w, exact) for w in weights))
+            out[key] = Message(alpha, tuple(_weight(w, exact, Fraction) for w in weights))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"prior for {key!r}: {exc}") from exc
     return out

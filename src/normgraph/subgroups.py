@@ -52,7 +52,7 @@ from .intmat import hermite_form, smith_form, solve_upper_triangular
 class CodeSubgroup:
     """A subgroup of a ProductSpace, held as a canonical generator matrix."""
 
-    __slots__ = ("ambient", "_rows", "_lifted", "_order")
+    __slots__ = ("ambient", "_rows", "_lifted", "_order", "_orthogonal")
 
     def __init__(self, ambient: ProductSpace, rows: Sequence[Sequence[int]]):
         """Canonicalize the subgroup generated by the given ambient rows."""
@@ -73,6 +73,7 @@ class CodeSubgroup:
         self._lifted = tuple(map(tuple, [[v // k for v in r] for r in hf] if k > 1 else hf))
         self._order = zmod.span_order(self._lifted, ambient.lcm_modulus)
         self._rows: tuple[Element, ...] | None = None
+        self._orthogonal: CodeSubgroup | None = None
 
     @property
     def rows(self) -> tuple[Element, ...]:
@@ -179,11 +180,14 @@ class CodeSubgroup:
 
         y is orthogonal iff sum_i g_i y_i = 0 in Z_M for every lifted row g,
         and only y_i mod m_i matters there: the kernel of the pairing map on
-        the full group, whose unit rows lift to (M/m_i) e_i."""
-        n, lifted = self.ambient.width, self._lifted
-        columns = [[row[i] for row in lifted] for i in range(n)]
-        return self._solve(columns, len(lifted), self.ambient.lcm_modulus,
-                           full_subgroup(self.ambient)._lifted)
+        the full group, whose unit rows lift to (M/m_i) e_i.  Made once per
+        subgroup, so a realization and its dual share each local code's."""
+        if self._orthogonal is None:
+            n, lifted = self.ambient.width, self._lifted
+            columns = [[row[i] for row in lifted] for i in range(n)]
+            self._orthogonal = self._solve(columns, len(lifted), self.ambient.lcm_modulus,
+                                           full_subgroup(self.ambient)._lifted)
+        return self._orthogonal
 
     def project(self, labels: Sequence[Hashable]) -> "CodeSubgroup":
         """Projection onto the given factors (result ambient keeps their order).

@@ -132,3 +132,49 @@ def test_every_bench_command_line_is_read_without_argparse():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[argv[0], []] for argv in BENCH_LINES]
+
+
+NO_FRACTIONS_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from normgraph.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    report.append([argv, code, out.getvalue(),
+                   sorted({"fractions", "decimal", "numbers"} & set(sys.modules))])
+print(json.dumps(report))
+"""
+
+
+def test_only_decoding_loads_fractions(tmp_path):
+    """`fractions` (which loads `decimal` and `numbers`) is imported where a
+    `Fraction` is made: every non-decoding bench line, run by `main` on each
+    corpus realization in one fresh `python -S`, leaves all three unloaded;
+    `decode --exact` then loads them and still prints its golden marginals."""
+    files = sorted(p for p in (ROOT / "corpus").glob("*.json")
+                   if not p.stem.endswith("_priors"))
+    written = str(tmp_path / "O")
+    lines = [[cmd, str(f), *(written if a == "O" else a for a in rest)]
+             for cmd, _, *rest in BENCH_LINES if cmd != "decode" for f in files]
+    exact = [["decode", str(ROOT / "corpus" / f"{stem}.json"), "--exact"]
+             for stem in ("rep3", "z4_iso_edge")]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", NO_FRACTIONS_SCRIPT,
+                           json.dumps(lines + exact)],
+                          capture_output=True, text=True, env=env, cwd=ROOT,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report) == len(lines) + len(exact) >= 30
+    assert {code for _, code, _, _ in report[:len(lines)]} >= {0, 3}
+    for argv, code, out, loaded in report[:len(lines)]:
+        assert loaded == [], argv
+    for argv, code, out, loaded in report[len(lines):]:
+        golden = json.loads((ROOT / "tests" / "golden" / Path(argv[1]).name).read_text())
+        assert [code, out] == [golden["decode --exact"]["exit"],
+                               golden["decode --exact"]["stdout"]], argv
+        assert "/" in out and loaded == ["decimal", "fractions", "numbers"], argv

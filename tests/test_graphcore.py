@@ -31,7 +31,8 @@ from normgraph.graphcore import (
     two_core,
 )
 from normgraph.realization import Constraint, Realization, StateVar
-from normgraph.serialize import realization_from_json
+from normgraph.cli import main
+from normgraph.serialize import dump_realization, realization_from_json
 from normgraph.subgroups import CodeSubgroup
 from normgraph.alphabets import ProductSpace
 from tests.oracles import (
@@ -382,3 +383,28 @@ def test_internally_trim_proper_keys_on_slot_moduli():
     assert constraint_trim_proper(r.constraints["c2"].code) == (False, False)
     assert not internally_trim_proper(r)
     assert not trim_proper_per_constraint(r)
+
+
+def test_two_core_and_decode_build_the_adjacency_once(monkeypatch, tmp_path, capsys):
+    """`neighbors` and the uncut `components` are kept on the realization:
+    validation, `is_connected`, the cyclomatic number, `peel` and the cut
+    edges all read one adjacency, where `two-core` built it 4 times and
+    `decode` 3.  Counted as the distinct adjacencies `neighbors` returns."""
+    # (3,6)-regular: check i covers symbols 2i, ..., 2i+5 (mod 12)
+    h = [[int((j - 2 * i) % 12 < 6) for j in range(12)] for i in range(6)]
+    path = str(tmp_path / "tanner.json")
+    dump_realization(tanner_realization(h, GF2), path)
+    built, neighbors = [], Realization.neighbors
+
+    def counting(self):
+        adj = neighbors(self)
+        if all(adj is not seen for seen in built):
+            built.append(adj)
+        return adj
+
+    monkeypatch.setattr(Realization, "neighbors", counting)
+    for argv in (["two-core", path], ["decode", path, "--iters", "3"]):
+        built.clear()
+        assert main(argv) == 0
+        assert len(built) == 1, argv
+    capsys.readouterr()

@@ -105,19 +105,40 @@ def test_kernel_image_iso_inverse():
         assert inv(cand(x)) == x
 
 
-def test_inverse_makes_two_howell_forms(monkeypatch):
-    """The kernel that `is_isomorphism` takes and the graph, target first,
-    whose prefix reads give the preimages: 2 forms at any width, not one
-    more per unit row of the target."""
+def test_inverse_makes_one_howell_form(monkeypatch):
+    """The graph, target first, whose prefix reads give the preimages and
+    whose failed read refuses a non-isomorphism: 1 form at any width, with
+    no kernel for `is_isomorphism` and not one more per unit row of the
+    target."""
     z12 = cyclic_group(12)
     mixed = cyclic_group(2, 4)
     for phi in (Homomorphism(z12, z12, ((5,),)),
                 Homomorphism(mixed, mixed, ((1, 2), (1, 3)))):
         assert phi.is_isomorphism
         inverses = []
-        assert count_howell(monkeypatch, lambda: inverses.append(phi.inverse())) == 2
+        assert count_howell(monkeypatch, lambda: inverses.append(phi.inverse())) == 1
         for x in phi.source.elements():
             assert inverses[0](phi(x)) == x
+
+
+def test_inverse_refuses_a_non_isomorphism_of_equal_order():
+    """Equal orders are not enough: each map below is not onto, so a target
+    unit row has no preimage and `inverse` raises."""
+    klein = cyclic_group(2, 2)
+    for phi in (Homomorphism(klein, Z4, ((2,), (0,))),
+                Homomorphism(klein, Z4, ((2,), (2,))),
+                Homomorphism(Z4, klein, ((1, 1),)),
+                Homomorphism(Z4, Z4, ((2,),)),
+                Homomorphism(vector_space(3, 2), vector_space(3, 2), ((1, 2), (2, 1)))):
+        assert phi.source.order == phi.target.order and not phi.is_isomorphism
+        with pytest.raises(ValueError, match="only isomorphisms"):
+            phi.inverse()
+
+
+def test_negation_map_is_the_negated_identity():
+    for alpha in (Z4, cyclic_group(2, 4, 12), vector_space(3, 2), vector_space(2, 1),
+                  cyclic_group()):
+        assert negation_map(alpha) == identity_map(alpha).negated()
 
 
 def test_compose():

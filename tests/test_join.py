@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from normgraph import duality
+from normgraph import duality, zmod
 from normgraph.alphabets import ProductSpace, sort_key
 from normgraph.analysis import verify_controllability
 from normgraph.corpus import GF2, tanner_realization, trellis_realization
@@ -213,6 +213,25 @@ def test_a_primal_constraint_in_the_dual_fails_the_check(monkeypatch):
         monkeypatch.undo()
         assert not rep.passed, name
         assert rep.check_space_route == rep.orthogonal_code, name
+
+
+def test_dualize_and_the_check_space_share_each_orthogonal(monkeypatch):
+    """Each constraint code keeps its C_c-perp: `verify_duality` makes one
+    orthogonal per distinct constraint code plus C's, where `dualize` and
+    `check_space` each made their own, and the dual's codes are those very
+    objects.  The mutation tests here show that `check_space` still reads
+    nothing of `dualize`'s output."""
+    kernel = zmod.kernel
+    for name in ("trellis", "bench ring", "ring", "chain"):
+        r, made = mutation_targets()[name], []     # the chain shares the ring's codes
+        monkeypatch.setattr(zmod, "kernel", lambda *a: made.append(a) or kernel(*a))
+        assert verify_duality(r).passed, name
+        monkeypatch.undo()
+        codes = {id(con.code): con.code for con in r.constraints.values()}
+        assert len(made) == len(codes) + 1, name
+        dual = dualize(r)
+        assert all(dual.constraints[cl].code is con.code.orthogonal()
+                   for cl, con in r.constraints.items()), name
 
 
 def test_a_dual_edge_map_without_negation_fails_the_check(monkeypatch):

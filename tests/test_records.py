@@ -105,7 +105,8 @@ def test_post_init_still_validates():
 
 def test_cli_import_loads_no_dataclasses_or_typing():
     src = str(Path(__file__).resolve().parent.parent / "src")
-    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "random")
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "random",
+             "fractions", "decimal", "numbers")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, normgraph.cli; "

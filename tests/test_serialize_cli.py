@@ -369,6 +369,31 @@ def malformed_document(alphabet=None, vars_=None, generators=None, **top):
 
 REP3 = json.loads((CORPUS / "rep3.json").read_text())
 
+
+def ring_over_names(names, isos):
+    """A 2-constraint ring over GF(3): symbols a0, a1 and states s, t, u, v,
+    over the alphabet names in `names` (each defined as GF(3)); `isos` is
+    state t's "iso" entry, if any."""
+    a, b, c, d, e, f = names
+    return {
+        "alphabets": {n: {"field": 3} for n in names},
+        "symbols": [{"id": "a0", "alphabet": a}, {"id": "a1", "alphabet": b}],
+        "states": [{"id": "s", "alphabet": c}, {"id": "t", "alphabet": d, **isos},
+                   {"id": "u", "alphabet": e}, {"id": "v", "alphabet": f}],
+        "constraints": [
+            {"id": "c0", "vars": ["a0", "s", "t", "u", "v"],
+             "generators": [[1, 1, 0, 2, 1], [2, 1, 2, 1, 1]]},
+            {"id": "c1", "vars": ["a1", "s", "t", "u", "v"],
+             "generators": [[2, 0, 2, 2, 0], [2, 0, 1, 0, 0]]}],
+    }
+
+
+# two names for one alphabet; and iso-free and iso states over one name.
+# ONE_NAME holds the same documents under a single name.
+SHARED_ALPHABETS = [ring_over_names("FGFGGF", {}),
+                    ring_over_names("FGFFGF", {"iso": [[2]]})]
+ONE_NAME = [ring_over_names("FFFFFF", {}), ring_over_names("FFFFFF", {"iso": [[2]]})]
+
 MALFORMED_DOCUMENT = [
     # (case, document, expected exit code, text the error must name)
     ("field 2^61 - 1 is prime", malformed_document({"field": 2**61 - 1, "dim": 30}),
@@ -405,6 +430,8 @@ MALFORMED_DOCUMENT = [
     ("boundary lists a state twice", malformed_document(
         vars_=["a0", "a1", "x"], states=[{"id": "x", "alphabet": "F"}],
         boundary=["x", "x"]), 4, "boundary variable 'x' is listed twice"),
+    ("two names for one alphabet", SHARED_ALPHABETS[0], 0, None),
+    ("iso-free and iso states over one alphabet", SHARED_ALPHABETS[1], 0, None),
     # raw bytes: json.dumps cannot write these three
     ("nested 100,000 deep", b'{"alphabets": ' + b"[" * 10**5 + b"]" * 10**5 + b"}",
      4, "invalid JSON: maximum recursion depth"),
@@ -477,6 +504,24 @@ def test_equal_constraint_codes_share_one_object():
     doc["constraints"].append(pair("c4", "a0", "a1", [[1.0, 1]]))
     with pytest.raises(ParseError, match="constraint 'c4' generator"):
         realization_from_json(doc)
+
+
+def test_alphabet_names_key_the_loader():
+    """Spaces, codes and iso-free states are keyed by alphabet name.  Two
+    names for one alphabet load, write back and realize the code as one
+    name does; iso-free states over one name share one record, and an iso
+    state over it keeps its own."""
+    for doc, one_name in zip(SHARED_ALPHABETS, ONE_NAME):
+        r = realization_from_json(doc)
+        out = realization_to_json(r)
+        assert realization_to_json(realization_from_json(out)) == out
+        assert realization_from_json(out).code() == r.code()
+        one = realization_from_json(one_name)
+        assert realization_to_json(one) == out and one.code() == r.code()
+        assert r.states["s"] is r.states["v"] and r.states["s"] == r.states["u"]
+        assert (r.states["t"] is r.states["u"]) == (r.states["t"].iso is None)
+    codes = [realization_from_json(doc).code() for doc in SHARED_ALPHABETS]
+    assert codes[0] != codes[1] and [c.order for c in codes] == [3, 3]
 
 
 def test_graph_export_contains_half_edges():
