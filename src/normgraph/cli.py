@@ -6,7 +6,6 @@ Exit codes: 0 ok, 1 validation failure, 2 property-check failure,
 
 from __future__ import annotations
 
-import json
 import sys
 from types import SimpleNamespace
 
@@ -26,6 +25,7 @@ from .serialize import (
     ParseError,
     dump_realization,
     graph_to_dot,
+    json_text,
     load_priors,
     load_realization,
     marginals_to_json,
@@ -120,7 +120,7 @@ def cmd_analyze(args) -> int:
             entry["state_trim"] = st_entries
         out.append(entry)
     if args.json:
-        print(json.dumps(out, indent=1))
+        print(json_text(out))
     else:
         for entry in out:
             print(f"fragment {entry['fragment']}: "
@@ -216,7 +216,7 @@ def cmd_decode(args) -> int:
         payload = marginals_to_json(res.symbol_marginals, exact=False)
     if res.contradiction:
         notes.append("# warning: contradictory evidence, all-zero marginals")
-    text = json.dumps(payload, indent=1)
+    text = json_text(payload)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -365,7 +365,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        return args.func(args)
+        # the module's function of that name, so that a wrapper set on it runs
+        return globals().get(args.func.__name__, args.func)(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (OSError, ParseError) as exc:   # a bad input file, an unwritable output

@@ -110,35 +110,18 @@ def trellis_realization(rows, alphabets, prefix: str = "") -> Realization:
     constraints = {}
     for t in range(n):
         vars_ = []
-        slot_alphas = []
         if t > 0:
             vars_.append(f"{prefix}s{t}")
-            slot_alphas.append(states[f"{prefix}s{t}"].alphabet)
         vars_.append(f"{prefix}a{t}")
-        slot_alphas.append(alphabets[t])
         if t < n - 1:
             vars_.append(f"{prefix}s{t+1}")
-            slot_alphas.append(states[f"{prefix}s{t+1}"].alphabet)
-        section_amb = _slot_space(slot_alphas)
-        gen_rows = []
-        in_active = active(t) if t > 0 else []
-        out_active = active(t + 1) if t < n - 1 else []
-        for i, (row, (f, l), o) in enumerate(kept):
-            if not f <= t <= l:
-                continue
-            section_row = []
-            if t > 0:
-                coeff = [0] * len(in_active)
-                if i in in_active:
-                    coeff[in_active.index(i)] = 1
-                section_row.extend(coeff)
-            section_row.extend(amb.get(row, t))
-            if t < n - 1:
-                coeff = [0] * len(out_active)
-                if i in out_active:
-                    coeff[out_active.index(i)] = 1
-                section_row.extend(coeff)
-            gen_rows.append(tuple(section_row))
+        section_amb = _slot_space([symbols[v] if v in symbols else states[v].alphabet
+                                   for v in vars_])
+        # no row crosses cut 0 or cut n, so the end sections get no coefficients
+        in_active, out_active = active(t), active(t + 1)
+        gen_rows = [(*[int(k == i) for k in in_active], *amb.get(row, t),
+                     *[int(k == i) for k in out_active])
+                    for i, (row, (f, l), _) in enumerate(kept) if f <= t <= l]
         constraints[f"{prefix}c{t}"] = Constraint(
             tuple(vars_), CodeSubgroup(section_amb, gen_rows))
     return Realization(symbols, states, constraints)

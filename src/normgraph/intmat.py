@@ -11,6 +11,7 @@ Smith pivot algorithm with arbitrary-precision ints is the right tool.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import product
 
 # `hermite_form` and `smith_form` keep their names: the bench traces them.
 
@@ -87,13 +88,15 @@ def smith_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], li
     t = 0
     size = min(m, n)
     while t < size:
-        # pick the nonzero entry of smallest magnitude in the trailing block
+        # pick the first nonzero entry of smallest magnitude in the trailing
+        # block, row by row; none is smaller than a unit, which ends the search
         best = None
-        for r in range(t, m):
-            for c in range(t, n):
-                v = abs(S[r][c])
-                if v and (best is None or v < best[0]):
-                    best = (v, r, c)
+        for r, c in product(range(t, m), range(t, n)):
+            v = abs(S[r][c])
+            if v and (best is None or v < best[0]):
+                best = (v, r, c)
+                if v == 1:
+                    break
         if best is None:
             break
         _, r, c = best

@@ -9,8 +9,13 @@ residues; out-of-range values are rejected rather than silently reduced.
 
 from __future__ import annotations
 
-import json
 import sys
+from types import SimpleNamespace
+
+try:
+    from _json import make_scanner as c_make_scanner
+except ImportError:                     # an interpreter without the accelerator
+    c_make_scanner = None
 
 from .alphabets import Alphabet, ProductSpace, sort_key
 from .decode import Message
@@ -181,10 +186,16 @@ def realization_from_json(doc: object) -> Realization:
         raise ParseError(f"malformed realization document: {exc}") from exc
 
 
+def json_text(doc: object) -> str:
+    """`doc` as JSON text, indented by one space.  `json` is imported here,
+    by the commands that write JSON, so that no reading command loads it."""
+    import json
+    return json.dumps(doc, indent=1)
+
+
 def dump_realization(r: Realization, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(realization_to_json(r), fh, indent=1)
-        fh.write("\n")
+        fh.write(json_text(realization_to_json(r)) + "\n")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -200,11 +211,28 @@ def _unique_keys(pairs: list) -> dict:
 def _read_json(path: str, parse_float=None) -> object:
     """The JSON document at `path`.  Text that is not UTF-8, nesting deeper
     than the recursion limit and an integer literal beyond the int-to-str
-    limit are parse errors, as is any other malformed JSON."""
+    limit are parse errors, as is any other malformed JSON.
+
+    The C scanner that `json.loads` runs on reads it without loading `json`
+    (nor its `re` and `enum`).  Any other outcome is left to `json.loads`,
+    which words the error: text left after the value, no `_json` (the
+    scanner is None), or any exception, as CPython 3.11's scanner raises
+    `SystemError` for some errors while `json.decoder` is not loaded."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_float=parse_float,
-                             object_pairs_hook=_unique_keys)
+            text = fh.read()
+            try:
+                scan = c_make_scanner(SimpleNamespace(
+                    strict=True, object_hook=None, object_pairs_hook=_unique_keys,
+                    parse_float=parse_float or float, parse_int=int, parse_constant=float))
+                value, end = scan(text, len(text) - len(text.lstrip(" \t\n\r")))
+                if end == len(text.rstrip(" \t\n\r")):
+                    return value
+            except Exception:
+                pass
+            import json
+            return json.loads(text, parse_float=parse_float,
+                              object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
 
@@ -215,15 +243,9 @@ def load_realization(path: str) -> Realization:
 
 def _weight(value: object, exact: bool, Fraction: type):
     if isinstance(value, bool):
-        raise ValueError(f"weight {json.dumps(value)} is a boolean, not a number")
-    if isinstance(value, str):
-        w = Fraction(value)
-    elif isinstance(value, Fraction):
-        w = value
-    elif isinstance(value, int):
-        w = Fraction(value)
-    else:
-        w = Fraction(str(value))
+        raise ValueError(f"weight {str(value).lower()} is a boolean, not a number")
+    # priors are read with `parse_float=str`: a decimal is text, read exactly
+    w = Fraction(value if isinstance(value, (str, int)) else str(value))
     if exact:
         return w
     try:

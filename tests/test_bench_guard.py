@@ -10,6 +10,7 @@ in one fresh interpreter, started as the bench starts it.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import os
@@ -178,3 +179,50 @@ def test_only_decoding_loads_fractions(tmp_path):
         assert [code, out] == [golden["decode --exact"]["exit"],
                                golden["decode --exact"]["stdout"]], argv
         assert "/" in out and loaded == ["decimal", "fractions", "numbers"], argv
+
+
+def test_main_runs_the_command_function_the_module_holds(monkeypatch):
+    """`bench/tracer.py` wraps `cli.cmd_validate` and its siblings where the
+    module holds them, so `main` must run what the module holds now, not
+    the function the command table was built with."""
+    import normgraph.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: ran.append(args.file) or 7)
+    assert cli.main(["validate", "corpus/rep3.json"]) == 7
+    assert ran == ["corpus/rep3.json"]
+
+
+NO_JSON_SCRIPT = """
+import io, sys
+from contextlib import redirect_stderr, redirect_stdout
+from normgraph.cli import main
+report = []
+for f in sys.argv[1:]:
+    for cmd in (["validate"], ["behavior", "--external-only"], ["check-duality"],
+                ["two-core"], ["analyze"]):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([cmd[0], f, *cmd[1:]])
+        report.append([cmd[0], f, code, sorted({"json", "re", "enum"} & set(sys.modules))])
+print(repr(report))
+"""
+
+
+def test_the_reading_commands_load_no_json_re_or_enum():
+    """A command that writes no JSON reads its document with the C scanner
+    alone: `validate`, `behavior --external-only`, `check-duality`,
+    `two-core` and text `analyze`, run by `main` on every corpus realization
+    in one fresh `python -S`, leave `json`, `re` and `enum` unloaded."""
+    files = sorted(str(p) for p in (ROOT / "corpus").glob("*.json")
+                   if not p.stem.endswith("_priors"))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", NO_JSON_SCRIPT, *files],
+                          capture_output=True, text=True, env=env, cwd=ROOT,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = ast.literal_eval(proc.stdout)      # read here: `ast` loads `enum`
+    assert len(report) == 5 * len(files) >= 25
+    assert {code for _, _, code, _ in report} >= {0, 1}
+    assert [loaded for _, _, _, loaded in report] == [[]] * len(report)

@@ -3,6 +3,9 @@
 `ref_hermite_form` is the integer Hermite elimination that quotients used
 before the Hermite basis was read off the Howell form; here it is the
 oracle for the read-off and for the quotient maps built on it.
+`ref_smith_form` is the Smith form whose pivot search scans the whole
+trailing block; `smith_form` stops at the first unit, which must leave
+(S, V, Vinv) unchanged.
 """
 
 from __future__ import annotations
@@ -10,10 +13,14 @@ from __future__ import annotations
 import random
 from operator import mul
 
+from normgraph import subgroups
 from normgraph.alphabets import Alphabet, ProductSpace, cyclic_group, vector_space
 from normgraph.intmat import hermite_form, smith_form, solve_upper_triangular
+from normgraph.minimize import minimize_cycle_free
+from normgraph.serialize import realization_from_json
 from normgraph.subgroups import CodeSubgroup, QuotientMap, full_subgroup, zero_subgroup
 from normgraph.zmod import xgcd
+from tests.test_bench_guard import bench_module
 
 POOL = [*(cyclic_group(m) for m in (2, 3, 4, 5, 6, 8, 9, 12)),
         cyclic_group(2, 4), vector_space(2, 2)]
@@ -168,3 +175,86 @@ def test_smith_transform_is_unimodular_and_spans_the_lattice():
         assert all(d > 0 for d in diag)
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
         assert ref_hermite_form(mat_mul(A, V), n) == ref_hermite_form(S, n)
+
+
+def ref_smith_form(A):
+    """`smith_form` with the pivot search over the whole trailing block: the
+    first entry of strictly smallest magnitude, row by row."""
+    m = len(A)
+    n = len(A[0]) if A else 0
+    S = [list(r) for r in A]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    Vinv = [list(r) for r in V]
+
+    def col_swap(i, j):
+        for M in (S, V):
+            for r in M:
+                r[i], r[j] = r[j], r[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def col_add(i, j, q):
+        for M in (S, V):
+            for r in M:
+                r[i] += q * r[j]
+        Vinv[j] = [x - q * y for x, y in zip(Vinv[j], Vinv[i])]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for r in range(t, m):
+            for c in range(t, n):
+                v = abs(S[r][c])
+                if v and (best is None or v < best[0]):
+                    best = (v, r, c)
+        if best is None:
+            break
+        _, r, c = best
+        S[t], S[r] = S[r], S[t]
+        if c != t:
+            col_swap(t, c)
+        if S[t][t] < 0:
+            S[t] = [-x for x in S[t]]
+        dirty = False
+        for r in range(t + 1, m):
+            if S[r][t]:
+                q = S[r][t] // S[t][t]
+                S[r] = [x - q * y for x, y in zip(S[r], S[t])]
+                dirty = dirty or bool(S[r][t])
+        for c in range(t + 1, n):
+            if S[t][c]:
+                col_add(c, t, -(S[t][c] // S[t][t]))
+                dirty = dirty or bool(S[t][c])
+        if dirty:
+            continue
+        d = S[t][t]
+        culprit = next((r for r in range(t + 1, m)
+                        if any(S[r][c] % d for c in range(t + 1, n))), None)
+        if culprit is not None:
+            S[t] = [x + y for x, y in zip(S[t], S[culprit])]
+            continue
+        t += 1
+    return S, V, Vinv
+
+
+def test_the_pivot_search_stops_at_a_unit_with_the_same_transforms(monkeypatch):
+    """On random full-rank lattices, and on the relation matrices that
+    `quotient_by` builds while minimizing the bench `trellis` at seeds 0
+    to 3, `smith_form` equals the full-scan reference."""
+    rng = random.Random(2204)
+    matrices = [random_full_rank(rng, rng.randrange(1, 9)) for _ in range(400)]
+    relations = []
+
+    def recorded(A):
+        relations.append([list(r) for r in A])
+        return smith_form(A)
+
+    monkeypatch.setattr(subgroups, "smith_form", recorded)
+    workloads = bench_module("workloads")
+    for seed in range(4):
+        minimize_cycle_free(realization_from_json(workloads.trellis_workload(seed).realization))
+    assert len(relations) >= 20
+    # a unit off the first scanned entry, so the search stops short of a full scan
+    assert sum(any(abs(v) == 1 for r in A for v in r) and abs(A[0][0]) != 1
+               for A in relations + matrices) >= 20
+    for A in relations + matrices:
+        assert smith_form(A) == ref_smith_form(A), A

@@ -5,8 +5,8 @@ are written, cut and read in `subgroups` alone, on top of `zmod` and
 `intmat`; every other module asks it for subgroups, kernels
 (`kernel_span`), projections, cross-sections and lifts.  Checked on the
 source with `ast`, so a module that starts to lift rows by hand again
-fails here, whatever it computes.  The package is also held to its line
-budget (ROADMAP aim 2).
+fails here, whatever it computes.  `json` is named in `serialize` alone,
+and the package is held to its line budget (ROADMAP aim 2).
 """
 
 from __future__ import annotations
@@ -57,6 +57,26 @@ def test_only_subgroups_uses_the_linear_algebra_core_and_lifted_rows():
     lifting = {name for name, tree in modules.items()
                if name not in CORE and named(tree) & LIFTED}
     assert lifting == {"subgroups", "alphabets"}
+
+
+def test_only_serialize_names_json():
+    """Reading a document loads no `json` (it brings `re` and `enum`), so
+    `json` and its C scanner `_json` are imported, or named, in `serialize`
+    alone, which scans with the one and writes with the other."""
+    def json_names(tree: ast.AST) -> set[str]:
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        return names & {"json", "_json"}
+
+    modules = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    assert {name: json_names(tree) for name, tree in modules.items()
+            if json_names(tree)} == {"serialize": {"json", "_json"}}
 
 
 def test_the_package_stays_within_its_line_budget():

@@ -1,5 +1,6 @@
 """Record classes behave as the dataclasses they replaced, and importing the
-command line loads neither `dataclasses` nor `typing`."""
+command line loads neither `dataclasses` nor `typing` (nor `json`, `re` and
+`enum`, which only the commands that write JSON import)."""
 
 from __future__ import annotations
 
@@ -106,7 +107,7 @@ def test_post_init_still_validates():
 def test_cli_import_loads_no_dataclasses_or_typing():
     src = str(Path(__file__).resolve().parent.parent / "src")
     heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "random",
-             "fractions", "decimal", "numbers")
+             "fractions", "decimal", "numbers", "json", "re", "enum")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, normgraph.cli; "
